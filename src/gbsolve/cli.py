@@ -13,7 +13,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .errors import KernelError, UsageError
+from .errors import InvariantViolation, KernelError, UsageError
 from .euclidean import strong_buchberger, to_coeff_view
 from .fields import FieldTower, UnivariatePolyDomain
 from .groebner import Ideal, eliminate_to_x1, is_trivial, member
@@ -177,7 +177,8 @@ def _cmd_solve(args):
         print("TRIVIAL")
         _print_certificate(outcome.certificate, problem.names)
         return 1
-    assert isinstance(outcome, Point)
+    if not isinstance(outcome, Point):
+        raise InvariantViolation(f"solve returned {type(outcome).__name__}")
     print("POINT")
     tower = outcome.tower
     for i, level in enumerate(tower.levels):

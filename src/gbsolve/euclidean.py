@@ -12,11 +12,21 @@ gcd); that pairing is what makes the resulting leading-monomial set strong.
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
+
 from . import unipoly
-from .errors import SpecializationError, UsageError
+from .errors import InvariantViolation, SpecializationError, UsageError
 from .fields import FFElement, UnivariatePolyDomain
-from .groebner import StrongBasis
-from .poly import Polynomial, TermOrder, exp_add, exp_divides, exp_lcm, exp_sub
+from .groebner import StrongBasis, _leading, _leads
+from .poly import (
+    Polynomial,
+    TermOrder,
+    exp_add,
+    exp_divides,
+    exp_lcm,
+    exp_sub,
+    heap_entry,
+)
 
 
 def to_coeff_view(p, name="x1"):
@@ -60,25 +70,23 @@ def normalize_leading_unit(f, order):
     return f.scaled(unipoly.constant(field.inv(unipoly.leading(unit)), field))
 
 
-def _leads(basis, order):
-    out = []
-    for g in basis:
-        if g.is_zero():
-            raise UsageError("reduction by a basis containing zero")
-        m = g.leading(order)
-        out.append((m.exponents, m.coefficient))
-    return out
+def _strong_divide(f, basis, lead, order, want_cofs):
+    """Strong division of f by the basis whose leading terms are ``lead``.
 
-
-def _strong_divide(f, basis, order, want_cofs):
+    Terms are taken largest first from a lazily pruned max-heap, as in
+    ``groebner._divide``.
+    """
     dom = f.domain
-    lead = _leads(basis, order)
     work = dict(f.coeffs)
+    heap = [heap_entry(order, t) for t in work]
+    heapify(heap)
     remainder = {}
     cofs = [dict() for _ in basis] if want_cofs else None
-    while work:
-        t = max(work, key=order.key)
-        c = work.pop(t)
+    while heap:
+        t = heappop(heap)[1]
+        c = work.pop(t, None)
+        if c is None:
+            continue
         while not dom.is_zero(c):
             for idx, (tg, cg) in enumerate(lead):
                 if exp_divides(tg, t):
@@ -92,10 +100,13 @@ def _strong_divide(f, basis, order, want_cofs):
                 if s == tg:
                     continue
                 key = exp_add(s, m)
-                nv = dom.sub(work.get(key, dom.zero()), dom.mul(q, cs))
+                old = work.get(key)
+                nv = dom.sub(dom.zero() if old is None else old, dom.mul(q, cs))
                 if dom.is_zero(nv):
                     work.pop(key, None)
                 else:
+                    if old is None:
+                        heappush(heap, heap_entry(order, key))
                     work[key] = nv
             if want_cofs:
                 cofs[idx][m] = dom.add(cofs[idx].get(m, dom.zero()), q)
@@ -112,37 +123,43 @@ def strong_reduce(f, basis, order=None):
     """Strong remainder and cofactors with f = sum(cof * g) + remainder."""
     if order is None:
         order = TermOrder.lex(f.nvars)
-    return _strong_divide(f, list(basis), order, True)
+    basis = list(basis)
+    return _strong_divide(f, basis, _leads(basis, order), order, True)
 
 
 def strong_normal_form(f, basis, order=None):
     if order is None:
         order = TermOrder.lex(f.nvars)
-    return _strong_divide(f, list(basis), order, False)[0]
+    basis = list(basis)
+    return _strong_divide(f, basis, _leads(basis, order), order, False)[0]
 
 
 def spoly(f, g, order):
     """S-polynomial through the coefficient lcm; leading monomials cancel."""
-    fm = f.leading(order)
-    gm = g.leading(order)
-    dom = f.domain
-    t = exp_lcm(fm.exponents, gm.exponents)
-    l = dom.lcm(fm.coefficient, gm.coefficient)
-    return f.mul_monomial(
-        dom.exact_div(l, fm.coefficient), exp_sub(t, fm.exponents)
-    ) - g.mul_monomial(dom.exact_div(l, gm.coefficient), exp_sub(t, gm.exponents))
+    return _spoly(f, _leading(f, order), g, _leading(g, order))
 
 
 def gpoly(f, g, order):
     """G-polynomial: leading coefficients combine into their gcd."""
-    fm = f.leading(order)
-    gm = g.leading(order)
+    return _gpoly(f, _leading(f, order), g, _leading(g, order))
+
+
+def _spoly(f, f_lead, g, g_lead):
+    (fe, fc), (ge, gc) = f_lead, g_lead
     dom = f.domain
-    t = exp_lcm(fm.exponents, gm.exponents)
-    _, u, v = dom.xgcd(fm.coefficient, gm.coefficient)
-    return f.mul_monomial(u, exp_sub(t, fm.exponents)) + g.mul_monomial(
-        v, exp_sub(t, gm.exponents)
+    t = exp_lcm(fe, ge)
+    l = dom.lcm(fc, gc)
+    return f.mul_monomial(dom.exact_div(l, fc), exp_sub(t, fe)) - g.mul_monomial(
+        dom.exact_div(l, gc), exp_sub(t, ge)
     )
+
+
+def _gpoly(f, f_lead, g, g_lead):
+    (fe, fc), (ge, gc) = f_lead, g_lead
+    dom = f.domain
+    t = exp_lcm(fe, ge)
+    _, u, v = dom.xgcd(fc, gc)
+    return f.mul_monomial(u, exp_sub(t, fe)) + g.mul_monomial(v, exp_sub(t, ge))
 
 
 def _strong_divides(dom, lead_a, lead_b):
@@ -168,33 +185,31 @@ def strong_buchberger(gens, order=None, *, domain=None, nvars=None):
         raise UsageError("order does not match the variable count")
 
     basis = []
-    lts = []
-    pending = set()
+    lead = []
+    queue = []  # (order key of the lcm, kind, i, j); kind 0 is S, 1 is G
 
     def push(f):
         f = normalize_leading_unit(f, order)
+        f_lead = _leading(f, order)
         j = len(basis)
         for i in range(j):
-            pending.add((0, i, j))
-            pending.add((1, i, j))
+            k = order.key(exp_lcm(lead[i][0], f_lead[0]))
+            heappush(queue, (k, 0, i, j))
+            heappush(queue, (k, 1, i, j))
         basis.append(f)
-        lts.append(f.leading(order).exponents)
+        lead.append(f_lead)
 
     for g in gens:
         if not g.is_zero():
             push(g)
 
-    def pair_key(entry):
-        kind, i, j = entry
-        return (order.key(exp_lcm(lts[i], lts[j])), kind, i, j)
-
-    while pending:
-        kind, i, j = min(pending, key=pair_key)
-        pending.discard((kind, i, j))
-        candidate = (spoly if kind == 0 else gpoly)(basis[i], basis[j], order)
+    while queue:
+        _, kind, i, j = heappop(queue)
+        make = _spoly if kind == 0 else _gpoly
+        candidate = make(basis[i], lead[i], basis[j], lead[j])
         if candidate.is_zero():
             continue
-        r = _strong_divide(candidate, basis, order, False)[0]
+        r = _strong_divide(candidate, basis, lead, order, False)[0]
         if not r.is_zero():
             push(r)
 
@@ -206,19 +221,18 @@ def strong_buchberger(gens, order=None, *, domain=None, nvars=None):
         changed = False
         ranked = sorted(
             range(len(elems)),
-            key=lambda k: _canonical_key(elems[k], order),
+            key=lambda k: _canonical_key(lead[k], domain, order),
             reverse=True,
         )
         for k in ranked:
-            g = elems[k]
             rest = elems[:k] + elems[k + 1 :]
-            gl = (g.leading(order).exponents, g.leading(order).coefficient)
-            covered = any(
-                _strong_divides(domain, (h.leading(order).exponents, h.leading(order).coefficient), gl)
-                for h in rest
-            )
-            if covered and _strong_divide(g, rest, order, False)[0].is_zero():
+            rest_lead = lead[:k] + lead[k + 1 :]
+            covered = any(_strong_divides(domain, h, lead[k]) for h in rest_lead)
+            if covered and _strong_divide(
+                elems[k], rest, rest_lead, order, False
+            )[0].is_zero():
                 elems.pop(k)
+                lead.pop(k)
                 changed = True
                 break
 
@@ -228,39 +242,50 @@ def strong_buchberger(gens, order=None, *, domain=None, nvars=None):
     while changed:
         changed = False
         for k in range(len(elems)):
-            reducers = [
-                h
-                for idx, h in enumerate(elems)
-                if idx != k and domain.is_unit(h.leading(order).coefficient)
+            others = [
+                idx
+                for idx in range(len(elems))
+                if idx != k and domain.is_unit(lead[idx][1])
             ]
-            if not reducers:
+            if not others:
                 continue
-            r = _strong_divide(elems[k], reducers, order, False)[0]
+            reducers = [elems[idx] for idx in others]
+            reducer_lead = [lead[idx] for idx in others]
+            r = _strong_divide(elems[k], reducers, reducer_lead, order, False)[0]
             if r != elems[k]:
                 if r.is_zero():
-                    raise AssertionError("minimal strong basis elements cannot vanish")
+                    raise InvariantViolation(
+                        "minimal strong basis elements cannot vanish"
+                    )
                 elems[k] = normalize_leading_unit(r, order)
+                lead[k] = _leading(elems[k], order)
                 changed = True
 
-    elems.sort(key=lambda g: _canonical_key(g, order), reverse=True)
-    return StrongBasis(tuple(elems), order, domain, nvars, certified=True)
+    ranked = sorted(
+        range(len(elems)),
+        key=lambda k: _canonical_key(lead[k], domain, order),
+        reverse=True,
+    )
+    elems = tuple(elems[k] for k in ranked)
+    return StrongBasis(elems, order, domain, nvars, certified=True)
 
 
-def _canonical_key(g, order):
-    m = g.leading(order)
-    return (order.key(m.exponents), g.domain.sort_key(m.coefficient))
+def _canonical_key(g_lead, domain, order):
+    exps, coeff = g_lead
+    return (order.key(exps), domain.sort_key(coeff))
 
 
 def certify_strong_basis(elements, order):
     """Re-reduce every S- and G-polynomial from scratch; all must vanish."""
     elements = list(elements)
+    lead = _leads(elements, order)
     for i in range(len(elements)):
         for j in range(i + 1, len(elements)):
-            for make in (spoly, gpoly):
-                c = make(elements[i], elements[j], order)
+            for make in (_spoly, _gpoly):
+                c = make(elements[i], lead[i], elements[j], lead[j])
                 if c.is_zero():
                     continue
-                if not _strong_divide(c, elements, order, False)[0].is_zero():
+                if not _strong_divide(c, elements, lead, order, False)[0].is_zero():
                     return False
     return True
 

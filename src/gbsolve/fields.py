@@ -8,26 +8,36 @@ level; ``lift`` embeds elements from any prefix tower.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import unipoly
-from .errors import UsageError
+from .errors import InvariantViolation, UsageError
+
+
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_probable_prime(n):
-    """Deterministic Miller-Rabin, exact for every n below 3.3 * 10**24."""
+    """Baillie-PSW: strong probable prime to the first 12 prime bases and a
+    strong Lucas probable prime.
+
+    The 12 bases alone are exact below 3.18 * 10**23; above that there are
+    composites passing them all, such as 318665857834031151167461, which the
+    Lucas step rejects.  No composite is known to pass both tests.
+    """
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _SMALL_PRIMES:
         y = pow(a, d, n)
         if y == 1 or y == n - 1:
             continue
@@ -37,7 +47,66 @@ def is_probable_prime(n):
                 break
         else:
             return False
-    return True
+    return _is_strong_lucas_prp(n)
+
+
+def _jacobi(a, n):
+    """Jacobi symbol (a/n) for odd positive n."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _half(x, n):
+    """x / 2 modulo odd n."""
+    x %= n
+    return (x + n if x & 1 else x) // 2
+
+
+def _is_strong_lucas_prp(n):
+    """Strong Lucas test with Selfridge's parameters, for odd n > 37.
+
+    D is the first of 5, -7, 9, -11, ... with Jacobi symbol (D/n) = -1,
+    P = 1 and Q = (1 - D) / 4.  With n + 1 = d * 2**s, n passes when
+    U_d = 0 or V_(d * 2**r) = 0 for some 0 <= r < s (all modulo n).
+    """
+    if math.isqrt(n) ** 2 == n:
+        return False  # no suitable D exists for a square
+    D = 5
+    while True:
+        j = _jacobi(D, n)
+        if j == -1:
+            break
+        if j == 0:
+            return False  # gcd(D, n) > 1 and |D| < n
+        D = -D - 2 if D > 0 else -D + 2
+    P, Q = 1, (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    # U_k, V_k and Q**k for k = 1, walking the bits of d below the top one
+    U, V, Qk = 1, P, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = _half(P * U + V, n), _half(D * U + P * V, n), Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 class Domain:
@@ -271,7 +340,10 @@ class FieldTower(Field):
         if not self.levels:
             return pow(a, -1, self.p)
         d, u, _ = unipoly.xgcd(a, self.levels[-1].minpoly, self._sub)
-        assert d == unipoly.one(self._sub)
+        if d != unipoly.one(self._sub):
+            raise InvariantViolation(
+                f"{self.tag}: an element shares a factor with the minimal polynomial"
+            )
         return unipoly.rem(u, self.levels[-1].minpoly, self._sub)
 
     # -- tower structure -----------------------------------------------------

@@ -5,15 +5,31 @@ identity; Buchberger can additionally track how each basis element was
 assembled from the input generators, which is how triviality certificates
 are produced.  Reduced bases are monic, inter-reduced and sorted with the
 largest leading term first, so equal ideals print identically.
+
+Each term order key is computed once.  Division keeps the live terms of the
+dividend in a max-heap keyed when a term first appears, and drops an entry
+whose term has cancelled when it reaches the top; since reduction only adds
+terms below the current one, terms are taken in strictly descending order.
+Completion keys each pair (key of the lcm, i, j) once, when the later basis
+element is added, and reduces pairs smallest lcm first from a heap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 from . import unipoly
-from .errors import UsageError
-from .poly import Polynomial, TermOrder, exp_add, exp_divides, exp_lcm, exp_sub
+from .errors import InvariantViolation, UsageError
+from .poly import (
+    Polynomial,
+    TermOrder,
+    exp_add,
+    exp_divides,
+    exp_lcm,
+    exp_sub,
+    heap_entry,
+)
 
 
 @dataclass(frozen=True)
@@ -40,19 +56,35 @@ def _leading(f, order):
     return m.exponents, m.coefficient
 
 
-def _divide(f, basis, order, want_cofs):
-    dom = f.domain
+def _leads(basis, order):
+    """Leading (exponents, coefficient) of each divisor; rejects zero."""
     lead = []
     for g in basis:
         if g.is_zero():
             raise UsageError("division by a basis containing zero")
         lead.append(_leading(g, order))
+    return lead
+
+
+def _divide(f, basis, lead, order, want_cofs):
+    """Divide f by the basis whose leading terms are ``lead``.
+
+    Live terms wait in a max-heap, keyed once when they enter ``work``; a
+    term that cancelled since is skipped when its entry surfaces.  Every new
+    term lies below the one being reduced, so the heap yields the terms in
+    strictly descending order.
+    """
+    dom = f.domain
     work = dict(f.coeffs)
+    heap = [heap_entry(order, t) for t in work]
+    heapify(heap)
     remainder = {}
     cofs = [dict() for _ in basis] if want_cofs else None
-    while work:
-        t = max(work, key=order.key)
-        c = work.pop(t)
+    while heap:
+        t = heappop(heap)[1]
+        c = work.pop(t, None)
+        if c is None:
+            continue
         for idx, (lexp, lc) in enumerate(lead):
             if exp_divides(lexp, t):
                 u = dom.div(c, lc)
@@ -61,10 +93,13 @@ def _divide(f, basis, order, want_cofs):
                     if s == lexp:
                         continue
                     key = exp_add(s, m)
-                    nv = dom.sub(work.get(key, dom.zero()), dom.mul(u, cs))
+                    old = work.get(key)
+                    nv = dom.sub(dom.zero() if old is None else old, dom.mul(u, cs))
                     if dom.is_zero(nv):
                         work.pop(key, None)
                     else:
+                        if old is None:
+                            heappush(heap, heap_entry(order, key))
                         work[key] = nv
                 if want_cofs:
                     cofs[idx][m] = dom.add(cofs[idx].get(m, dom.zero()), u)
@@ -81,14 +116,16 @@ def reduce(f, basis, order=None):
     """Remainder and cofactors with f = sum(cof * g) + remainder exactly."""
     if order is None:
         order = TermOrder.lex(f.nvars)
-    return _divide(f, list(basis), order, True)
+    basis = list(basis)
+    return _divide(f, basis, _leads(basis, order), order, True)
 
 
 def normal_form(f, basis, order=None):
     """Remainder of f on division by the basis, without cofactor bookkeeping."""
     if order is None:
         order = TermOrder.lex(f.nvars)
-    return _divide(f, list(basis), order, False)[0]
+    basis = list(basis)
+    return _divide(f, basis, _leads(basis, order), order, False)[0]
 
 
 def spoly(f, g, order):
@@ -121,8 +158,11 @@ def buchberger(gens, order=None, *, track=False, domain=None, nvars=None):
 
     basis = []
     lts = []
+    lead = []  # (lt, 1): every basis element is monic
     lineage = []
     pending = set()
+    queue = []  # (order key of the lcm, i, j, lcm), smallest first
+    one = domain.one()
 
     def push(f, vec):
         lexp, lc = _leading(f, order)
@@ -132,9 +172,12 @@ def buchberger(gens, order=None, *, track=False, domain=None, nvars=None):
             vec = tuple(v.scaled(inv) for v in vec)
         j = len(basis)
         for i in range(j):
+            lcm = exp_lcm(lts[i], lexp)
+            heappush(queue, (order.key(lcm), i, j, lcm))
             pending.add((i, j))
         basis.append(f)
         lts.append(lexp)
+        lead.append((lexp, one))
         lineage.append(vec)
 
     zero = Polynomial.zero(domain, nvars)
@@ -144,19 +187,14 @@ def buchberger(gens, order=None, *, track=False, domain=None, nvars=None):
         vec = None
         if track:
             vec = tuple(
-                Polynomial.constant(domain, nvars, domain.one()) if m == k else zero
+                Polynomial.constant(domain, nvars, one) if m == k else zero
                 for m in range(len(gens))
             )
         push(g, vec)
 
-    def pair_key(ij):
-        i, j = ij
-        return (order.key(exp_lcm(lts[i], lts[j])), i, j)
-
-    while pending:
-        i, j = min(pending, key=pair_key)
+    while queue:
+        _, i, j, lcm_ij = heappop(queue)
         pending.discard((i, j))
-        lcm_ij = exp_lcm(lts[i], lts[j])
         if lcm_ij == exp_add(lts[i], lts[j]):
             continue  # disjoint leading terms: S-polynomial reduces to zero
         skip = False
@@ -172,16 +210,14 @@ def buchberger(gens, order=None, *, track=False, domain=None, nvars=None):
             continue
         ui = exp_sub(lcm_ij, lts[i])
         uj = exp_sub(lcm_ij, lts[j])
-        s = basis[i].mul_monomial(domain.one(), ui) - basis[j].mul_monomial(
-            domain.one(), uj
-        )
-        r, cofs = _divide(s, basis, order, track)
+        s = basis[i].mul_monomial(one, ui) - basis[j].mul_monomial(one, uj)
+        r, cofs = _divide(s, basis, lead, order, track)
         if r.is_zero():
             continue
         vec = None
         if track:
             vec = [
-                a.mul_monomial(domain.one(), ui) - b.mul_monomial(domain.one(), uj)
+                a.mul_monomial(one, ui) - b.mul_monomial(one, uj)
                 for a, b in zip(lineage[i], lineage[j])
             ]
             for m, cof in enumerate(cofs):
@@ -198,6 +234,7 @@ def buchberger(gens, order=None, *, track=False, domain=None, nvars=None):
             keep.append(idx)
 
     final = [basis[k] for k in keep]
+    final_lead = [lead[k] for k in keep]
     final_lin = [lineage[k] for k in keep] if track else None
     changed = True
     while changed:
@@ -206,15 +243,17 @@ def buchberger(gens, order=None, *, track=False, domain=None, nvars=None):
             others = final[:idx] + final[idx + 1 :]
             if not others:
                 continue
-            r, cofs = _divide(final[idx], others, order, track)
+            other_lead = final_lead[:idx] + final_lead[idx + 1 :]
+            r, cofs = _divide(final[idx], others, other_lead, order, track)
             if r == final[idx]:
                 continue
             changed = True
             if r.is_zero():
-                raise AssertionError("minimal basis elements cannot vanish")
+                raise InvariantViolation("minimal basis elements cannot vanish")
             lexp, lc = _leading(r, order)
             inv = domain.inv(lc)
             final[idx] = r.scaled(inv)
+            final_lead[idx] = (lexp, one)
             if track:
                 vec = list(final_lin[idx])
                 other_lin = final_lin[:idx] + final_lin[idx + 1 :]
@@ -225,9 +264,7 @@ def buchberger(gens, order=None, *, track=False, domain=None, nvars=None):
                 final_lin[idx] = tuple(v.scaled(inv) for v in vec)
 
     ranked = sorted(
-        range(len(final)),
-        key=lambda k: order.key(final[k].leading(order).exponents),
-        reverse=True,
+        range(len(final)), key=lambda k: order.key(final_lead[k][0]), reverse=True
     )
     elements = tuple(final[k] for k in ranked)
     lin = tuple(final_lin[k] for k in ranked) if track else None
@@ -237,10 +274,11 @@ def buchberger(gens, order=None, *, track=False, domain=None, nvars=None):
 def certify_basis(elements, order):
     """Re-check every S-polynomial from scratch, skipping no pairs."""
     elements = list(elements)
+    lead = _leads(elements, order)
     for i in range(len(elements)):
         for j in range(i + 1, len(elements)):
             s = spoly(elements[i], elements[j], order)
-            if not _divide(s, elements, order, False)[0].is_zero():
+            if not _divide(s, elements, lead, order, False)[0].is_zero():
                 return False
     return True
 

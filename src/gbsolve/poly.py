@@ -9,6 +9,7 @@ arbitrary variable priority so the same machinery serves elimination.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter, mul, neg
 
 from .errors import UsageError, ZeroPolynomialError
 
@@ -28,6 +29,18 @@ def exp_lcm(s, t):
 def exp_divides(s, t):
     """True when the term with exponents s divides the term with exponents t."""
     return all(a <= b for a, b in zip(s, t))
+
+
+def _compile_key(priority, weights):
+    """Key function of an order: the exponents in priority order, led by the
+    weighted degree when the order is weighted."""
+    if priority == tuple(range(len(priority))):
+        lex = tuple
+    else:
+        lex = itemgetter(*priority)  # a permutation of two or more variables
+    if weights is None:
+        return lex
+    return lambda exps: (sum(map(mul, weights, exps)),) + lex(exps)
 
 
 @dataclass(frozen=True)
@@ -51,6 +64,7 @@ class TermOrder:
                 raise UsageError("one weight per variable is required")
             if any(w <= 0 or w != int(w) for w in self.weights):
                 raise UsageError("weights must be positive integers")
+        object.__setattr__(self, "_key", _compile_key(self.priority, self.weights))
 
     @staticmethod
     def lex(nvars, priority=None):
@@ -70,10 +84,7 @@ class TermOrder:
 
     def key(self, exps):
         """Sort key; larger key means larger term."""
-        lexkey = tuple(exps[i] for i in self.priority)
-        if self.weights is None:
-            return lexkey
-        return (sum(w * e for w, e in zip(self.weights, exps)),) + lexkey
+        return self._key(exps)
 
     def compare(self, s, t):
         """-1, 0 or 1 as s is below, equal to or above t."""
@@ -81,6 +92,11 @@ class TermOrder:
             raise UsageError("exponent tuple does not match the order's variables")
         ks, kt = self.key(s), self.key(t)
         return (ks > kt) - (ks < kt)
+
+
+def heap_entry(order, exps):
+    """Min-heap entry for a term; the largest term under the order pops first."""
+    return tuple(map(neg, order.key(exps))), exps
 
 
 @dataclass(frozen=True)
@@ -270,10 +286,6 @@ class Polynomial:
             self.nvars,
             {exp_add(e, exps): dom.mul(v, c) for e, v in self.coeffs.items()},
         )
-
-    def map_coefficients(self, fn, domain):
-        """Apply fn to every coefficient, landing in the given domain."""
-        return Polynomial(domain, self.nvars, {e: fn(c) for e, c in self.coeffs.items()})
 
     # -- variable plumbing ------------------------------------------------------
 

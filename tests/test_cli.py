@@ -63,6 +63,11 @@ class TestParseProblem:
         with pytest.raises(ParseError, match="line 1.*4 is not prime"):
             parse_problem("field p 4\nvars x\n")
 
+    def test_pseudoprime_modulus(self):
+        # a strong pseudoprime to every base from 2 to 37
+        with pytest.raises(ParseError, match="is not prime"):
+            parse_problem("field p 318665857834031151167461\nvars x\n")
+
     def test_structure_errors(self):
         with pytest.raises(ParseError, match="first line must declare the field"):
             parse_problem("vars x\n")
@@ -242,6 +247,13 @@ class TestCommands:
         path = _problem(tmp_path, "field q\nvars x\nx\n")
         code, _, err = _run(capsys, "solve", path)
         assert code == 2 and "finite characteristic" in err
+
+    def test_pseudoprime_field_exits_two(self, tmp_path, capsys):
+        for n in (318665857834031151167461, 3317044064679887385961981):
+            path = _problem(tmp_path, f"field p {n}\nvars x1 x2\nx1^2 + 1\nx2 - x1\n")
+            code, out, err = _run(capsys, "solve", path)
+            assert (code, out) == (2, "")
+            assert err.startswith("error:") and f"{n} is not prime" in err
 
     def test_missing_file(self, capsys):
         code, _, err = _run(capsys, "gb", "/nonexistent/nowhere.gb")

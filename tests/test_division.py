@@ -1,0 +1,140 @@
+"""Differential tests for the two division routines on seeded random inputs.
+
+``groebner._divide`` and ``euclidean._strong_divide`` take terms from a
+lazily pruned heap.  Each result must satisfy f = sum(cof * g) + r, leave no
+reducible term in r, and agree exactly with the textbook loop below, which
+rescans the whole remaining polynomial for its leading term at every step.
+"""
+
+import random
+
+import pytest
+
+from corpus import random_poly, random_poly_q
+from gbsolve import euclidean, groebner
+from gbsolve.fields import GF, QQ, UnivariatePolyDomain
+from gbsolve.poly import Polynomial, TermOrder, exp_divides, exp_sub
+
+F5 = GF(5)
+F49 = GF(7).extend((1, 0, 1))  # t^2 + 1 has no root mod 7
+
+ORDERS = [
+    TermOrder.lex(3),
+    TermOrder.lex(3, (2, 0, 1)),
+    TermOrder.weighted((1, 1, 1)),
+    TermOrder.weighted((2, 1, 3), (1, 2, 0)),
+]
+
+
+def _naive_divide(f, basis, order):
+    """Field division: take the leading term, reduce by the first divisor."""
+    dom, n = f.domain, f.nvars
+    p = f
+    remainder = Polynomial.zero(dom, n)
+    cofs = [Polynomial.zero(dom, n) for _ in basis]
+    while not p.is_zero():
+        lt = p.leading(order)
+        for idx, g in enumerate(basis):
+            lg = g.leading(order)
+            if exp_divides(lg.exponents, lt.exponents):
+                q = Polynomial.term(
+                    dom,
+                    n,
+                    dom.div(lt.coefficient, lg.coefficient),
+                    exp_sub(lt.exponents, lg.exponents),
+                )
+                p = p - q * g
+                cofs[idx] = cofs[idx] + q
+                break
+        else:
+            head = Polynomial.term(dom, n, lt.coefficient, lt.exponents)
+            remainder = remainder + head
+            p = p - head
+    return remainder, tuple(cofs)
+
+
+def _naive_strong_divide(f, basis, order):
+    """Strong division: reduce the leading coefficient by the first divisor
+    with a nonzero Euclidean quotient until none is left."""
+    dom, n = f.domain, f.nvars
+    p = f
+    remainder = Polynomial.zero(dom, n)
+    cofs = [Polynomial.zero(dom, n) for _ in basis]
+    while not p.is_zero():
+        lt = p.leading(order)
+        for idx, g in enumerate(basis):
+            lg = g.leading(order)
+            if exp_divides(lg.exponents, lt.exponents):
+                quot, _ = dom.euclid_divmod(lt.coefficient, lg.coefficient)
+                if not dom.is_zero(quot):
+                    q = Polynomial.term(dom, n, quot, exp_sub(lt.exponents, lg.exponents))
+                    p = p - q * g
+                    cofs[idx] = cofs[idx] + q
+                    break
+        else:
+            head = Polynomial.term(dom, n, lt.coefficient, lt.exponents)
+            remainder = remainder + head
+            p = p - head
+    return remainder, tuple(cofs)
+
+
+def _combination(cofs, basis, remainder):
+    total = remainder
+    for c, g in zip(cofs, basis):
+        total = total + c * g
+    return total
+
+
+def _random_problem(rng, maker, nbasis):
+    f = maker(rng, 4, 6)
+    basis = []
+    while len(basis) < nbasis:
+        g = maker(rng, 2, 3)
+        if not g.is_zero():
+            basis.append(g)
+    return f, basis
+
+
+@pytest.mark.parametrize(
+    "maker",
+    [
+        lambda rng, d, t: random_poly(rng, F5, 3, d, t),
+        lambda rng, d, t: random_poly(rng, F49, 3, d, t),
+        lambda rng, d, t: random_poly_q(rng, QQ, 3, d, t),
+    ],
+    ids=["GF5", "GF49", "QQ"],
+)
+def test_field_division_matches_the_textbook_loop(maker):
+    rng = random.Random(20240)
+    for trial in range(60):
+        order = ORDERS[trial % len(ORDERS)]
+        f, basis = _random_problem(rng, maker, 1 + trial % 4)
+        r, cofs = groebner.reduce(f, basis, order)
+        assert _combination(cofs, basis, r) == f
+        leads = [g.leading(order).exponents for g in basis]
+        assert not any(exp_divides(lt, t) for t in r.coeffs for lt in leads)
+        assert (r, cofs) == _naive_divide(f, basis, order)
+        assert groebner.normal_form(f, basis, order) == r
+
+
+def test_strong_division_matches_the_textbook_loop():
+    dom = UnivariatePolyDomain(F5)
+    rng = random.Random(7)
+
+    def maker(rng, d, t):
+        return euclidean.to_coeff_view(random_poly(rng, F5, 3, d, t))
+
+    orders = [TermOrder.lex(2), TermOrder.lex(2, (1, 0)), TermOrder.weighted((1, 2))]
+    for trial in range(80):
+        order = orders[trial % len(orders)]
+        f, basis = _random_problem(rng, maker, 1 + trial % 4)
+        r, cofs = euclidean.strong_reduce(f, basis, order)
+        assert _combination(cofs, basis, r) == f
+        for t, c in r.coeffs.items():
+            for g in basis:
+                lg = g.leading(order)
+                if exp_divides(lg.exponents, t):
+                    quot, _ = dom.euclid_divmod(c, lg.coefficient)
+                    assert dom.is_zero(quot)
+        assert (r, cofs) == _naive_strong_divide(f, basis, order)
+        assert euclidean.strong_normal_form(f, basis, order) == r

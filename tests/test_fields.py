@@ -1,12 +1,16 @@
 """Rationals, prime fields, extension towers, and the K[x1] coefficient domain."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from gbsolve import unipoly
-from gbsolve.errors import UsageError
+from gbsolve import fields, unipoly
+from gbsolve.errors import InvariantViolation, UsageError
 from gbsolve.fields import (
     GF,
     QQ,
@@ -42,6 +46,23 @@ class TestPrimality:
     def test_larger_primes(self):
         assert is_probable_prime(2**31 - 1)
         assert not is_probable_prime(2**31)
+        assert is_probable_prime(2**89 - 1)
+        assert is_probable_prime(2**127 - 1)
+
+    # strong pseudoprimes to all of the bases 2..37, with no factor below 10**6
+    PSEUDOPRIMES = (318665857834031151167461, 3317044064679887385961981)
+
+    def test_strong_pseudoprimes_to_the_first_twelve_bases_are_rejected(self):
+        for n in self.PSEUDOPRIMES:
+            assert not is_probable_prime(n), n
+        # carmichael numbers and a strong Lucas pseudoprime (5459 = 53 * 103)
+        for n in (561, 41041, 825265, 5459, 3215031751, 2152302898747):
+            assert not is_probable_prime(n), n
+
+    def test_pseudoprime_characteristic_is_refused(self):
+        for n in self.PSEUDOPRIMES:
+            with pytest.raises(UsageError, match="not prime"):
+                FieldTower(n)
 
 
 class TestRationals:
@@ -132,6 +153,30 @@ class TestTowers:
             other.lift(F9.one(), F9)
         with pytest.raises(UsageError):
             F9.lift(F5.one(), F5)
+
+    def test_inverse_with_a_shared_factor_is_an_invariant_violation(self, monkeypatch):
+        # only reachable when a reducible minimal polynomial slips past the check
+        monkeypatch.setattr(unipoly, "is_irreducible", lambda f, F: True)
+        bad = F3.extend((2, 0, 1))  # x^2 + 2 = (x - 1)(x + 1) over F3
+        with pytest.raises(InvariantViolation, match="shares a factor"):
+            bad.inv((2, 1))  # t1 - 1
+
+    def test_invariant_violation_survives_optimized_mode(self):
+        code = (
+            "from gbsolve import fields, unipoly\n"
+            "from gbsolve.errors import InvariantViolation\n"
+            "unipoly.is_irreducible = lambda f, F: True\n"
+            "try:\n"
+            "    fields.GF(3).extend((2, 0, 1)).inv((2, 1))\n"
+            "except InvariantViolation:\n"
+            "    print('raised')\n"
+        )
+        src = str(Path(fields.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+        )
+        assert proc.stdout == "raised\n", proc.stderr
 
     def test_towers_compare_by_structure(self):
         assert F9 == F3.extend((1, 0, 1))

@@ -1,0 +1,87 @@
+"""Golden transcripts: fixed problem files whose stdout is checked in.
+
+Certificates and bases depend on the exact order in which pairs are reduced
+and terms are divided, so these pin byte-identical output across changes to
+the completion and division loops; criterion 8 only checks that a run
+repeats itself.  After an intended output change, rewrite the expected
+files with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and review the diff.
+"""
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+from gbsolve import cli
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# (case name, command and options, problem files, expected exit code)
+CASES = [
+    ("gb_lex_dense", ["gb"], ["dense3_gf32003.gb"], 0),
+    ("gb_wlex_dense", ["gb", "--order", "wlex:1,2,3"], ["dense3_gf32003.gb"], 0),
+    ("gb_wlex_quadrics", ["gb", "--order", "wlex:1,1,1,1"], ["quadrics4_gf32003.gb"], 0),
+    ("gb_lex_rational", ["gb"], ["rational3.gb"], 0),
+    ("gb_wlex_rational", ["gb", "--order", "wlex:2,1,1"], ["rational3.gb"], 0),
+    ("gb_strong_gf5", ["gb-strong"], ["strong3_gf5.gb"], 0),
+    ("gb_strong_wlex_gf5", ["gb-strong", "--order", "wlex:1,2"], ["strong3_gf5.gb"], 0),
+    ("gb_strong_rational", ["gb-strong"], ["strong3_q.gb"], 0),
+    ("eliminate_gf7", ["eliminate"], ["elim3_gf7.gb"], 0),
+    ("eliminate_random", ["eliminate"], ["random3_gf5.gb"], 0),
+    ("is_trivial_gf5", ["is-trivial"], ["unit3_gf5.gb"], 0),
+    ("is_trivial_rational", ["is-trivial"], ["unit3_q.gb"], 0),
+    ("is_trivial_proper", ["is-trivial"], ["random3_gf5.gb"], 1),
+    ("member_yes", ["member"], ["member_gf7.gb"], 0),
+    ("member_no", ["member"], ["nonmember_gf7.gb"], 1),
+    ("radical_member_yes", ["radical-member"], ["radical_yes_gf7.gb"], 0),
+    ("radical_member_no", ["radical-member"], ["radical_no_gf7.gb"], 1),
+    ("intersect", ["intersect"], ["pair_a_gf5.gb", "pair_b_gf5.gb"], 0),
+    ("solve_random", ["solve", "--trace"], ["random3_gf5.gb"], 0),
+    ("solve_random_b", ["solve", "--trace"], ["random3b_gf5.gb"], 0),
+    ("solve_tower", ["solve", "--trace"], ["tower3_gf5.gb"], 0),
+    ("solve_locus", ["solve", "--trace"], ["locus2_gf5.gb"], 0),
+    ("solve_trivial", ["solve", "--trace"], ["unit3_gf5.gb"], 1),
+]
+
+
+def _transcript(command, files):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(
+            [command[0], *(str(GOLDEN / f) for f in files), *command[1:]]
+        )
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize(
+    "name, command, files, code", CASES, ids=[case[0] for case in CASES]
+)
+def test_golden_transcript(name, command, files, code):
+    got_code, got = _transcript(command, files)
+    assert got_code == code
+    assert got == (GOLDEN / f"{name}.out").read_text()
+
+
+def test_every_golden_file_is_used():
+    used = {f for case in CASES for f in case[2]}
+    used |= {f"{case[0]}.out" for case in CASES}
+    assert {p.name for p in GOLDEN.iterdir()} == used
+
+
+def _regenerate():
+    for name, command, files, code in CASES:
+        got_code, got = _transcript(command, files)
+        if got_code != code:
+            raise SystemExit(f"{name}: exit {got_code}, expected {code}")
+        (GOLDEN / f"{name}.out").write_text(got)
+        print(f"{name}: {len(got.splitlines())} lines")
+
+
+if __name__ == "__main__":
+    sys.exit(_regenerate())

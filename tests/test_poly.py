@@ -66,6 +66,19 @@ class TestTermOrder:
         with pytest.raises(UsageError):
             TermOrder.lex(2).compare((1,), (2,))
 
+    def test_key_is_priority_lex_led_by_weighted_degree(self):
+        rng = random.Random(3)
+        for nvars in range(5):
+            for _ in range(20):
+                priority = tuple(rng.sample(range(nvars), nvars))
+                weights = tuple(rng.randrange(1, 4) for _ in range(nvars))
+                exps = tuple(rng.randrange(4) for _ in range(nvars))
+                lexkey = tuple(exps[i] for i in priority)
+                weighted = (sum(w * e for w, e in zip(weights, exps)),) + lexkey
+                assert TermOrder.lex(nvars, priority).key(exps) == lexkey
+                assert TermOrder.weighted(weights, priority).key(exps) == weighted
+                assert TermOrder.lex(nvars, priority).key(list(exps)) == lexkey
+
 
 class TestConstruction:
     def test_zero_coefficients_dropped(self):
