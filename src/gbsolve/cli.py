@@ -61,9 +61,10 @@ def _print_certificate(certificate, names):
         print(f"cert[{i}] = {to_text(c, names)}")
 
 
-def _minpoly_text(p, levels, i):
-    sub = FieldTower(p, levels[:i])
-    return UnivariatePolyDomain(sub, levels[i].name).to_text(levels[i].minpoly)
+def _minpoly_text(tower, i):
+    """Level i's minimal polynomial over the tower of the levels below it."""
+    level = tower.levels[i]
+    return UnivariatePolyDomain(tower.prefix(i), level.name).to_text(level.minpoly)
 
 
 def _cmd_gb(args):
@@ -154,7 +155,7 @@ def _print_trace(trace, problem):
             parts.append("ext=-")
         else:
             added = [
-                _minpoly_text(step.extension.p, step.extension.levels, i)
+                _minpoly_text(step.extension, i)
                 for i in range(len(prev.levels), len(step.extension.levels))
             ]
             parts.append("ext=" + "; ".join(added))
@@ -182,7 +183,7 @@ def _cmd_solve(args):
     print("POINT")
     tower = outcome.tower
     for i, level in enumerate(tower.levels):
-        print(f"ext {level.name}: {_minpoly_text(tower.p, tower.levels, i)}")
+        print(f"ext {level.name}: {_minpoly_text(tower, i)}")
     for name, coord in zip(problem.names, outcome.coords):
         print(f"{name} = {tower.to_text(coord.rep)}")
     print("VERIFIED")

@@ -1,32 +1,27 @@
 """Strong Groebner bases over the Euclidean coefficient ring K[x1].
 
 Polynomials here live in K[x1][x2..xn]: ordinary sparse polynomials whose
-coefficient domain is UnivariatePolyDomain(K).  Reduction is strong: a
-monomial c*t is rewritten by g only when the term of lm(g) divides t and the
-Euclidean quotient of c by the coefficient of lm(g) is nonzero, so remainder
-coefficients end up reduced modulo every applicable leading coefficient.
-Completion processes both S-polynomials (cancelling leading terms through the
-coefficient lcm) and G-polynomials (combining leading coefficients into their
-gcd); that pairing is what makes the resulting leading-monomial set strong.
+coefficient domain is UnivariatePolyDomain(K).  Reduction, S- and
+G-polynomials and ``certify_basis`` are the ones in ``groebner``, which work
+over any Euclidean coefficient domain: a monomial c*t is rewritten by g only
+when the term of lm(g) divides t and the Euclidean quotient of c by the
+coefficient of lm(g) is nonzero, so remainder coefficients end up reduced
+modulo every applicable leading coefficient.  Completion here processes both
+S-polynomials (cancelling leading terms through the coefficient lcm) and
+G-polynomials (combining leading coefficients into their gcd); that pairing
+is what makes the resulting leading-monomial set strong.  Specialization
+evaluates x1 at a point off the leading-coefficient locus.
 """
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 
 from . import unipoly
 from .errors import InvariantViolation, SpecializationError, UsageError
 from .fields import FFElement, UnivariatePolyDomain
-from .groebner import StrongBasis, _leading, _leads
-from .poly import (
-    Polynomial,
-    TermOrder,
-    exp_add,
-    exp_divides,
-    exp_lcm,
-    exp_sub,
-    heap_entry,
-)
+from .groebner import StrongBasis, _divide, _gpoly, _leading, _ring, _spoly
+from .poly import Polynomial, TermOrder, exp_divides, exp_lcm
 
 
 def to_coeff_view(p, name="x1"):
@@ -70,99 +65,7 @@ def normalize_leading_unit(f, order):
     return f.scaled(unipoly.constant(field.inv(unipoly.leading(unit)), field))
 
 
-def _strong_divide(f, basis, lead, order, want_cofs):
-    """Strong division of f by the basis whose leading terms are ``lead``.
-
-    Terms are taken largest first from a lazily pruned max-heap, as in
-    ``groebner._divide``.
-    """
-    dom = f.domain
-    work = dict(f.coeffs)
-    heap = [heap_entry(order, t) for t in work]
-    heapify(heap)
-    remainder = {}
-    cofs = [dict() for _ in basis] if want_cofs else None
-    while heap:
-        t = heappop(heap)[1]
-        c = work.pop(t, None)
-        if c is None:
-            continue
-        while not dom.is_zero(c):
-            for idx, (tg, cg) in enumerate(lead):
-                if exp_divides(tg, t):
-                    q, r = dom.euclid_divmod(c, cg)
-                    if not dom.is_zero(q):
-                        break
-            else:
-                break
-            m = exp_sub(t, tg)
-            for s, cs in basis[idx].coeffs.items():
-                if s == tg:
-                    continue
-                key = exp_add(s, m)
-                old = work.get(key)
-                nv = dom.sub(dom.zero() if old is None else old, dom.mul(q, cs))
-                if dom.is_zero(nv):
-                    work.pop(key, None)
-                else:
-                    if old is None:
-                        heappush(heap, heap_entry(order, key))
-                    work[key] = nv
-            if want_cofs:
-                cofs[idx][m] = dom.add(cofs[idx].get(m, dom.zero()), q)
-            c = r
-        if not dom.is_zero(c):
-            remainder[t] = c
-    rem = Polynomial(dom, f.nvars, remainder)
-    if not want_cofs:
-        return rem, None
-    return rem, tuple(Polynomial(dom, f.nvars, c) for c in cofs)
-
-
-def strong_reduce(f, basis, order=None):
-    """Strong remainder and cofactors with f = sum(cof * g) + remainder."""
-    if order is None:
-        order = TermOrder.lex(f.nvars)
-    basis = list(basis)
-    return _strong_divide(f, basis, _leads(basis, order), order, True)
-
-
-def strong_normal_form(f, basis, order=None):
-    if order is None:
-        order = TermOrder.lex(f.nvars)
-    basis = list(basis)
-    return _strong_divide(f, basis, _leads(basis, order), order, False)[0]
-
-
-def spoly(f, g, order):
-    """S-polynomial through the coefficient lcm; leading monomials cancel."""
-    return _spoly(f, _leading(f, order), g, _leading(g, order))
-
-
-def gpoly(f, g, order):
-    """G-polynomial: leading coefficients combine into their gcd."""
-    return _gpoly(f, _leading(f, order), g, _leading(g, order))
-
-
-def _spoly(f, f_lead, g, g_lead):
-    (fe, fc), (ge, gc) = f_lead, g_lead
-    dom = f.domain
-    t = exp_lcm(fe, ge)
-    l = dom.lcm(fc, gc)
-    return f.mul_monomial(dom.exact_div(l, fc), exp_sub(t, fe)) - g.mul_monomial(
-        dom.exact_div(l, gc), exp_sub(t, ge)
-    )
-
-
-def _gpoly(f, f_lead, g, g_lead):
-    (fe, fc), (ge, gc) = f_lead, g_lead
-    dom = f.domain
-    t = exp_lcm(fe, ge)
-    _, u, v = dom.xgcd(fc, gc)
-    return f.mul_monomial(u, exp_sub(t, fe)) + g.mul_monomial(v, exp_sub(t, ge))
-
-
-def _strong_divides(dom, lead_a, lead_b):
+def _lead_divides(dom, lead_a, lead_b):
     (ta, ca), (tb, cb) = lead_a, lead_b
     return exp_divides(ta, tb) and dom.divides(ca, cb)
 
@@ -170,13 +73,7 @@ def _strong_divides(dom, lead_a, lead_b):
 def strong_buchberger(gens, order=None, *, domain=None, nvars=None):
     """Strong basis over K[x1]; S- and G-pairs are all processed, no skips."""
     gens = list(gens)
-    for g in gens:
-        if domain is None:
-            domain, nvars = g.domain, g.nvars
-        elif g.domain != domain or g.nvars != nvars:
-            raise UsageError("generators disagree on domain or variables")
-    if domain is None:
-        raise UsageError("an empty input needs an explicit domain and nvars")
+    domain, nvars = _ring(gens, domain, nvars)
     if not isinstance(domain, UnivariatePolyDomain):
         raise UsageError("strong_buchberger expects K[x1] coefficients")
     if order is None:
@@ -209,7 +106,7 @@ def strong_buchberger(gens, order=None, *, domain=None, nvars=None):
         candidate = make(basis[i], lead[i], basis[j], lead[j])
         if candidate.is_zero():
             continue
-        r = _strong_divide(candidate, basis, lead, order, False)[0]
+        r = _divide(candidate, basis, lead, order, False)[0]
         if not r.is_zero():
             push(r)
 
@@ -227,8 +124,8 @@ def strong_buchberger(gens, order=None, *, domain=None, nvars=None):
         for k in ranked:
             rest = elems[:k] + elems[k + 1 :]
             rest_lead = lead[:k] + lead[k + 1 :]
-            covered = any(_strong_divides(domain, h, lead[k]) for h in rest_lead)
-            if covered and _strong_divide(
+            covered = any(_lead_divides(domain, h, lead[k]) for h in rest_lead)
+            if covered and _divide(
                 elems[k], rest, rest_lead, order, False
             )[0].is_zero():
                 elems.pop(k)
@@ -251,7 +148,7 @@ def strong_buchberger(gens, order=None, *, domain=None, nvars=None):
                 continue
             reducers = [elems[idx] for idx in others]
             reducer_lead = [lead[idx] for idx in others]
-            r = _strong_divide(elems[k], reducers, reducer_lead, order, False)[0]
+            r = _divide(elems[k], reducers, reducer_lead, order, False)[0]
             if r != elems[k]:
                 if r.is_zero():
                     raise InvariantViolation(
@@ -267,27 +164,12 @@ def strong_buchberger(gens, order=None, *, domain=None, nvars=None):
         reverse=True,
     )
     elems = tuple(elems[k] for k in ranked)
-    return StrongBasis(elems, order, domain, nvars, certified=True)
+    return StrongBasis(elems, order, domain, nvars)
 
 
 def _canonical_key(g_lead, domain, order):
     exps, coeff = g_lead
     return (order.key(exps), domain.sort_key(coeff))
-
-
-def certify_strong_basis(elements, order):
-    """Re-reduce every S- and G-polynomial from scratch; all must vanish."""
-    elements = list(elements)
-    lead = _leads(elements, order)
-    for i in range(len(elements)):
-        for j in range(i + 1, len(elements)):
-            for make in (_spoly, _gpoly):
-                c = make(elements[i], lead[i], elements[j], lead[j])
-                if c.is_zero():
-                    continue
-                if not _strong_divide(c, elements, lead, order, False)[0].is_zero():
-                    return False
-    return True
 
 
 def specialization_locus(basis):
@@ -305,9 +187,9 @@ def specialization_locus(basis):
 def specialize_basis(basis, a, target=None):
     """Evaluate x1 at a point off the locus; the result is still a strong basis.
 
-    The image of each leading coefficient is nonzero, so leading terms (and
-    the pair-reduction checks behind ``certified``) carry over without another
-    completion run.
+    The image of each leading coefficient is nonzero, so leading terms and
+    the vanishing of every S- and G-polynomial reduction carry over without
+    another completion run.
     """
     dom = basis.domain
     if not isinstance(dom, UnivariatePolyDomain):
@@ -336,4 +218,4 @@ def specialize_basis(basis, a, target=None):
                 terms[exps] = val
         out.append(Polynomial(target, basis.nvars, terms))
     out.sort(key=lambda g: basis.order.key(g.leading(basis.order).exponents), reverse=True)
-    return StrongBasis(tuple(out), basis.order, target, basis.nvars, certified=True)
+    return StrongBasis(tuple(out), basis.order, target, basis.nvars)

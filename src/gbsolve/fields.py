@@ -9,7 +9,6 @@ level; ``lift`` embeds elements from any prefix tower.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -144,17 +143,6 @@ class Field(Domain):
     def euclid_divmod(self, a, b):
         return self.div(a, b), self.zero()
 
-    def is_unit(self, a):
-        return not self.is_zero(a)
-
-    def canonical_unit(self, a):
-        return a
-
-    def gcd(self, a, b):
-        if self.is_zero(a) and self.is_zero(b):
-            return self.zero()
-        return self.one()
-
     def xgcd(self, a, b):
         if not self.is_zero(a):
             return self.one(), self.inv(a), self.zero()
@@ -169,9 +157,6 @@ class Field(Domain):
 
     def exact_div(self, a, b):
         return self.div(a, b)
-
-    def divides(self, d, a):
-        return not self.is_zero(d) or self.is_zero(a)
 
 
 class RationalField(Field):
@@ -249,29 +234,40 @@ class FieldTower(Field):
     Elements of the base are ints in [0, p); elements of a k-level tower are
     tuples of (k-1)-level elements in ascending degree order with trailing
     zeros trimmed, so representations are canonical.
+
+    Each level is validated once, when it is stacked on the tower below it:
+    ``FieldTower(p, levels)`` checks every level of its input, and ``extend``
+    checks only the new one, sharing the tower it extends.
     """
 
     __slots__ = ("p", "levels", "_sub", "_order", "_hash")
 
     def __init__(self, p, levels=()):
+        levels = tuple(levels)
+        if levels:
+            self._stack(FieldTower(p, levels[:-1]), levels[-1])
+            return
         if not is_probable_prime(p):
             raise UsageError(f"characteristic {p} is not prime")
         self.p = p
-        self.levels = tuple(levels)
-        if self.levels:
-            self._sub = FieldTower(p, self.levels[:-1])
-            top = self.levels[-1]
-            if top.degree < 2:
-                raise UsageError("tower levels must have degree >= 2")
-            if not self._sub.is_one(top.minpoly[-1]):
-                raise UsageError("tower minimal polynomials must be monic")
-            if not unipoly.is_irreducible(top.minpoly, self._sub):
-                raise UsageError(f"minimal polynomial of {top.name} is reducible")
-            self._order = self._sub.order ** top.degree
-        else:
-            self._sub = None
-            self._order = p
-        self._hash = hash((p, self.levels))
+        self.levels = ()
+        self._sub = None
+        self._order = p
+        self._hash = hash((p, ()))
+
+    def _stack(self, sub, top):
+        """Make this tower ``sub`` extended by the level ``top``, checked here."""
+        if top.degree < 2:
+            raise UsageError("tower levels must have degree >= 2")
+        if not sub.is_one(top.minpoly[-1]):
+            raise UsageError("tower minimal polynomials must be monic")
+        if not unipoly.is_irreducible(top.minpoly, sub):
+            raise UsageError(f"minimal polynomial of {top.name} is reducible")
+        self.p = sub.p
+        self.levels = sub.levels + (top,)
+        self._sub = sub
+        self._order = sub.order ** top.degree
+        self._hash = hash((self.p, self.levels))
 
     @property
     def char(self):
@@ -353,7 +349,18 @@ class FieldTower(Field):
         minpoly = unipoly.monic(unipoly.trim(minpoly, self), self)
         if name is None:
             name = f"t{len(self.levels) + 1}"
-        return FieldTower(self.p, self.levels + (TowerLevel(name, minpoly),))
+        bigger = object.__new__(FieldTower)
+        bigger._stack(self, TowerLevel(name, minpoly))
+        return bigger
+
+    def prefix(self, k):
+        """The tower of the first k levels, shared rather than rebuilt."""
+        if not 0 <= k <= len(self.levels):
+            raise UsageError(f"{self.tag} has no {k}-level prefix")
+        tower = self
+        while len(tower.levels) > k:
+            tower = tower._sub
+        return tower
 
     def generator(self):
         """Representation of the top level's adjoined generator."""
@@ -526,9 +533,7 @@ def adjoin_root(tower, g):
     g = unipoly.monic(g, tower)
     if unipoly.deg(g) == 1:
         return tower, FFElement(tower, tower.neg(g[0]))
-    if not unipoly.is_irreducible(g, tower):
-        raise UsageError("cannot adjoin a root of a reducible polynomial")
-    bigger = tower.extend(g)
+    bigger = tower.extend(g)  # rejects a reducible g
     return bigger, FFElement(bigger, bigger.generator())
 
 
@@ -537,13 +542,6 @@ def extended_gcd(f, g, F):
     if unipoly.is_zero(unipoly.trim(f, F)) and unipoly.is_zero(unipoly.trim(g, F)):
         raise UsageError("extended gcd of two zero polynomials")
     return unipoly.xgcd(f, g, F)
-
-
-def factor_univariate(f, F, rng=None, seed=0):
-    """Factor a nonconstant univariate over a finite field; deterministic seed."""
-    if rng is None:
-        rng = random.Random(seed)
-    return unipoly.factor(f, F, rng)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,12 @@
-"""Buchberger's algorithm and basis services for field coefficients.
+"""Division, S- and G-polynomials and Buchberger's algorithm.
 
-Division tracks cofactors so every reduction yields an exact combination
-identity; Buchberger can additionally track how each basis element was
-assembled from the input generators, which is how triviality certificates
-are produced.  Reduced bases are monic, inter-reduced and sorted with the
+Division, the pair polynomials and ``certify_basis`` work over any Euclidean
+coefficient domain: a field (where every Euclidean remainder is zero) or
+K[x1] (see ``euclidean``).  Division tracks cofactors so every reduction
+yields an exact combination identity; Buchberger, which needs field
+coefficients, can additionally track how each basis element was assembled
+from the input generators, which is how triviality certificates are
+produced.  Reduced bases are monic, inter-reduced and sorted with the
 largest leading term first, so equal ideals print identically.
 
 Each term order key is computed once.  Division keeps the live terms of the
@@ -36,19 +39,27 @@ from .poly import (
 class StrongBasis:
     """A computed basis plus the order it was computed under.
 
-    ``certified`` records that the defining pair-reduction checks are known to
-    hold (a completed Buchberger run, an independent verification, or a
-    specialization that provably preserves the property).  ``lineage`` is
-    present on tracked runs: one cofactor vector per element, expressing it in
-    terms of the original generators.
+    ``lineage`` is present on tracked runs: one cofactor vector per element,
+    expressing it in terms of the original generators.
     """
 
     elements: tuple
     order: TermOrder
     domain: object
     nvars: int
-    certified: bool = False
     lineage: tuple = None
+
+
+def _ring(gens, domain, nvars):
+    """The (domain, nvars) every generator shares; an empty list needs both."""
+    for g in gens:
+        if domain is None:
+            domain, nvars = g.domain, g.nvars
+        elif g.domain != domain or g.nvars != nvars:
+            raise UsageError("generators disagree on domain or variables")
+    if domain is None:
+        raise UsageError("an empty ideal needs an explicit domain and nvars")
+    return domain, nvars
 
 
 def _leading(f, order):
@@ -67,7 +78,14 @@ def _leads(basis, order):
 
 
 def _divide(f, basis, lead, order, want_cofs):
-    """Divide f by the basis whose leading terms are ``lead``.
+    """Strong division of f by the basis whose leading terms are ``lead``.
+
+    A term c*t meets the divisors in order; at each one whose leading term
+    divides t, c is replaced by its Euclidean remainder modulo the leading
+    coefficient and the quotient times the shifted divisor is subtracted.
+    Over a field the first such divisor leaves remainder zero.  Over K[x1] a
+    remainder has lower degree than every leading coefficient passed over
+    with quotient zero, so one pass leaves c reduced modulo all of them.
 
     Live terms wait in a max-heap, keyed once when they enter ``work``; a
     term that cancelled since is skipped when its entry surfaces.  Every new
@@ -86,8 +104,10 @@ def _divide(f, basis, lead, order, want_cofs):
         if c is None:
             continue
         for idx, (lexp, lc) in enumerate(lead):
-            if exp_divides(lexp, t):
-                u = dom.div(c, lc)
+            if not exp_divides(lexp, t):
+                continue
+            u, c = dom.euclid_divmod(c, lc)
+            if not dom.is_zero(u):
                 m = exp_sub(t, lexp)
                 for s, cs in basis[idx].coeffs.items():
                     if s == lexp:
@@ -103,6 +123,7 @@ def _divide(f, basis, lead, order, want_cofs):
                         work[key] = nv
                 if want_cofs:
                     cofs[idx][m] = dom.add(cofs[idx].get(m, dom.zero()), u)
+            if dom.is_zero(c):
                 break
         else:
             remainder[t] = c
@@ -129,26 +150,37 @@ def normal_form(f, basis, order=None):
 
 
 def spoly(f, g, order):
-    """S-polynomial; leading terms cancel by construction."""
-    fe, fc = _leading(f, order)
-    ge, gc = _leading(g, order)
-    t = exp_lcm(fe, ge)
+    """S-polynomial through the coefficient lcm; leading monomials cancel."""
+    return _spoly(f, _leading(f, order), g, _leading(g, order))
+
+
+def gpoly(f, g, order):
+    """G-polynomial: leading coefficients combine into their gcd."""
+    return _gpoly(f, _leading(f, order), g, _leading(g, order))
+
+
+def _spoly(f, f_lead, g, g_lead):
+    (fe, fc), (ge, gc) = f_lead, g_lead
     dom = f.domain
-    a = f.mul_monomial(dom.inv(fc), exp_sub(t, fe))
-    b = g.mul_monomial(dom.inv(gc), exp_sub(t, ge))
-    return a - b
+    t = exp_lcm(fe, ge)
+    l = dom.lcm(fc, gc)
+    return f.mul_monomial(dom.exact_div(l, fc), exp_sub(t, fe)) - g.mul_monomial(
+        dom.exact_div(l, gc), exp_sub(t, ge)
+    )
+
+
+def _gpoly(f, f_lead, g, g_lead):
+    (fe, fc), (ge, gc) = f_lead, g_lead
+    dom = f.domain
+    t = exp_lcm(fe, ge)
+    _, u, v = dom.xgcd(fc, gc)
+    return f.mul_monomial(u, exp_sub(t, fe)) + g.mul_monomial(v, exp_sub(t, ge))
 
 
 def buchberger(gens, order=None, *, track=False, domain=None, nvars=None):
     """Reduced Groebner basis; with track=True, lineage over the input is kept."""
     gens = list(gens)
-    for g in gens:
-        if domain is None:
-            domain, nvars = g.domain, g.nvars
-        elif g.domain != domain or g.nvars != nvars:
-            raise UsageError("generators disagree on domain or variables")
-    if domain is None:
-        raise UsageError("an empty ideal needs an explicit domain and nvars")
+    domain, nvars = _ring(gens, domain, nvars)
     if not domain.is_field:
         raise UsageError("buchberger needs field coefficients")
     if order is None:
@@ -268,18 +300,26 @@ def buchberger(gens, order=None, *, track=False, domain=None, nvars=None):
     )
     elements = tuple(final[k] for k in ranked)
     lin = tuple(final_lin[k] for k in ranked) if track else None
-    return StrongBasis(elements, order, domain, nvars, certified=True, lineage=lin)
+    return StrongBasis(elements, order, domain, nvars, lineage=lin)
 
 
 def certify_basis(elements, order):
-    """Re-check every S-polynomial from scratch, skipping no pairs."""
+    """Re-reduce every S- and G-polynomial from scratch; all must vanish.
+
+    Over a field a G-polynomial is a monomial multiple of one element, so
+    only the S-polynomials can fail; over K[x1] both kinds are needed for a
+    strong basis.
+    """
     elements = list(elements)
     lead = _leads(elements, order)
     for i in range(len(elements)):
         for j in range(i + 1, len(elements)):
-            s = spoly(elements[i], elements[j], order)
-            if not _divide(s, elements, lead, order, False)[0].is_zero():
-                return False
+            for make in (_spoly, _gpoly):
+                c = make(elements[i], lead[i], elements[j], lead[j])
+                if c.is_zero():
+                    continue
+                if not _divide(c, elements, lead, order, False)[0].is_zero():
+                    return False
     return True
 
 
@@ -288,15 +328,7 @@ class Ideal:
 
     def __init__(self, gens, domain=None, nvars=None):
         self.gens = tuple(gens)
-        for g in self.gens:
-            if domain is None:
-                domain, nvars = g.domain, g.nvars
-            elif g.domain != domain or g.nvars != nvars:
-                raise UsageError("generators disagree on domain or variables")
-        if domain is None:
-            raise UsageError("an empty ideal needs an explicit domain and nvars")
-        self.domain = domain
-        self.nvars = nvars
+        self.domain, self.nvars = _ring(self.gens, domain, nvars)
         self._bases = {}
 
     def groebner(self, order=None, track=False):

@@ -33,7 +33,7 @@ from .euclidean import (
     to_coeff_view,
 )
 from .fields import FFElement, FieldTower, UnivariatePolyDomain, adjoin_root
-from .groebner import Ideal, Triviality, eliminate_to_x1, is_trivial, member
+from .groebner import Ideal, eliminate_to_x1, is_trivial, member
 from .poly import Polynomial, TermOrder
 
 
@@ -319,8 +319,7 @@ def radical_member(f, ideal):
     one = Polynomial.constant(domain, n + 1, domain.one())
     gens = [g.with_new_var(n) for g in ideal.gens]
     gens.append(one - y * f.with_new_var(n))
-    verdict = is_trivial(Ideal(gens, domain=domain, nvars=n + 1))
-    return Triviality(verdict.trivial, verdict.certificate)
+    return is_trivial(Ideal(gens, domain=domain, nvars=n + 1))
 
 
 def radical_witness(f, ideal, bound=10):

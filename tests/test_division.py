@@ -1,9 +1,10 @@
-"""Differential tests for the two division routines on seeded random inputs.
+"""Differential tests for division on seeded random inputs.
 
-``groebner._divide`` and ``euclidean._strong_divide`` take terms from a
-lazily pruned heap.  Each result must satisfy f = sum(cof * g) + r, leave no
-reducible term in r, and agree exactly with the textbook loop below, which
-rescans the whole remaining polynomial for its leading term at every step.
+``groebner._divide`` takes terms from a lazily pruned heap and serves both
+fields and K[x1].  Each result must satisfy f = sum(cof * g) + r, leave no
+reducible term in r, and agree exactly with the textbook loops below, which
+rescan the whole remaining polynomial for its leading term at every step.
+Over a field the two textbook loops agree with each other as well.
 """
 
 import random
@@ -95,7 +96,7 @@ def _random_problem(rng, maker, nbasis):
     return f, basis
 
 
-@pytest.mark.parametrize(
+FIELD_MAKERS = pytest.mark.parametrize(
     "maker",
     [
         lambda rng, d, t: random_poly(rng, F5, 3, d, t),
@@ -104,6 +105,9 @@ def _random_problem(rng, maker, nbasis):
     ],
     ids=["GF5", "GF49", "QQ"],
 )
+
+
+@FIELD_MAKERS
 def test_field_division_matches_the_textbook_loop(maker):
     rng = random.Random(20240)
     for trial in range(60):
@@ -117,6 +121,15 @@ def test_field_division_matches_the_textbook_loop(maker):
         assert groebner.normal_form(f, basis, order) == r
 
 
+@FIELD_MAKERS
+def test_textbook_strong_division_is_field_division_over_a_field(maker):
+    rng = random.Random(20241)
+    for trial in range(60):
+        order = ORDERS[trial % len(ORDERS)]
+        f, basis = _random_problem(rng, maker, 1 + trial % 4)
+        assert _naive_strong_divide(f, basis, order) == _naive_divide(f, basis, order)
+
+
 def test_strong_division_matches_the_textbook_loop():
     dom = UnivariatePolyDomain(F5)
     rng = random.Random(7)
@@ -128,7 +141,7 @@ def test_strong_division_matches_the_textbook_loop():
     for trial in range(80):
         order = orders[trial % len(orders)]
         f, basis = _random_problem(rng, maker, 1 + trial % 4)
-        r, cofs = euclidean.strong_reduce(f, basis, order)
+        r, cofs = groebner.reduce(f, basis, order)
         assert _combination(cofs, basis, r) == f
         for t, c in r.coeffs.items():
             for g in basis:
@@ -137,4 +150,4 @@ def test_strong_division_matches_the_textbook_loop():
                     quot, _ = dom.euclid_divmod(c, lg.coefficient)
                     assert dom.is_zero(quot)
         assert (r, cofs) == _naive_strong_divide(f, basis, order)
-        assert euclidean.strong_normal_form(f, basis, order) == r
+        assert groebner.normal_form(f, basis, order) == r

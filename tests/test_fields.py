@@ -178,6 +178,28 @@ class TestTowers:
         )
         assert proc.stdout == "raised\n", proc.stderr
 
+    def test_extend_checks_only_the_new_level(self, monkeypatch):
+        f81 = F9.extend(unipoly.first_irreducible(2, F9))
+        minpoly = unipoly.first_irreducible(2, f81)
+        calls = []
+        real = unipoly.is_irreducible
+
+        def counting(f, F):
+            calls.append(F)
+            return real(f, F)
+
+        monkeypatch.setattr(unipoly, "is_irreducible", counting)
+        bigger = f81.extend(minpoly)
+        assert calls == [f81]
+        assert bigger.prefix(2) is f81 and bigger.prefix(0) == F3
+        assert bigger == FieldTower(3, bigger.levels)
+
+    def test_constructor_checks_every_given_level(self):
+        good = F9.levels[0]
+        reducible = fields.TowerLevel("t2", (F9.neg(F9.one()), F9.zero(), F9.one()))
+        with pytest.raises(UsageError, match="t2 is reducible"):
+            FieldTower(3, (good, reducible))  # t2^2 - 1 splits over F9
+
     def test_towers_compare_by_structure(self):
         assert F9 == F3.extend((1, 0, 1))
         assert F9 != F3.extend((2, 2, 1))
