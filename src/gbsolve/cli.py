@@ -10,6 +10,7 @@ for internal invariant violations.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -190,7 +191,13 @@ def _cmd_solve(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on the first call and shared after it.
+
+    ``parse_args`` returns a fresh namespace on every call, so nothing one
+    ``main`` call parses reaches the next.
+    """
     ap = argparse.ArgumentParser(
         prog="gbsolve",
         description=(

@@ -137,6 +137,8 @@ class Field(Domain):
     is_field = True
 
     def div(self, a, b):
+        if self.is_one(b):
+            return a
         return self.mul(a, self.inv(b))
 
     # Euclidean interface: nonzero elements are units, so remainders vanish.
@@ -335,6 +337,8 @@ class FieldTower(Field):
             raise UsageError("inverse of zero")
         if not self.levels:
             return pow(a, -1, self.p)
+        if self.is_one(a):
+            return a
         d, u, _ = unipoly.xgcd(a, self.levels[-1].minpoly, self._sub)
         if d != unipoly.one(self._sub):
             raise InvariantViolation(

@@ -9,6 +9,12 @@ from the input generators, which is how triviality certificates are
 produced.  Reduced bases are monic, inter-reduced and sorted with the
 largest leading term first, so equal ideals print identically.
 
+1 lies in an ideal exactly when its reduced basis is {1}, under any term
+order, so ``is_trivial`` reads the verdict from whichever basis an ``Ideal``
+has cached and otherwise computes the one under ``TermOrder.elimination``,
+which ``eliminate_to_x1`` needs anyway.  A certificate comes from a tracked
+lex run, made only for a trivial ideal.
+
 Each term order key is computed once.  Division keeps the live terms of the
 dividend in a max-heap keyed when a term first appears, and drops an entry
 whose term has cancelled when it reaches the top; since reduction only adds
@@ -343,6 +349,10 @@ class Ideal:
         self._bases[order] = computed
         return computed
 
+    def cached_basis(self):
+        """Some basis computed so far, under any order, or None."""
+        return next(iter(self._bases.values()), None)
+
     def __repr__(self):
         return f"Ideal({len(self.gens)} gens over {self.domain.tag})"
 
@@ -359,11 +369,20 @@ class Triviality:
 
 
 def is_trivial(ideal):
-    """Decide whether 1 lies in the ideal; on yes, certify 1 = sum(c_i * gen_i)."""
-    gb = ideal.groebner()
+    """Decide whether 1 lies in the ideal; on yes, certify 1 = sum(c_i * gen_i).
+
+    1 lies in the ideal exactly when its reduced basis is {1}, under any term
+    order, so the verdict comes from whichever basis the ideal has cached.
+    With none cached it computes the elimination basis, which
+    ``eliminate_to_x1`` then reuses.  The certificate comes from a tracked
+    run under lex, made only when the ideal is trivial.
+    """
+    gb = ideal.cached_basis()
+    if gb is None:
+        gb = ideal.groebner(TermOrder.elimination(ideal.nvars))
     if not (len(gb.elements) == 1 and gb.elements[0].is_one()):
         return Triviality(False, None)
-    tracked = ideal.groebner(track=True)
+    tracked = ideal.groebner(TermOrder.lex(ideal.nvars), track=True)
     return Triviality(True, tracked.lineage[0])
 
 
@@ -380,15 +399,14 @@ def member(f, ideal):
 def eliminate_to_x1(ideal):
     """Monic generator of the ideal's intersection with K[x1] (zero if empty).
 
-    Uses a lex order ranking x1 below every other variable, collects the
-    univariate basis elements and takes their gcd.
+    Uses the basis under ``TermOrder.elimination``, collects the univariate
+    basis elements and takes their gcd.
     """
     if not ideal.domain.is_field:
         raise UsageError("elimination needs field coefficients")
-    n = ideal.nvars
-    priority = tuple(range(1, n)) + (0,)
-    order = TermOrder.lex(n, priority)
-    gb = ideal.groebner(order)
+    if ideal.nvars < 1:
+        raise UsageError("elimination needs at least one variable")
+    gb = ideal.groebner(TermOrder.elimination(ideal.nvars))
     univariate = [g.dense_in(0) for g in gb.elements if g.univariate_in(0)]
     acc = ()
     for dense in univariate:

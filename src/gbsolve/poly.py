@@ -73,6 +73,17 @@ class TermOrder:
         return TermOrder(tuple(priority))
 
     @staticmethod
+    def elimination(nvars):
+        """Lex with x1 ranked below every other variable.
+
+        A basis under it meets K[x1] in a basis of the ideal's intersection
+        with K[x1].  With fewer than two variables it is ``lex(nvars)``.
+        """
+        if nvars < 2:
+            return TermOrder.lex(nvars)
+        return TermOrder.lex(nvars, tuple(range(1, nvars)) + (0,))
+
+    @staticmethod
     def weighted(weights, priority=None):
         if priority is None:
             priority = tuple(range(len(weights)))

@@ -13,6 +13,11 @@ extension tower, eliminating one variable per recursion step:
   constant member, so the smaller ideal stays proper;
 * one variable left: any root of the gcd of the generators works.
 
+Each level computes one untracked Groebner basis, under
+``TermOrder.elimination``: ``is_trivial`` decides from it, and
+``eliminate_to_x1`` reuses it for the intersection with K[x1].  Only a
+trivial ideal gets a second, tracked lex run, for its certificate.
+
 Every produced point is checked against the original generators before it is
 returned.  The same machinery powers ideal intersection through a slack
 variable, the coprime splitting of an ideal plus a product, and radical

@@ -106,20 +106,20 @@ def poly_pow(f, e, F):
 
 
 def divmod_(f, g, F):
-    """Quotient and remainder of f by nonzero g."""
+    """Quotient and remainder of f by nonzero g; a monic g inverts nothing."""
     if not g:
         raise UsageError("univariate division by zero")
-    lead_inv = F.inv(g[-1])
-    rem = list(f)
     dq = len(f) - len(g)
     if dq < 0:
         return (), tuple(f)
+    lead_inv = None if F.is_one(g[-1]) else F.inv(g[-1])  # None: g is monic
+    rem = list(f)
     quo = [F.zero()] * (dq + 1)
     for i in range(dq, -1, -1):
         c = rem[i + len(g) - 1]
         if F.is_zero(c):
             continue
-        q = F.mul(c, lead_inv)
+        q = c if lead_inv is None else F.mul(c, lead_inv)
         quo[i] = q
         for j, b in enumerate(g):
             rem[i + j] = F.sub(rem[i + j], F.mul(q, b))

@@ -3,6 +3,7 @@
 import itertools
 from fractions import Fraction
 
+from gbsolve import unipoly
 from gbsolve.groebner import member
 from gbsolve.poly import Polynomial
 
@@ -59,6 +60,20 @@ def random_unipoly(rng, field, max_deg=3, monic=False, nonzero=True):
             f = ()
         if f or not nonzero:
             return f
+
+
+def textbook_divmod(f, g, F):
+    """Long division multiplying by the inverse of g's leading coefficient at
+    every step, whether g is monic or not; the reference for fast paths."""
+    lead_inv = F.inv(g[-1])
+    rem = list(f)
+    quo = [F.zero()] * max(len(f) - len(g) + 1, 0)
+    for i in range(len(f) - len(g), -1, -1):
+        q = F.mul(rem[i + len(g) - 1], lead_inv)
+        quo[i] = q
+        for j, b in enumerate(g):
+            rem[i + j] = F.sub(rem[i + j], F.mul(q, b))
+    return unipoly.trim(quo, F), unipoly.trim(rem, F)
 
 
 def common_zeros(gens, tower, nvars):

@@ -289,6 +289,19 @@ class TestCommands:
         assert info.value.code == 2
         capsys.readouterr()
 
+    def test_consecutive_calls_share_no_state(self, tmp_path, capsys):
+        path = _problem(tmp_path, "field p 3\nvars x1 x2\nx1^2 + 1\nx2 - x1\n")
+        _run(capsys, "solve", "--trace", "--seed", "7", path)
+        code, out, _ = _run(capsys, "solve", path)
+        assert code == 0
+        assert out == "POINT\next t1: t1^2 + 1\nx1 = t1\nx2 = t1\nVERIFIED\n"
+        path = _problem(tmp_path, self.PROB2, "prob2.gb")
+        code, out, _ = _run(capsys, "gb", "--order", "wlex:1,2", path)
+        assert (code, out) == (0, "x1^2 + 4\nx2 + 4*x1\n")
+        code, out, _ = _run(capsys, "gb", path)
+        assert (code, out) == (0, "x1 + 4*x2\nx2^2 + 4\n")
+        assert cli.build_parser() is cli.build_parser()
+
     def test_transcripts_are_deterministic(self, tmp_path, capsys):
         path = _problem(tmp_path, "field p 3\nvars x1 x2\nx1^2 + 1\nx2 - x1\n")
         first = _run(capsys, "solve", "--trace", path)

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from corpus import textbook_divmod
 from gbsolve import fields, unipoly
 from gbsolve.errors import InvariantViolation, UsageError
 from gbsolve.fields import (
@@ -193,6 +194,30 @@ class TestTowers:
         assert calls == [f81]
         assert bigger.prefix(2) is f81 and bigger.prefix(0) == F3
         assert bigger == FieldTower(3, bigger.levels)
+
+    def test_two_level_arithmetic_inverts_no_leading_one(self, monkeypatch):
+        f81 = F9.extend(unipoly.first_irreducible(2, F9))
+        minpoly = f81.levels[-1].minpoly
+        rng = random.Random(17)
+        pairs = [
+            (f81.element(rng.randrange(81)), f81.element(rng.randrange(81)))
+            for _ in range(60)
+        ]
+        expected = [
+            textbook_divmod(unipoly.mul(a, b, F9), minpoly, F9)[1] for a, b in pairs
+        ]
+        calls = []
+        real_inv, real_xgcd = FieldTower.inv, unipoly.xgcd
+        monkeypatch.setattr(
+            FieldTower, "inv", lambda F, a: calls.append("inv") or real_inv(F, a)
+        )
+        monkeypatch.setattr(
+            unipoly, "xgcd", lambda *a: calls.append("xgcd") or real_xgcd(*a)
+        )
+        assert [f81.mul(a, b) for a, b in pairs] == expected
+        assert [f81.div(a, f81.one()) for a, _ in pairs] == [a for a, _ in pairs]
+        assert f81.inv(f81.one()) == f81.one()
+        assert calls == ["inv"]  # the inverse of one asked for just above
 
     def test_constructor_checks_every_given_level(self):
         good = F9.levels[0]

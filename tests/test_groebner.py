@@ -5,6 +5,7 @@ import random
 import pytest
 
 from corpus import random_poly, random_poly_q
+from gbsolve import groebner
 from gbsolve.errors import UsageError
 from gbsolve.fields import GF, QQ
 from gbsolve.groebner import (
@@ -23,6 +24,7 @@ from gbsolve.poly import Polynomial, TermOrder, exp_divides, exp_lcm, to_text
 F2 = GF(2)
 F3 = GF(3)
 F5 = GF(5)
+F49 = GF(7).extend((1, 0, 1))  # t^2 + 1 has no root mod 7
 
 
 def _vars(domain, nvars):
@@ -257,6 +259,41 @@ class TestTriviality:
                     acc = acc + cof * gen
                 assert acc.is_one()
 
+    @pytest.mark.parametrize("field", [F5, F49], ids=["GF5", "GF49"])
+    def test_verdict_from_the_elimination_basis_matches_lex(self, field):
+        rng = random.Random(53)
+        one = Polynomial.constant(field, 3, field.one())
+        verdicts = []
+        for _ in range(60):
+            gens = [random_poly(rng, field, 3, max_total=2, max_terms=4) for _ in range(3)]
+            verdict = is_trivial(Ideal(gens, domain=field, nvars=3))
+            lex = buchberger(gens, TermOrder.lex(3), domain=field, nvars=3)
+            assert bool(verdict) == (lex.elements == (one,))
+            verdicts.append(bool(verdict))
+        assert set(verdicts) == {True, False}
+
+    def test_verdict_reads_a_basis_of_any_cached_order(self, monkeypatch):
+        x1, x2, x3 = _vars(F5, 3)
+        one = _const(F5, 3, 1)
+        graded = TermOrder.weighted((1, 1, 1))
+        proper = Ideal([x1 * x2 - x3, x3 * x3 - x1])
+        unit = Ideal([x1 * x2 - x3, x3 - one, x1 * x2])
+        proper.groebner(graded)
+        unit.groebner(graded)
+        calls = []
+        real = groebner.buchberger
+
+        def counting(gens, order=None, **kwargs):
+            calls.append((order, kwargs.get("track", False)))
+            return real(gens, order, **kwargs)
+
+        monkeypatch.setattr(groebner, "buchberger", counting)
+        assert not is_trivial(proper)
+        assert calls == []
+        verdict = is_trivial(unit)
+        assert [to_text(c) for c in verdict.certificate] == ["4", "4", "1"]
+        assert calls == [(TermOrder.lex(3), True)]
+
     def test_proper_ideal_has_no_certificate(self):
         x1, x2 = _vars(F3, 2)
         verdict = is_trivial(Ideal([x1, x2]))
@@ -315,6 +352,11 @@ class TestElimination:
         one = Polynomial.constant(F5, 1, F5.one())
         ideal = Ideal([x1 * x1 - one, x1 - one])
         assert to_text(eliminate_to_x1(ideal)) == "x1 + 4"
+
+    def test_no_variables_rejected(self):
+        for gens in ([], [Polynomial.constant(F5, 0, 2)]):
+            with pytest.raises(UsageError, match="at least one variable"):
+                eliminate_to_x1(Ideal(gens, domain=F5, nvars=0))
 
     def test_empty_intersection_gives_zero(self):
         x1, x2 = _vars(F3, 2)

@@ -66,6 +66,15 @@ class TestTermOrder:
         with pytest.raises(UsageError):
             TermOrder.lex(2).compare((1,), (2,))
 
+    def test_elimination_ranks_x1_last(self):
+        assert TermOrder.elimination(0) == TermOrder.lex(0)
+        assert TermOrder.elimination(0).priority == ()
+        assert TermOrder.elimination(1) == TermOrder.lex(1)
+        order = TermOrder.elimination(3)
+        assert order.priority == (1, 2, 0)
+        assert order.compare((0, 0, 1), (5, 0, 0)) == 1  # x3 above x1^5
+        assert order.compare((0, 1, 0), (9, 0, 1)) == 1  # x2 above x1^9*x3
+
     def test_key_is_priority_lex_led_by_weighted_degree(self):
         rng = random.Random(3)
         for nvars in range(5):

@@ -2,15 +2,16 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
 from corpus import common_zeros, ideals_equal, random_poly
-from gbsolve import unipoly
+from gbsolve import groebner, unipoly
 from gbsolve.errors import UsageError
 from gbsolve.fields import GF, QQ, FFElement
 from gbsolve.groebner import Ideal, is_trivial, member
-from gbsolve.poly import Polynomial, exp_divides, to_text
+from gbsolve.poly import Polynomial, TermOrder, exp_divides, to_text
 from gbsolve.solver import (
     Point,
     Trivial,
@@ -153,6 +154,29 @@ class TestSolve:
         assert [s.branch for s in trace] == ["locus", "base"]
         assert to_text(trace[0].locus) == "x1"
         assert trace[0].eliminated.is_zero()
+
+    def test_one_untracked_completion_per_ideal(self, monkeypatch):
+        x1, x2, x3 = _vars(F5, 3)
+        two = _const(F5, 3, 2)
+        # x1 needs an extension (root), x2*x3 = x1 then meets K[x2] in 0 (locus)
+        ideal = Ideal([x1 * x1 - two, x2 * x3 - x1])
+        runs = []
+        real = groebner.buchberger
+
+        def counting(gens, order=None, **kwargs):
+            runs.append((gens, order, kwargs.get("track", False)))
+            return real(gens, order, **kwargs)
+
+        monkeypatch.setattr(groebner, "buchberger", counting)
+        outcome, trace = solve(ideal)
+        assert isinstance(outcome, Point)
+        assert [s.branch for s in trace] == ["root", "locus", "base"]
+        untracked = [(gens, order) for gens, order, track in runs if not track]
+        assert len(untracked) == len(runs) >= 2
+        for _, order in untracked:  # so never lex(n) for n >= 2
+            assert order == TermOrder.elimination(order.nvars)
+        # runs keeps every generator tuple alive, so no id is reused
+        assert max(Counter(id(gens) for gens, _ in untracked).values()) == 1
 
     def test_zero_ideal_yields_the_origin(self):
         outcome, trace = solve(Ideal([], domain=F3, nvars=2))

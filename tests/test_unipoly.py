@@ -10,13 +10,15 @@ import random
 
 import pytest
 
+from corpus import textbook_divmod
 from gbsolve import unipoly
 from gbsolve.errors import UsageError
-from gbsolve.fields import GF, QQ
+from gbsolve.fields import GF, QQ, FieldTower
 
 F2, F3, F5 = GF(2), GF(3), GF(5)
 F4 = F2.extend((1, 1, 1))
 F9 = F3.extend((1, 0, 1))
+F81 = F9.extend(unipoly.first_irreducible(2, F9))
 
 
 def _random_tuple(rng, field, max_deg):
@@ -56,6 +58,30 @@ class TestDivision:
             recombined = unipoly.add(unipoly.mul(q, b, field), r, field)
             assert recombined == a
             assert unipoly.deg(r) < unipoly.deg(b)
+
+    @pytest.mark.parametrize("field", [F5, F9, F81], ids=["GF5", "GF9", "GF81"])
+    def test_monic_divisor_inverts_nothing(self, field, monkeypatch):
+        rng = random.Random(19)
+        general, monic = [], []
+        while len(general) < 30:
+            a = _random_tuple(rng, field, 6)
+            b = _random_tuple(rng, field, 3)
+            if not unipoly.is_zero(b):
+                general.append((a, b))
+                monic.append((a, unipoly.monic(b, field)))
+        expected = [textbook_divmod(a, b, field) for a, b in monic + general]
+        calls = []
+        real_inv, real_xgcd = FieldTower.inv, unipoly.xgcd
+        monkeypatch.setattr(
+            FieldTower, "inv", lambda F, a: calls.append("inv") or real_inv(F, a)
+        )
+        monkeypatch.setattr(
+            unipoly, "xgcd", lambda *a: calls.append("xgcd") or real_xgcd(*a)
+        )
+        got = [unipoly.divmod_(a, b, field) for a, b in monic]
+        assert calls == []
+        got += [unipoly.divmod_(a, b, field) for a, b in general]
+        assert got == expected
 
     def test_division_by_zero_rejected(self):
         with pytest.raises(UsageError):
