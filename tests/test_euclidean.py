@@ -4,10 +4,10 @@ import random
 
 import pytest
 
-from corpus import random_poly
+from corpus import random_poly, random_poly_q
 from gbsolve import euclidean
 from gbsolve.errors import SpecializationError, UsageError
-from gbsolve.fields import GF, UnivariatePolyDomain
+from gbsolve.fields import GF, QQ, UnivariatePolyDomain
 from gbsolve.groebner import (
     Ideal,
     certify_basis,
@@ -168,6 +168,22 @@ class TestStrongBuchberger:
                     gens, domain=gens[0].domain, nvars=2
                 )
                 assert certify_basis(sb.elements, sb.order)
+        # larger systems, where the pair criteria skip most pairs
+        for field in (F3, F5, QQ):
+            maker = random_poly_q if field is QQ else random_poly
+            for _ in range(10):
+                full = [
+                    maker(rng, field, 3, max_total=2, max_terms=4)
+                    for _ in range(rng.randrange(3, 5))
+                ]
+                gens = [v for v in _view_gens(field, full) if not v.is_zero()]
+                if not gens:
+                    continue
+                for order in (TermOrder.lex(2), TermOrder.weighted((1, 1))):
+                    sb = euclidean.strong_buchberger(
+                        gens, order, domain=gens[0].domain, nvars=2
+                    )
+                    assert certify_basis(sb.elements, sb.order)
 
     def test_membership_matches_field_groebner(self):
         # strong normal form vanishes exactly on ideal members
@@ -187,6 +203,29 @@ class TestStrongBuchberger:
                     euclidean.to_coeff_view(f), sb.elements, sb.order
                 ).is_zero()
                 assert got == member(f, ideal)
+        # three variables over GF(5) and QQ; half the queries are members
+        for field in (F5, QQ):
+            maker = random_poly_q if field is QQ else random_poly
+            for _ in range(8):
+                full = [
+                    maker(rng, field, 3, max_total=2, max_terms=4)
+                    for _ in range(rng.randrange(3, 5))
+                ]
+                full = [g for g in full if not g.is_zero()]
+                if not full:
+                    continue
+                ideal = Ideal(full)
+                sb = euclidean.strong_buchberger(_view_gens(field, full))
+                for k in range(6):
+                    f = maker(rng, field, 3, max_total=3, max_terms=4)
+                    if k % 2:  # a member by construction
+                        f = Polynomial.zero(field, 3)
+                        for g in full:
+                            f = f + maker(rng, field, 3, max_total=1) * g
+                    got = normal_form(
+                        euclidean.to_coeff_view(f), sb.elements, sb.order
+                    ).is_zero()
+                    assert got == member(f, ideal)
 
     def test_error_paths(self):
         with pytest.raises(UsageError):
