@@ -145,6 +145,20 @@ class Field(Domain):
     def euclid_divmod(self, a, b):
         return self.div(a, b), self.zero()
 
+    def is_unit(self, a):
+        return not self.is_zero(a)
+
+    def canonical_unit(self, a):
+        return a
+
+    def gcd(self, a, b):
+        if self.is_zero(a) and self.is_zero(b):
+            return self.zero()
+        return self.one()
+
+    def divides(self, d, a):
+        return not self.is_zero(d) or self.is_zero(a)
+
     def xgcd(self, a, b):
         if not self.is_zero(a):
             return self.one(), self.inv(a), self.zero()
@@ -595,6 +609,11 @@ class UnivariatePolyDomain(Domain):
 
     def is_unit(self, a):
         return len(a) == 1
+
+    def inv(self, a):
+        if not self.is_unit(a):
+            raise UsageError("only the nonzero constants of K[x1] are invertible")
+        return (self.field.inv(a[0]),)
 
     def canonical_unit(self, a):
         """The unit u with a/u monic."""

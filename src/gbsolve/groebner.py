@@ -1,13 +1,17 @@
-"""Division, S- and G-polynomials and Buchberger's algorithm.
+"""Division, S- and G-polynomials and one completion engine for every ring.
 
-Division, the pair polynomials and ``certify_basis`` work over any Euclidean
-coefficient domain: a field (where every Euclidean remainder is zero) or
-K[x1] (see ``euclidean``).  Division tracks cofactors so every reduction
-yields an exact combination identity; Buchberger, which needs field
-coefficients, can additionally track how each basis element was assembled
-from the input generators, which is how triviality certificates are
-produced.  Reduced bases are monic, inter-reduced and sorted with the
-largest leading term first, so equal ideals print identically.
+Division, the pair polynomials, completion and ``certify_basis`` work over
+any Euclidean coefficient domain: a field (where every Euclidean remainder
+is zero) or K[x1] (see ``euclidean``).  ``buchberger`` and
+``euclidean.strong_buchberger`` are the same engine behind different domain
+checks.  With every leading coefficient 1, the criteria for strong bases
+over a Euclidean domain are the usual field criteria and no G-pair arises,
+so over a field the engine is plain Buchberger.  Division tracks cofactors so
+every reduction yields an exact combination identity; completion can
+additionally track how each basis element was assembled from the input
+generators, which is how triviality certificates are produced.  Reduced
+bases over a field are monic, inter-reduced and sorted with the largest
+leading term first, so equal ideals print identically.
 
 1 lies in an ideal exactly when its reduced basis is {1}, under any term
 order, so ``is_trivial`` reads the verdict from whichever basis an ``Ideal``
@@ -19,8 +23,8 @@ Each term order key is computed once.  Division keeps the live terms of the
 dividend in a max-heap keyed when a term first appears, and drops an entry
 whose term has cancelled when it reaches the top; since reduction only adds
 terms below the current one, terms are taken in strictly descending order.
-Completion keys each pair (key of the lcm, i, j) once, when the later basis
-element is added, and reduces pairs smallest lcm first from a heap.
+Completion keys each pair (key of the lcm, kind, i, j) once, when the later
+basis element is added, and reduces pairs smallest lcm first from a heap.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
 from . import unipoly
-from .errors import InvariantViolation, UsageError
+from .errors import UsageError
 from .poly import (
     Polynomial,
     TermOrder,
@@ -155,32 +159,63 @@ def normal_form(f, basis, order=None):
     return _divide(f, basis, _leads(basis, order), order, False)[0]
 
 
+_S, _G = 0, 1  # pair kinds; at an equal lcm the S-pair pops first
+
+
 def spoly(f, g, order):
     """S-polynomial through the coefficient lcm; leading monomials cancel."""
-    return _spoly(f, _leading(f, order), g, _leading(g, order))
+    return _pair(_S, f, _leading(f, order), g, _leading(g, order))
 
 
 def gpoly(f, g, order):
     """G-polynomial: leading coefficients combine into their gcd."""
-    return _gpoly(f, _leading(f, order), g, _leading(g, order))
+    return _pair(_G, f, _leading(f, order), g, _leading(g, order))
 
 
-def _spoly(f, f_lead, g, g_lead):
+def _multipliers(kind, f_lead, g_lead, dom):
+    """(a, m, b, n) with a*x^m*f - b*x^n*g the S- or G-polynomial of f, g.
+
+    x^m and x^n lift both leading terms to their lcm.  An S-polynomial scales
+    both leading coefficients to their lcm, a G-polynomial combines them
+    into their gcd through Bezout cofactors.
+    """
     (fe, fc), (ge, gc) = f_lead, g_lead
-    dom = f.domain
     t = exp_lcm(fe, ge)
-    l = dom.lcm(fc, gc)
-    return f.mul_monomial(dom.exact_div(l, fc), exp_sub(t, fe)) - g.mul_monomial(
-        dom.exact_div(l, gc), exp_sub(t, ge)
-    )
+    if kind == _S:
+        l = dom.lcm(fc, gc)
+        a, b = dom.exact_div(l, fc), dom.exact_div(l, gc)
+    else:
+        _, a, b = dom.xgcd(fc, gc)
+        b = dom.neg(b)
+    return a, exp_sub(t, fe), b, exp_sub(t, ge)
 
 
-def _gpoly(f, f_lead, g, g_lead):
-    (fe, fc), (ge, gc) = f_lead, g_lead
-    dom = f.domain
-    t = exp_lcm(fe, ge)
-    _, u, v = dom.xgcd(fc, gc)
-    return f.mul_monomial(u, exp_sub(t, fe)) + g.mul_monomial(v, exp_sub(t, ge))
+def _combine(f, g, a, m, b, n):
+    return f.mul_monomial(a, m) - g.mul_monomial(b, n)
+
+
+def _pair(kind, f, f_lead, g, g_lead):
+    return _combine(f, g, *_multipliers(kind, f_lead, g_lead, f.domain))
+
+
+def _strongly_divides(dom, lead_a, lead_b):
+    """Whether leading monomial a divides b, term and coefficient both."""
+    (ta, ca), (tb, cb) = lead_a, lead_b
+    return exp_divides(ta, tb) and dom.divides(ca, cb)
+
+
+def _minus(vec, cofs, lineages):
+    """Lineage vector vec minus the sum of cof times lineage, pairwise."""
+    for cof, lv in zip(cofs, lineages):
+        if not cof.is_zero():
+            vec = [v - cof * l for v, l in zip(vec, lv)]
+    return tuple(vec)
+
+
+def _unit_normalizer(dom, lc):
+    """The unit that turns the leading coefficient lc canonical: 1/lc over a
+    field, over K[x1] the inverse of lc's top coefficient."""
+    return dom.inv(dom.canonical_unit(lc))
 
 
 def buchberger(gens, order=None, *, track=False, domain=None, nvars=None):
@@ -189,34 +224,49 @@ def buchberger(gens, order=None, *, track=False, domain=None, nvars=None):
     domain, nvars = _ring(gens, domain, nvars)
     if not domain.is_field:
         raise UsageError("buchberger needs field coefficients")
+    return _complete(gens, order, domain, nvars, track)
+
+
+def _complete(gens, order, domain, nvars, track):
+    """Strong basis over a Euclidean domain; the reduced basis over a field.
+
+    Every element is scaled to a canonical leading coefficient (1 over a
+    field).  Pairs pop smallest lcm first.  An S-pair is skipped when both
+    the leading terms and the leading coefficients are coprime, or when a
+    third leading monomial divides its lcm monomial and that element's
+    S-pairs with both are done; a G-pair is made only when neither leading
+    coefficient divides the other, so over a field there are none.  With
+    ``track`` each element carries its cofactors over the generators.
+    """
     if order is None:
         order = TermOrder.lex(nvars)
     if order.nvars != nvars:
         raise UsageError("order does not match the variable count")
 
-    basis = []
-    lts = []
-    lead = []  # (lt, 1): every basis element is monic
-    lineage = []
-    pending = set()
-    queue = []  # (order key of the lcm, i, j, lcm), smallest first
     one = domain.one()
+    basis = []
+    lead = []  # (leading exponents, canonical leading coefficient)
+    lineage = []
+    pending = set()  # S-pairs not yet popped
+    queue = []  # (order key of the lcm, kind, i, j, lcm), smallest first
 
     def push(f, vec):
         lexp, lc = _leading(f, order)
-        inv = domain.inv(lc)
-        f = f.scaled(inv)
-        if track:
-            vec = tuple(v.scaled(inv) for v in vec)
+        u = _unit_normalizer(domain, lc)
+        f = f.scaled(u)
+        lc = f.coeffs[lexp]
         j = len(basis)
-        for i in range(j):
-            lcm = exp_lcm(lts[i], lexp)
-            heappush(queue, (order.key(lcm), i, j, lcm))
+        for i, (e, c) in enumerate(lead):
+            t = exp_lcm(e, lexp)
+            key = order.key(t)
+            heappush(queue, (key, _S, i, j, t))
             pending.add((i, j))
+            if not (domain.divides(c, lc) or domain.divides(lc, c)):
+                heappush(queue, (key, _G, i, j, t))
         basis.append(f)
-        lts.append(lexp)
-        lead.append((lexp, one))
-        lineage.append(vec)
+        lead.append((lexp, lc))
+        if track:
+            lineage.append(tuple(v.scaled(u) for v in vec))
 
     zero = Polynomial.zero(domain, nvars)
     for k, g in enumerate(gens):
@@ -231,81 +281,82 @@ def buchberger(gens, order=None, *, track=False, domain=None, nvars=None):
         push(g, vec)
 
     while queue:
-        _, i, j, lcm_ij = heappop(queue)
-        pending.discard((i, j))
-        if lcm_ij == exp_add(lts[i], lts[j]):
-            continue  # disjoint leading terms: S-polynomial reduces to zero
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j) or not exp_divides(lts[k], lcm_ij):
-                continue
-            a = (min(i, k), max(i, k))
-            b = (min(j, k), max(j, k))
-            if a not in pending and b not in pending:
-                skip = True
-                break
-        if skip:
-            continue
-        ui = exp_sub(lcm_ij, lts[i])
-        uj = exp_sub(lcm_ij, lts[j])
-        s = basis[i].mul_monomial(one, ui) - basis[j].mul_monomial(one, uj)
-        r, cofs = _divide(s, basis, lead, order, track)
+        _, kind, i, j, t = heappop(queue)
+        if kind == _S:
+            pending.discard((i, j))
+            (ei, ci), (ej, cj) = lead[i], lead[j]
+            if t == exp_add(ei, ej) and domain.is_unit(domain.gcd(ci, cj)):
+                continue  # coprime leading monomials: reduces to zero
+            lcm_lead = (t, domain.lcm(ci, cj))
+            if any(
+                k != i
+                and k != j
+                and _strongly_divides(domain, lead[k], lcm_lead)
+                and (min(i, k), max(i, k)) not in pending
+                and (min(j, k), max(j, k)) not in pending
+                for k in range(len(basis))
+            ):
+                continue  # chain criterion: a third leading monomial covers it
+        mult = _multipliers(kind, lead[i], lead[j], domain)
+        h = _combine(basis[i], basis[j], *mult)
+        r, cofs = _divide(h, basis, lead, order, track)
         if r.is_zero():
             continue
         vec = None
         if track:
-            vec = [
-                a.mul_monomial(one, ui) - b.mul_monomial(one, uj)
-                for a, b in zip(lineage[i], lineage[j])
-            ]
-            for m, cof in enumerate(cofs):
-                if cof.is_zero():
-                    continue
-                vec = [v - cof * lv for v, lv in zip(vec, lineage[m])]
-            vec = tuple(vec)
+            vec = [_combine(a, b, *mult) for a, b in zip(lineage[i], lineage[j])]
+            vec = _minus(vec, cofs, lineage)
         push(r, vec)
 
-    # minimal basis: drop any element whose leading term another covers
+    # Minimal basis: visit in ascending (order key, coefficient sort key), so
+    # every strong divisor comes first, and keep an element unless a kept one
+    # strongly divides its leading monomial.  Among equal leading monomials
+    # the earliest element survives over a field (printed certificates depend
+    # on it) and the latest over K[x1] (printed strong bases depend on it).
+    tie = 1 if domain.is_field else -1
     keep = []
-    for idx in sorted(range(len(basis)), key=lambda k: (order.key(lts[k]), k)):
-        if not any(exp_divides(lts[k], lts[idx]) for k in keep):
-            keep.append(idx)
+    ranked = sorted(
+        range(len(basis)),
+        key=lambda k: (order.key(lead[k][0]), domain.sort_key(lead[k][1]), tie * k),
+    )
+    for k in ranked:
+        if not any(_strongly_divides(domain, lead[m], lead[k]) for m in keep):
+            keep.append(k)
 
-    final = [basis[k] for k in keep]
-    final_lead = [lead[k] for k in keep]
-    final_lin = [lineage[k] for k in keep] if track else None
+    # Inter-reduce in the same order against unit-led elements only.  Such an
+    # element's leading term divides no other kept one, so leading monomials
+    # stay as they are and the basis stays strong.
+    elems = [basis[k] for k in keep]
+    leads = [lead[k] for k in keep]
+    lins = [lineage[k] for k in keep] if track else None
     changed = True
     while changed:
         changed = False
-        for idx in range(len(final)):
-            others = final[:idx] + final[idx + 1 :]
+        for idx in range(len(elems)):
+            others = [
+                m
+                for m in range(len(elems))
+                if m != idx and domain.is_unit(leads[m][1])
+            ]
             if not others:
                 continue
-            other_lead = final_lead[:idx] + final_lead[idx + 1 :]
-            r, cofs = _divide(final[idx], others, other_lead, order, track)
-            if r == final[idx]:
+            r, cofs = _divide(
+                elems[idx],
+                [elems[m] for m in others],
+                [leads[m] for m in others],
+                order,
+                track,
+            )
+            if r == elems[idx]:
                 continue
             changed = True
-            if r.is_zero():
-                raise InvariantViolation("minimal basis elements cannot vanish")
-            lexp, lc = _leading(r, order)
-            inv = domain.inv(lc)
-            final[idx] = r.scaled(inv)
-            final_lead[idx] = (lexp, one)
+            elems[idx] = r
             if track:
-                vec = list(final_lin[idx])
-                other_lin = final_lin[:idx] + final_lin[idx + 1 :]
-                for cof, lv in zip(cofs, other_lin):
-                    if cof.is_zero():
-                        continue
-                    vec = [v - cof * l for v, l in zip(vec, lv)]
-                final_lin[idx] = tuple(v.scaled(inv) for v in vec)
+                lins[idx] = _minus(lins[idx], cofs, [lins[m] for m in others])
 
-    ranked = sorted(
-        range(len(final)), key=lambda k: order.key(final_lead[k][0]), reverse=True
-    )
-    elements = tuple(final[k] for k in ranked)
-    lin = tuple(final_lin[k] for k in ranked) if track else None
+    # leading monomials are distinct now, so this is descending order
+    elements = tuple(reversed(elems))
+    lin = tuple(reversed(lins)) if track else None
     return StrongBasis(elements, order, domain, nvars, lineage=lin)
 
 
@@ -320,8 +371,8 @@ def certify_basis(elements, order):
     lead = _leads(elements, order)
     for i in range(len(elements)):
         for j in range(i + 1, len(elements)):
-            for make in (_spoly, _gpoly):
-                c = make(elements[i], lead[i], elements[j], lead[j])
+            for kind in (_S, _G):
+                c = _pair(kind, elements[i], lead[i], elements[j], lead[j])
                 if c.is_zero():
                     continue
                 if not _divide(c, elements, lead, order, False)[0].is_zero():

@@ -319,6 +319,21 @@ class TestUnivariatePolyDomain:
         assert not self.dom.is_unit((0, 1))
         assert self.dom.canonical_unit((1, 3)) == (3,)
 
+    def test_inverse_of_units_only(self):
+        assert self.dom.mul(self.dom.inv((3,)), (3,)) == self.dom.one()
+        with pytest.raises(UsageError):
+            self.dom.inv((0, 1))
+
+    def test_field_helpers_match_the_trivial_euclidean_structure(self):
+        # the completion engine asks these of every coefficient domain
+        for field in (F5, F9, QQ):
+            zero, one, two = field.zero(), field.one(), field.from_int(2)
+            assert field.is_unit(two) and not field.is_unit(zero)
+            assert field.canonical_unit(two) == two
+            assert field.gcd(two, zero) == one and field.gcd(zero, zero) == zero
+            assert field.divides(two, one) and field.divides(zero, zero)
+            assert not field.divides(zero, one)
+
     def test_exact_div_rejects_remainders(self):
         with pytest.raises(UsageError):
             self.dom.exact_div((1, 1), (0, 1))
