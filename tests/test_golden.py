@@ -51,6 +51,8 @@ CASES = [
     ("solve_random", ["solve", "--trace"], ["random3_gf5.gb"], 0),
     ("solve_random_b", ["solve", "--trace"], ["random3b_gf5.gb"], 0),
     ("solve_tower", ["solve", "--trace"], ["tower3_gf5.gb"], 0),
+    # tower elements and minimal polynomials over two- and three-level towers
+    ("solve_tower3_levels", ["solve", "--trace"], ["tower3_levels_gf5.gb"], 0),
     ("solve_locus", ["solve", "--trace"], ["locus2_gf5.gb"], 0),
     ("solve_trivial", ["solve", "--trace"], ["unit3_gf5.gb"], 1),
 ]
