@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from pathlib import Path
 
@@ -244,7 +245,17 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout.  Point it at devnull so the flush at exit
+        # cannot raise again (the SIGPIPE note in the Python signal docs).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: standard output was closed", file=sys.stderr)
+        return 2
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

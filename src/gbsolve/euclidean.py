@@ -82,31 +82,20 @@ def specialization_locus(basis):
     return Polynomial.from_dense(field, 1, 0, unipoly.monic(acc, field))
 
 
-def specialize_basis(basis, a, target=None):
+def specialize_basis(basis, a):
     """Evaluate x1 at a point off the locus; the result is still a strong basis.
 
     The image of each leading coefficient is nonzero, so leading terms and
     the vanishing of every S- and G-polynomial reduction carry over without
-    another completion run.
+    another completion run.  A tower element evaluates into its own tower.
     """
     dom = basis.domain
     if not isinstance(dom, UnivariatePolyDomain):
         raise UsageError("specialization needs a K[x1] basis")
-    field = dom.field
+    field = target = dom.field
     if isinstance(a, FFElement):
-        if target is None:
-            target = a.tower
-        a = a.rep
-    if target is None:
-        target = field
+        target, a = a.tower, a.rep
     out = []
-    for g in basis.elements:
-        lead = g.leading(basis.order).coefficient
-        lifted = tuple(target.lift(c, field) for c in lead)
-        if target.is_zero(unipoly.evaluate(lifted, a, target)):
-            raise SpecializationError(
-                "the point is a root of a leading coefficient (locus vanishes)"
-            )
     for g in basis.elements:
         terms = {}
         for exps, cs in g.coeffs.items():
@@ -114,6 +103,10 @@ def specialize_basis(basis, a, target=None):
             val = unipoly.evaluate(lifted, a, target)
             if not target.is_zero(val):
                 terms[exps] = val
+        if g.leading(basis.order).exponents not in terms:
+            raise SpecializationError(
+                "the point is a root of a leading coefficient (locus vanishes)"
+            )
         out.append(Polynomial(target, basis.nvars, terms))
     out.sort(key=lambda g: basis.order.key(g.leading(basis.order).exponents), reverse=True)
     return StrongBasis(tuple(out), basis.order, target, basis.nvars)

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from . import unipoly
 from .errors import InvariantViolation, UsageError
+from .poly import Polynomial, TermOrder, to_text
 
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -439,24 +440,12 @@ class FieldTower(Field):
         return out
 
     def to_text(self, a):
-        terms = self._expand(a)
-        if not terms:
-            return "0"
-        names = [lv.name for lv in self.levels]
-        parts = []
-        for exps in sorted(terms, key=lambda e: tuple(reversed(e)), reverse=True):
-            c = terms[exps]
-            factors = []
-            for j, e in enumerate(exps):
-                if e:
-                    factors.append(names[j] if e == 1 else f"{names[j]}^{e}")
-            if not factors:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append("*".join(factors))
-            else:
-                parts.append("*".join([str(c)] + factors))
-        return " + ".join(parts)
+        k = len(self.levels)
+        if not k:
+            return str(a)
+        names = tuple(lv.name for lv in self.levels)
+        order = TermOrder.lex(k, range(k - 1, -1, -1))  # the top level leads
+        return to_text(Polynomial(self.prefix(0), k, self._expand(a)), names, order)
 
     def coeff_text(self, a):
         text = self.to_text(a)
@@ -647,26 +636,7 @@ class UnivariatePolyDomain(Domain):
         raise UsageError(f"cannot lift elements of {src.tag} into {self.tag}")
 
     def to_text(self, a):
-        if not a:
-            return "0"
-        parts = []
-        for i in range(len(a) - 1, -1, -1):
-            c = a[i]
-            if self.field.is_zero(c):
-                continue
-            neg_flag, text = self.field.coeff_text(c)
-            power = "" if i == 0 else (self.name if i == 1 else f"{self.name}^{i}")
-            if power and (self.field.is_one(c) or text == "1"):
-                body = power
-            elif power:
-                body = f"{text}*{power}"
-            else:
-                body = text
-            if not parts:
-                parts.append(("-" if neg_flag else "") + body)
-            else:
-                parts.append(("- " if neg_flag else "+ ") + body)
-        return " ".join(parts)
+        return to_text(Polynomial.from_dense(self.field, 1, 0, a), (self.name,))
 
     def coeff_text(self, a):
         return False, f"({self.to_text(a)})"

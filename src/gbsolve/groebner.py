@@ -325,34 +325,28 @@ def _complete(gens, order, domain, nvars, track):
 
     # Inter-reduce in the same order against unit-led elements only.  Such an
     # element's leading term divides no other kept one, so leading monomials
-    # stay as they are and the basis stays strong.
+    # stay as they are and the basis stays strong.  One pass suffices: whether
+    # a term can be rewritten depends only on the other elements' leading
+    # monomials, which no reduction changes, and a remainder keeps no term
+    # that a unit-led element could rewrite.
     elems = [basis[k] for k in keep]
     leads = [lead[k] for k in keep]
     lins = [lineage[k] for k in keep] if track else None
-    changed = True
-    while changed:
-        changed = False
-        for idx in range(len(elems)):
-            others = [
-                m
-                for m in range(len(elems))
-                if m != idx and domain.is_unit(leads[m][1])
-            ]
-            if not others:
-                continue
-            r, cofs = _divide(
-                elems[idx],
-                [elems[m] for m in others],
-                [leads[m] for m in others],
-                order,
-                track,
-            )
-            if r == elems[idx]:
-                continue
-            changed = True
-            elems[idx] = r
-            if track:
-                lins[idx] = _minus(lins[idx], cofs, [lins[m] for m in others])
+    units = [m for m in range(len(elems)) if domain.is_unit(leads[m][1])]
+    for idx in range(len(elems)):
+        others = [m for m in units if m != idx]
+        if not others:
+            continue
+        r, cofs = _divide(
+            elems[idx],
+            [elems[m] for m in others],
+            [leads[m] for m in others],
+            order,
+            track,
+        )
+        elems[idx] = r
+        if track:
+            lins[idx] = _minus(lins[idx], cofs, [lins[m] for m in others])
 
     # leading monomials are distinct now, so this is descending order
     elements = tuple(reversed(elems))

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from operator import itemgetter, mul, neg
 
 from .errors import UsageError, ZeroPolynomialError
+from .unipoly import elem_pow
 
 
 def exp_add(s, t):
@@ -350,7 +351,7 @@ class Polynomial:
             val = dom.lift(c, self.domain)
             for a, e in zip(point, exps):
                 if e:
-                    val = dom.mul(val, unipow(a, e, dom))
+                    val = dom.mul(val, elem_pow(a, e, dom))
             total = dom.add(total, val)
         return total
 
@@ -375,17 +376,6 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({self.domain.tag}, {to_text(self)!r})"
-
-
-def unipow(a, e, dom):
-    """Domain element power (square and multiply)."""
-    result = dom.one()
-    while e > 0:
-        if e & 1:
-            result = dom.mul(result, a)
-        a = dom.mul(a, a)
-        e >>= 1
-    return result
 
 
 def default_names(nvars):

@@ -169,42 +169,24 @@ def _point(ideal, rng, trace, depth):
     if not p.is_zero():
         if p.is_constant():
             raise InvariantViolation("a proper ideal met K[x1] in a constant")
-        root, evaluated = find_branch_root(p, ideal, rng)
-        trace.append(
-            BranchStep(
-                depth, "root", p, root, root.tower if root.tower != tower else None
-            )
+        branch, locus = "root", None
+        a, evaluated = find_branch_root(p, ideal, rng)
+    else:
+        views = [to_coeff_view(g) for g in ideal.gens if not g.is_zero()]
+        strong = strong_buchberger(
+            views, domain=UnivariatePolyDomain(tower), nvars=ideal.nvars - 1
         )
-        final, rest = _point(evaluated, rng, trace, depth + 1)
-        lifted = FFElement(final, final.lift(root.rep, root.tower))
-        return final, [lifted] + rest
-
-    views = [to_coeff_view(g) for g in ideal.gens if not g.is_zero()]
-    strong = strong_buchberger(
-        views, domain=UnivariatePolyDomain(tower), nvars=ideal.nvars - 1
-    )
-    q = specialization_locus(strong)
-    a = good_specialization_point(q)
-    specialized = specialize_basis(strong, a)
-    for e in specialized.elements:
-        if e.is_constant():
-            raise InvariantViolation("a specialized strong basis kept a constant")
-    trace.append(
-        BranchStep(
-            depth,
-            "locus",
-            Polynomial.zero(tower, 1),
-            a,
-            a.tower if a.tower != tower else None,
-            q,
-        )
-    )
-    evaluated = Ideal(
-        specialized.elements, domain=a.tower, nvars=ideal.nvars - 1
-    )
+        branch, locus = "locus", specialization_locus(strong)
+        a = good_specialization_point(locus)
+        specialized = specialize_basis(strong, a)
+        for e in specialized.elements:
+            if e.is_constant():
+                raise InvariantViolation("a specialized strong basis kept a constant")
+        evaluated = Ideal(specialized.elements, domain=a.tower, nvars=ideal.nvars - 1)
+    extension = a.tower if a.tower != tower else None
+    trace.append(BranchStep(depth, branch, p, a, extension, locus))
     final, rest = _point(evaluated, rng, trace, depth + 1)
-    lifted = FFElement(final, final.lift(a.rep, a.tower))
-    return final, [lifted] + rest
+    return final, [FFElement(final, final.lift(a.rep, a.tower))] + rest
 
 
 def solve(ideal, *, seed=0):

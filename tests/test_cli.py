@@ -1,5 +1,6 @@
 """Problem-file grammar and the command-line transcript contract."""
 
+import os
 import random
 import subprocess
 import sys
@@ -319,3 +320,19 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert proc.stdout == "POINT\next t1: t1^2 + 1\nx1 = t1\nx2 = t1\nVERIFIED\n"
+
+    def test_closed_stdout_is_reported_as_an_error(self, tmp_path):
+        path = _problem(tmp_path, "field p 3\nvars x1 x2\nx1^2 + 1\nx2 - x1\n")
+        r, w = os.pipe()
+        os.close(r)  # every write to w now fails with a broken pipe
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "gbsolve", "solve", path],
+                stdout=w,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+        finally:
+            os.close(w)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: standard output was closed\n"
