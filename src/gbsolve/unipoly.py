@@ -85,13 +85,6 @@ def mul(f, g, F):
     return trim(out, F)
 
 
-def mul_xpow(f, k, F):
-    """Multiply by x**k."""
-    if not f:
-        return ()
-    return (F.zero(),) * k + tuple(f)
-
-
 def poly_pow(f, e, F):
     """f**e by squaring, e >= 0."""
     if e < 0:
@@ -253,7 +246,15 @@ def sqf_list(f, F):
 
 
 def ddf(f, F):
-    """Distinct-degree split of monic squarefree f: [(product, degree)]."""
+    """Distinct-degree split of monic f: [(product, degree)].
+
+    For squarefree f each product is that of all irreducible factors of its
+    degree.  For any monic f of degree n, squarefree or not, the result is
+    [(f, n)] exactly when f is irreducible: a reducible f has an irreducible
+    factor of some degree e <= n/2, and the loop reaches d = e with f still
+    whole unless it has already split off a factor of lower degree, so the
+    first entry is never (f, n).
+    """
     q = F.order
     out = []
     h = rem(x(F), f, F)
@@ -329,40 +330,10 @@ def factor(f, F, rng=None):
     return sorted(out, key=lambda ge: factor_key(ge[0], F))
 
 
-def _prime_divisors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def is_irreducible(f, F):
-    """Rabin's irreducibility test over a finite field."""
+    """True when f is irreducible over the finite field F: ddf leaves it whole."""
     f = monic(trim(f, F), F)
-    n = deg(f)
-    if n < 1:
-        return False
-    if n == 1:
-        return True
-    q = F.order
-    xx = rem(x(F), f, F)
-    frob = [xx]  # frob[k] = x**(q**k) mod f
-    for _ in range(n):
-        frob.append(pow_mod(frob[-1], q, f, F))
-    if frob[n] != xx:
-        return False
-    for l in _prime_divisors(n):
-        h = sub(frob[n // l], xx, F)
-        if deg(gcd(h, f, F)) != 0:
-            return False
-    return True
+    return deg(f) >= 1 and ddf(f, F) == [(f, deg(f))]
 
 
 def first_irreducible(degree, F):

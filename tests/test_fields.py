@@ -120,6 +120,11 @@ class TestTowers:
             GF(4)
         with pytest.raises(UsageError):
             F3.extend((2, 0, 1))  # x^2 + 2 = (x-1)(x+1) over F3
+        # reducible quartics without a root in F3: only the d = 2 step of the
+        # irreducibility test finds their quadratic factors
+        for minpoly in ((1, 0, 2, 0, 1), (2, 1, 0, 1, 1)):  # (x^2+1)^2, (x^2+1)(x^2+x+2)
+            with pytest.raises(UsageError):
+                F3.extend(minpoly)
         with pytest.raises(UsageError):
             F3.extend((1, 1))  # degree-1 level
 

@@ -205,12 +205,23 @@ def F_is_monic(g, field):
 
 class TestIrreducible:
     def test_matches_trial_division(self):
-        for field, max_deg in ((F2, 5), (F3, 4)):
+        cases = []
+        for field, max_deg in ((F2, 5), (F3, 4), (F4, 3), (F9, 2)):
             for d in range(1, max_deg + 1):
-                for f in _all_monic(field, d):
-                    assert unipoly.is_irreducible(f, field) == _irreducible_by_trial_division(
-                        f, field
-                    ), f
+                cases += [(field, f) for f in _all_monic(field, d)]
+        rng = random.Random(11)
+        for field in (F9, F81):
+            scales = [c for c in field.elements() if not (field.is_zero(c) or field.is_one(c))]
+            for i in range(40):
+                f = _random_tuple(rng, field, 3)
+                if i % 2:
+                    # rescale by a unit other than 1: the test must not assume monic input
+                    f = unipoly.scale(f, rng.choice(scales), field)
+                cases.append((field, f))
+        for field, f in cases:
+            assert unipoly.is_irreducible(f, field) == _irreducible_by_trial_division(
+                f, field
+            ), f
 
     def test_first_irreducible_frozen(self):
         assert unipoly.first_irreducible(2, F3) == (1, 0, 1)
