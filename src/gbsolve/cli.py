@@ -84,9 +84,7 @@ def _cmd_gb_strong(args):
         raise UsageError("the K[x1] view needs at least two variables")
     order = _order_flag(args.order, problem.nvars - 1)
     coeff_dom = UnivariatePolyDomain(problem.domain, problem.names[0])
-    views = [
-        to_coeff_view(g, problem.names[0]) for g in problem.gens if not g.is_zero()
-    ]
+    views = [to_coeff_view(g, problem.names[0]) for g in problem.gens]
     basis = strong_buchberger(
         views, order, domain=coeff_dom, nvars=problem.nvars - 1
     )

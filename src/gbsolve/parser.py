@@ -13,7 +13,8 @@ Polynomials use integer literals, declared variables, ``+``, binary and unary
 ``-``, ``*``, ``^`` with a positive integer exponent, and parentheses.  A
 rational literal may be written ``a/b`` (two integer tokens around ``/``) so
 that printed rational output parses back; over a prime field it means
-``a * b**-1``.  Whitespace never matters inside a line.
+``a * b**-1``.  Whitespace never matters inside a line.  Parentheses nest
+at most ``MAX_NESTING`` levels deep; the parser recurses once per level.
 """
 
 from __future__ import annotations
@@ -26,6 +27,10 @@ from .fields import GF, QQ, is_probable_prime
 from .poly import Polynomial
 
 _KEYWORDS = frozenset({"field", "vars", "query"})
+
+# Each level of parentheses costs the recursive descent five Python frames,
+# and about 200 levels exhaust the default recursion limit of 1000.
+MAX_NESTING = 100
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^()/]))"
@@ -67,6 +72,7 @@ class _PolyParser:
         self.names = names
         self.nvars = len(names)
         self.line = line
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -118,11 +124,14 @@ class _PolyParser:
                 return p
 
     def unary(self):
+        negate = False
         tok = self.peek()
-        if tok is not None and tok.kind == "op" and tok.text == "-":
+        while tok is not None and tok.kind == "op" and tok.text == "-":
             self.take()
-            return -self.unary()
-        return self.power()
+            negate = not negate
+            tok = self.peek()
+        p = self.power()
+        return -p if negate else p
 
     def power(self):
         p = self.atom()
@@ -164,8 +173,12 @@ class _PolyParser:
                 self.fail(f"undeclared variable {tok.text!r}", tok)
             return Polynomial.variable(self.domain, self.nvars, i)
         if tok.kind == "op" and tok.text == "(":
+            if self.depth == MAX_NESTING:
+                self.fail(f"parentheses nest deeper than {MAX_NESTING} levels", tok)
+            self.depth += 1
             p = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return p
         self.fail(f"unexpected {tok.text!r}", tok)
 

@@ -11,7 +11,8 @@ extension tower, eliminating one variable per recursion step:
   from the roots of the leading-coefficient product (``specialization_locus``)
   and substitute; the specialized basis is still a strong basis with no
   constant member, so the smaller ideal stays proper;
-* one variable left: any root of the gcd of the generators works.
+* one variable left: the same root step, on the gcd of the generators (the
+  trace calls it ``base``); every root works, and the zero ideal takes 0.
 
 Each level computes one untracked Groebner basis, under
 ``TermOrder.elimination``: ``is_trivial`` decides from it, and
@@ -135,44 +136,23 @@ def find_branch_root(p, ideal, rng=None):
     raise InvariantViolation("every root evaluation became trivial")
 
 
-def _base_point(ideal, rng, trace, depth):
-    tower = ideal.domain
-    g = ()
-    for f in ideal.gens:
-        g = unipoly.gcd(g, f.dense_in(0), tower)
-    if unipoly.is_zero(g):
-        a = FFElement(tower, tower.zero())
-        trace.append(BranchStep(depth, "base", Polynomial.zero(tower, 1), a))
-        return tower, [a]
-    if unipoly.deg(g) == 0:
-        raise InvariantViolation("a proper ideal yielded a constant gcd")
-    first, _mult = unipoly.factor(g, tower, rng)[0]
-    ext, a = adjoin_root(tower, first)
-    trace.append(
-        BranchStep(
-            depth,
-            "base",
-            Polynomial.from_dense(tower, 1, 0, g),
-            a,
-            ext if ext != tower else None,
-        )
-    )
-    return ext, [a]
-
-
 def _point(ideal, rng, trace, depth):
     tower = ideal.domain
-    if ideal.nvars == 1:
-        return _base_point(ideal, rng, trace, depth)
+    if ideal.nvars == 0:
+        return tower, []
 
     p = eliminate_to_x1(ideal)
+    locus = None
     if not p.is_zero():
         if p.is_constant():
             raise InvariantViolation("a proper ideal met K[x1] in a constant")
-        branch, locus = "root", None
+        branch = "base" if ideal.nvars == 1 else "root"
         a, evaluated = find_branch_root(p, ideal, rng)
+    elif ideal.nvars == 1:
+        branch, a = "base", FFElement(tower, tower.zero())
+        evaluated = Ideal([], domain=tower, nvars=0)
     else:
-        views = [to_coeff_view(g) for g in ideal.gens if not g.is_zero()]
+        views = [to_coeff_view(g) for g in ideal.gens]
         strong = strong_buchberger(
             views, domain=UnivariatePolyDomain(tower), nvars=ideal.nvars - 1
         )

@@ -101,6 +101,17 @@ class TestParseProblem:
         with pytest.raises(ParseError, match="expected '\\)'"):
             parse_problem("field p 3\nvars x\n(x + 1\n")
 
+    def test_nesting_bound(self):
+        x = Polynomial.variable(F5, 1, 0)
+
+        def nested(depth):
+            return f"field p 5\nvars x\n{'(' * depth}x{')' * depth}\n"
+
+        assert parse_problem(nested(100)).gens == (x,)
+        with pytest.raises(ParseError, match="line 3, col 101: parentheses nest"):
+            parse_problem(nested(101))
+        assert parse_problem("field p 5\nvars x\n" + "-" * 1201 + "x").gens == (-x,)
+
     def test_unary_minus_and_precedence(self):
         problem = parse_problem("field p 5\nvars x y\n-x^2*y + -3\n")
         x = Polynomial.variable(F5, 2, 0)
@@ -255,6 +266,19 @@ class TestCommands:
             code, out, err = _run(capsys, "solve", path)
             assert (code, out) == (2, "")
             assert err.startswith("error:") and f"{n} is not prime" in err
+
+    def test_deep_nesting_exits_two(self, tmp_path, capsys):
+        # 300 levels overflowed the recursive descent (exit 3)
+        for open_, col in (("(", 101), ("-(", 202)):
+            line = open_ * 300 + "x" + ")" * 300
+            path = _problem(tmp_path, f"field p 5\nvars x\n{line}\n")
+            code, out, err = _run(capsys, "gb", path)
+            assert (code, out) == (2, "")
+            assert err.startswith(f"error: line 3, col {col}: parentheses nest")
+
+    def test_long_minus_run_is_a_polynomial(self, tmp_path, capsys):
+        path = _problem(tmp_path, "field p 5\nvars x\n" + "-" * 1200 + "x\n")
+        assert _run(capsys, "gb", path) == (0, "x\n", "")
 
     def test_missing_file(self, capsys):
         code, _, err = _run(capsys, "gb", "/nonexistent/nowhere.gb")

@@ -54,6 +54,8 @@ CASES = [
     # tower elements and minimal polynomials over two- and three-level towers
     ("solve_tower3_levels", ["solve", "--trace"], ["tower3_levels_gf5.gb"], 0),
     ("solve_locus", ["solve", "--trace"], ["locus2_gf5.gb"], 0),
+    # one variable: the root step on the gcd, extending the field
+    ("solve_univariate", ["solve", "--trace"], ["univariate_gf3.gb"], 0),
     ("solve_trivial", ["solve", "--trace"], ["unit3_gf5.gb"], 1),
 ]
 

@@ -184,6 +184,13 @@ class TestSolve:
         assert outcome.reps() == [0, 0]
         assert [s.branch for s in trace] == ["locus", "base"]
 
+    def test_zero_ideal_in_one_variable_takes_zero(self):
+        outcome, trace = solve(Ideal([], domain=F3, nvars=1))
+        assert isinstance(outcome, Point)
+        assert outcome.tower is F3 and outcome.reps() == [0]
+        assert [s.branch for s in trace] == ["base"]
+        assert trace[0].eliminated.is_zero() and trace[0].extension is None
+
     def test_trivial_ideal_certificate(self):
         x1, _ = _vars(F5, 2)
         one = _const(F5, 2, 1)
