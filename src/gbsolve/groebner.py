@@ -32,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
-from . import unipoly
 from .errors import UsageError
 from .poly import (
     Polynomial,
@@ -444,16 +443,14 @@ def member(f, ideal):
 def eliminate_to_x1(ideal):
     """Monic generator of the ideal's intersection with K[x1] (zero if empty).
 
-    Uses the basis under ``TermOrder.elimination``, collects the univariate
-    basis elements and takes their gcd.
+    Reads it from the reduced basis under ``TermOrder.elimination``, which has
+    at most one element in K[x1]: two would have leading terms x1^a and x1^b,
+    one dividing the other.
     """
     if not ideal.domain.is_field:
         raise UsageError("elimination needs field coefficients")
     if ideal.nvars < 1:
         raise UsageError("elimination needs at least one variable")
     gb = ideal.groebner(TermOrder.elimination(ideal.nvars))
-    univariate = [g.dense_in(0) for g in gb.elements if g.univariate_in(0)]
-    acc = ()
-    for dense in univariate:
-        acc = unipoly.gcd(acc, dense, ideal.domain)
-    return Polynomial.from_dense(ideal.domain, 1, 0, acc)
+    dense = next((g.dense_in(0) for g in gb.elements if g.univariate_in(0)), ())
+    return Polynomial.from_dense(ideal.domain, 1, 0, dense)

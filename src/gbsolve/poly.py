@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from operator import itemgetter, mul, neg
 
 from .errors import UsageError, ZeroPolynomialError
-from .unipoly import elem_pow
+from .unipoly import elem_pow, power
 
 
 def exp_add(s, t):
@@ -272,16 +272,10 @@ class Polynomial:
         return Polynomial(dom, self.nvars, out)
 
     def __pow__(self, e):
-        if not isinstance(e, int) or e < 0:
-            raise UsageError("polynomial powers take a nonnegative integer")
-        result = Polynomial.constant(self.domain, self.nvars, self.domain.one())
-        base = self
-        while e > 0:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        if not isinstance(e, int):
+            raise UsageError("polynomial powers take an integer exponent")
+        one = Polynomial.constant(self.domain, self.nvars, self.domain.one())
+        return power(self, e, mul, one)
 
     def scaled(self, c):
         """Multiply every coefficient by the domain element c."""
@@ -324,16 +318,9 @@ class Polynomial:
         if dom is None:
             dom = self.domain
         out = {}
-        powers = {0: dom.one()}
-
-        def power(e):
-            if e not in powers:
-                powers[e] = dom.mul(power(e - 1), a)
-            return powers[e]
-
         for exps, c in self.coeffs.items():
             rest = exps[1:]
-            val = dom.mul(dom.lift(c, self.domain), power(exps[0]))
+            val = dom.mul(dom.lift(c, self.domain), elem_pow(a, exps[0], dom))
             if rest in out:
                 out[rest] = dom.add(out[rest], val)
             else:

@@ -85,17 +85,28 @@ def mul(f, g, F):
     return trim(out, F)
 
 
+def power(a, e, mul, one):
+    """a**e by right-to-left square-and-multiply under the product mul.
+
+    e == 0 gives one and computes no product.  Otherwise the lowest set bit
+    takes a itself and no square is taken past the top bit, so the cost is
+    (e.bit_length() - 1) squarings plus (popcount(e) - 1) multiplications.
+    """
+    if e < 0:
+        raise UsageError("negative powers are not defined")
+    result = None  # no set bit taken yet
+    while e:
+        if e & 1:
+            result = a if result is None else mul(result, a)
+        e >>= 1
+        if e:
+            a = mul(a, a)
+    return one if result is None else result
+
+
 def poly_pow(f, e, F):
     """f**e by squaring, e >= 0."""
-    if e < 0:
-        raise UsageError("negative polynomial powers are not defined")
-    out = one(F)
-    while e > 0:
-        if e & 1:
-            out = mul(out, f, F)
-        f = mul(f, f, F)
-        e >>= 1
-    return out
+    return power(f, e, lambda g, h: mul(g, h, F), one(F))
 
 
 def divmod_(f, g, F):
@@ -188,25 +199,14 @@ def derivative(f, F):
 
 def pow_mod(f, e, m, F):
     """f**e modulo m by binary exponentiation."""
-    result = rem(one(F), m, F)
-    base = rem(f, m, F)
-    while e > 0:
-        if e & 1:
-            result = rem(mul(result, base, F), m, F)
-        base = rem(mul(base, base, F), m, F)
-        e >>= 1
-    return result
+    return power(
+        rem(f, m, F), e, lambda g, h: rem(mul(g, h, F), m, F), rem(one(F), m, F)
+    )
 
 
 def elem_pow(a, e, F):
     """Field element power by binary exponentiation (e >= 0)."""
-    result = F.one()
-    while e > 0:
-        if e & 1:
-            result = F.mul(result, a)
-        a = F.mul(a, a)
-        e >>= 1
-    return result
+    return power(a, e, F.mul, F.one())
 
 
 # -- factorization over finite fields ---------------------------------------

@@ -249,6 +249,16 @@ class TestCommands:
             "POINT\nx1 = 1\nx2 = 1\nVERIFIED\n"
         )
 
+    def test_solve_high_x1_degree(self, tmp_path, capsys):
+        path = _problem(tmp_path, "field p 5\nvars x y\nx^1000 - 1\ny - x\n")
+        code, out, _ = _run(capsys, "solve", "--trace", path)
+        assert code == 0
+        assert out == (
+            "trace x: branch=root p=x^1000 + 4 a=1 ext=-\n"
+            "trace y: branch=base p=y + 4 a=1 ext=-\n"
+            "POINT\nx = 1\ny = 1\nVERIFIED\n"
+        )
+
     def test_solve_trivial_exits_one(self, tmp_path, capsys):
         path = _problem(tmp_path, "field p 5\nvars x1 x2\nx1\nx1 - 1\n")
         code, out, _ = _run(capsys, "solve", path)

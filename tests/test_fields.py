@@ -245,6 +245,10 @@ class TestFFElement:
         assert (1 - t) + t == FFElement(F9, F9.one())
         assert str(t + 1) == "t1 + 1"
 
+    def test_negative_exponent_raises(self):
+        with pytest.raises(UsageError):
+            FFElement(F9, F9.generator()) ** -1
+
     def test_cross_tower_mixing_rejected(self):
         t = FFElement(F9, F9.generator())
         with pytest.raises(UsageError):

@@ -78,6 +78,20 @@ def test_golden_transcript(name, command, files, code):
     assert got == (GOLDEN / f"{name}.out").read_text()
 
 
+@pytest.mark.parametrize("seed", ["0", "7"])
+@pytest.mark.parametrize(
+    "name, command, files, code",
+    [case for case in CASES if case[1][0] == "solve"],
+    ids=[case[0] for case in CASES if case[1][0] == "solve"],
+)
+def test_solve_output_does_not_depend_on_the_seed(name, command, files, code, seed):
+    # factors are unique, monic and sorted by an injective key, so the seed
+    # of the randomized equal-degree split cannot reach stdout
+    got_code, got = _transcript([*command, "--seed", seed], files)
+    assert got_code == code
+    assert got == (GOLDEN / f"{name}.out").read_text()
+
+
 def test_every_golden_file_is_used():
     used = {f for case in CASES for f in case[2]}
     used |= {f"{case[0]}.out" for case in CASES}

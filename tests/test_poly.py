@@ -154,6 +154,13 @@ class TestArithmetic:
         r = (x1 + x2).evaluate_x1(t, F9)
         assert r.coeffs == {(1,): F9.one(), (0,): t}
 
+    def test_evaluate_x1_takes_sparse_high_powers(self):
+        F9 = F3.extend((1, 0, 1))
+        a, b = F9.add(F9.generator(), F9.one()), F9.generator()
+        x1, x2 = _xyz(F3)
+        p = x1**5000 * x2 + const(F3, 2, 2) * x1 * x2 * x2 + const(F3, 2, 1)
+        assert p.evaluate_x1(a, F9).evaluate([b], F9) == p.evaluate([a, b], F9)
+
 
 class TestStructure:
     def test_univariate_and_dense_round_trip(self):

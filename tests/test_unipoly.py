@@ -7,6 +7,7 @@ small sizes.
 
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -14,6 +15,7 @@ from corpus import textbook_divmod
 from gbsolve import unipoly
 from gbsolve.errors import UsageError
 from gbsolve.fields import GF, QQ, FieldTower
+from gbsolve.poly import Polynomial
 
 F2, F3, F5 = GF(2), GF(3), GF(5)
 F4 = F2.extend((1, 1, 1))
@@ -201,6 +203,68 @@ class TestFactor:
 
 def F_is_monic(g, field):
     return not unipoly.is_zero(g) and field.is_one(g[-1])
+
+
+def _counting(product):
+    """product wrapped in a function that counts its calls in ``.calls``."""
+
+    def counted(*args):
+        counted.calls += 1
+        return product(*args)
+
+    counted.calls = 0
+    return counted
+
+
+def _ladder_cost(e):
+    """Squarings plus multiplications of a ladder that stops at the top bit."""
+    return 0 if e == 0 else (e.bit_length() - 1) + (bin(e).count("1") - 1)
+
+
+class TestPower:
+    """Every power in the kernel goes through ``unipoly.power``."""
+
+    @pytest.mark.parametrize("site", ["elem_pow", "poly_pow", "pow_mod", "Polynomial"])
+    def test_ladder_matches_repeated_products_at_its_cost(self, site, monkeypatch):
+        if site == "elem_pow":
+            a = F9.add(F9.generator(), F9.one())
+            counted = _counting(F9.mul)
+            counting_field = SimpleNamespace(mul=counted, one=F9.one)
+            raise_to = lambda e: unipoly.elem_pow(a, e, counting_field)
+            one, step = F9.one(), lambda acc: F9.mul(acc, a)
+        elif site == "Polynomial":
+            x1, x2 = (Polynomial.variable(F3, 2, i) for i in range(2))
+            f = x1 + x2 * x2 + Polynomial.constant(F3, 2, 2)
+            counted = _counting(Polynomial.__mul__)
+            monkeypatch.setattr(Polynomial, "__mul__", counted)
+            raise_to = lambda e: f**e
+            one, step = Polynomial.constant(F3, 2, 1), lambda acc: acc * f
+        else:
+            f = (2, 1, 1)  # x^2 + x + 2
+            m = unipoly.first_irreducible(3, F3)
+            counted = _counting(unipoly.mul)
+            monkeypatch.setattr(unipoly, "mul", counted)
+            one = unipoly.one(F3)
+            if site == "poly_pow":
+                raise_to = lambda e: unipoly.poly_pow(f, e, F3)
+                step = lambda acc: unipoly.mul(acc, f, F3)
+            else:
+                raise_to = lambda e: unipoly.pow_mod(f, e, m, F3)
+                step = lambda acc: unipoly.rem(unipoly.mul(acc, f, F3), m, F3)
+        naive = one
+        for e in range(65):
+            counted.calls = 0
+            assert raise_to(e) == naive, e
+            assert counted.calls == _ladder_cost(e), e
+            naive = step(naive)
+
+    def test_negative_exponent_raises(self):
+        with pytest.raises(UsageError):
+            unipoly.elem_pow(F9.generator(), -1, F9)
+        with pytest.raises(UsageError):
+            unipoly.pow_mod((0, 1), -3, (1, 0, 1), F3)
+        with pytest.raises(UsageError):
+            unipoly.poly_pow((0, 1), -1, F3)
 
 
 class TestIrreducible:
