@@ -252,9 +252,13 @@ class FieldTower(Field):
     tuples of (k-1)-level elements in ascending degree order with trailing
     zeros trimmed, so representations are canonical.
 
-    Each level is validated once, when it is stacked on the tower below it:
-    ``FieldTower(p, levels)`` checks every level of its input, and ``extend``
-    checks only the new one, sharing the tower it extends.
+    Every tower is built by one stacking step, ``_stack``, which checks
+    nothing.  A level from outside is checked once, before it is stacked:
+    ``FieldTower(p, levels)`` checks every level of its input, ``extend``
+    only the new one, sharing the tower it extends, and ``adjoin_root`` the
+    polynomial it is given.  The solver stacks the factors ``unipoly.factor``
+    returns and the output of ``unipoly.first_irreducible`` unchecked
+    (``_adjoin_irreducible``), as both are irreducible by construction.
     """
 
     __slots__ = ("p", "levels", "_sub", "_order", "_hash")
@@ -262,7 +266,9 @@ class FieldTower(Field):
     def __init__(self, p, levels=()):
         levels = tuple(levels)
         if levels:
-            self._stack(FieldTower(p, levels[:-1]), levels[-1])
+            sub = FieldTower(p, levels[:-1])
+            _check_level(sub, levels[-1])
+            self._stack(sub, levels[-1])
             return
         if not is_probable_prime(p):
             raise UsageError(f"characteristic {p} is not prime")
@@ -273,13 +279,7 @@ class FieldTower(Field):
         self._hash = hash((p, ()))
 
     def _stack(self, sub, top):
-        """Make this tower ``sub`` extended by the level ``top``, checked here."""
-        if top.degree < 2:
-            raise UsageError("tower levels must have degree >= 2")
-        if not sub.is_one(top.minpoly[-1]):
-            raise UsageError("tower minimal polynomials must be monic")
-        if not unipoly.is_irreducible(top.minpoly, sub):
-            raise UsageError(f"minimal polynomial of {top.name} is reducible")
+        """Make this tower ``sub`` extended by the level ``top``, unchecked."""
         self.p = sub.p
         self.levels = sub.levels + (top,)
         self._sub = sub
@@ -368,8 +368,10 @@ class FieldTower(Field):
         minpoly = unipoly.monic(unipoly.trim(minpoly, self), self)
         if name is None:
             name = f"t{len(self.levels) + 1}"
+        top = TowerLevel(name, minpoly)
+        _check_level(self, top)
         bigger = object.__new__(FieldTower)
-        bigger._stack(self, TowerLevel(name, minpoly))
+        bigger._stack(self, top)
         return bigger
 
     def prefix(self, k):
@@ -452,6 +454,17 @@ class FieldTower(Field):
         if len(self._expand(a)) > 1:
             text = f"({text})"
         return False, text
+
+
+def _check_level(sub, top):
+    """Reject a level that cannot extend ``sub``: degree below 2, a minimal
+    polynomial that is not monic, or one that is reducible over ``sub``."""
+    if top.degree < 2:
+        raise UsageError("tower levels must have degree >= 2")
+    if not sub.is_one(top.minpoly[-1]):
+        raise UsageError("tower minimal polynomials must be monic")
+    if not unipoly.is_irreducible(top.minpoly, sub):
+        raise UsageError(f"minimal polynomial of {top.name} is reducible")
 
 
 def GF(p):
@@ -538,9 +551,19 @@ def adjoin_root(tower, g):
     if unipoly.deg(g) < 1:
         raise UsageError("cannot adjoin a root of a constant")
     g = unipoly.monic(g, tower)
+    if unipoly.deg(g) > 1 and not unipoly.is_irreducible(g, tower):
+        raise UsageError(f"{tower.tag}: cannot adjoin a root of a reducible polynomial")
+    return _adjoin_irreducible(tower, g)
+
+
+def _adjoin_irreducible(tower, g):
+    """``adjoin_root`` for a monic g already known to be irreducible, such as
+    a factor from ``unipoly.factor`` or the output of ``first_irreducible``:
+    a new level is stacked without running ``is_irreducible`` again."""
     if unipoly.deg(g) == 1:
         return tower, FFElement(tower, tower.neg(g[0]))
-    bigger = tower.extend(g)  # rejects a reducible g
+    bigger = object.__new__(FieldTower)
+    bigger._stack(tower, TowerLevel(f"t{len(tower.levels) + 1}", g))
     return bigger, FFElement(bigger, bigger.generator())
 
 

@@ -15,9 +15,10 @@ leading term first, so equal ideals print identically.
 
 1 lies in an ideal exactly when its reduced basis is {1}, under any term
 order, so ``is_trivial`` reads the verdict from whichever basis an ``Ideal``
-has cached and otherwise computes the one under ``TermOrder.elimination``,
-which ``eliminate_to_x1`` needs anyway.  A certificate comes from a tracked
-lex run, made only for a trivial ideal.
+has cached and otherwise computes the one under ``TermOrder.elimination``
+(lex x_n > ... > x1), which ``eliminate_to_x1`` needs anyway; under it a
+triangular system is already a basis and its completion reduces no S-pair.
+A certificate comes from a tracked lex run, made only for a trivial ideal.
 
 Each term order key is computed once.  Division keeps the live terms of the
 dividend in a max-heap keyed when a term first appears, and drops an entry

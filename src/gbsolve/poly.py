@@ -75,14 +75,18 @@ class TermOrder:
 
     @staticmethod
     def elimination(nvars):
-        """Lex with x1 ranked below every other variable.
+        """Lex with x_n > ... > x2 > x1, so x1 ranks below every other variable.
 
         A basis under it meets K[x1] in a basis of the ideal's intersection
-        with K[x1].  With fewer than two variables it is ``lex(nvars)``.
+        with K[x1].  Ranking the later variables higher makes a triangular
+        system (x_k's generator led by a pure power of x_k, the rest in the
+        earlier variables) already a basis, so its completion reduces no
+        S-pair.  Each recursion level drops x1 and renumbers, so every level
+        works in the same order: the lex order that the Gianni-Kalkbrener
+        specialization theorem needs.  With fewer than two variables it is
+        ``lex(nvars)``.
         """
-        if nvars < 2:
-            return TermOrder.lex(nvars)
-        return TermOrder.lex(nvars, tuple(range(1, nvars)) + (0,))
+        return TermOrder.lex(nvars, range(nvars - 1, -1, -1))
 
     @staticmethod
     def weighted(weights, priority=None):

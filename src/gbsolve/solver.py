@@ -15,9 +15,13 @@ extension tower, eliminating one variable per recursion step:
   trace calls it ``base``); every root works, and the zero ideal takes 0.
 
 Each level computes one untracked Groebner basis, under
-``TermOrder.elimination``: ``is_trivial`` decides from it, and
-``eliminate_to_x1`` reuses it for the intersection with K[x1].  Only a
-trivial ideal gets a second, tracked lex run, for its certificate.
+``TermOrder.elimination`` (lex x_n > ... > x1, the same order at every level
+once x1 is dropped): ``is_trivial`` decides from it, and ``eliminate_to_x1``
+reuses it for the intersection with K[x1].  Only a trivial ideal gets a
+second, tracked lex run, for its certificate.  A new tower level comes from a
+factor of ``unipoly.factor`` or from ``unipoly.first_irreducible``, both
+irreducible by construction, so it is stacked without a second
+irreducibility check.
 
 Every produced point is checked against the original generators before it is
 returned.  The same machinery powers ideal intersection through a slack
@@ -38,7 +42,7 @@ from .euclidean import (
     strong_buchberger,
     to_coeff_view,
 )
-from .fields import FFElement, FieldTower, UnivariatePolyDomain, adjoin_root
+from .fields import FFElement, FieldTower, UnivariatePolyDomain, _adjoin_irreducible
 from .groebner import Ideal, eliminate_to_x1, is_trivial, member
 from .poly import Polynomial, TermOrder
 
@@ -94,7 +98,7 @@ def good_specialization_point(q):
     tower = q.domain
     dense = q.dense_in(0)
     while tower.order <= unipoly.deg(dense):
-        tower = tower.extend(unipoly.first_irreducible(2, tower))
+        tower, _ = _adjoin_irreducible(tower, unipoly.first_irreducible(2, tower))
     lifted = tuple(tower.lift(c, q.domain) for c in dense)
     for i in range(tower.order):
         a = tower.element(i)
@@ -125,7 +129,7 @@ def find_branch_root(p, ideal, rng=None):
     if unipoly.deg(dense) < 1:
         raise UsageError("a constant has no roots to branch on")
     for g, _mult in unipoly.factor(dense, tower, rng):
-        ext, root = adjoin_root(tower, g)
+        ext, root = _adjoin_irreducible(tower, g)
         evaluated = Ideal(
             [h.evaluate_x1(root.rep, ext) for h in ideal.gens],
             domain=ext,

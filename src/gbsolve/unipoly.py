@@ -135,7 +135,29 @@ def quo(f, g, F):
 
 
 def rem(f, g, F):
-    return divmod_(f, g, F)[1]
+    """Remainder of f by nonzero g, keeping no quotient.
+
+    Each step cancels the top coefficient c of the running remainder by
+    c/lc(g) * g without writing the slot it cancels, so a monic g of degree n
+    costs n field multiplications per step, at most (deg f - n + 1) * n.
+    """
+    if not g:
+        raise UsageError("univariate division by zero")
+    n = len(g) - 1
+    if len(f) <= n:
+        return tuple(f)
+    lead_inv = None if F.is_one(g[-1]) else F.inv(g[-1])  # None: g is monic
+    out = list(f)
+    for top in range(len(f) - 1, n - 1, -1):
+        c = out[top]
+        if F.is_zero(c):
+            continue
+        if lead_inv is not None:
+            c = F.mul(c, lead_inv)
+        base = top - n
+        for j in range(n):
+            out[base + j] = F.sub(out[base + j], F.mul(c, g[j]))
+    return trim(out[:n], F)
 
 
 def divides(g, f, F):

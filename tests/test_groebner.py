@@ -376,3 +376,44 @@ class TestElimination:
                 continue
             embedded = Polynomial.from_dense(F3, 2, 0, p.dense_in(0))
             assert member(embedded, ideal)
+
+    @pytest.mark.parametrize("nvars", [3, 4])
+    @pytest.mark.parametrize("field", [F5, F49], ids=["GF5", "GF49"])
+    def test_eliminant_and_verdict_match_the_old_variable_ranking(self, field, nvars):
+        # reference: lex with x2 > ... > x_n > x1, the elimination order before
+        # x_n > ... > x2 > x1; both rank x1 last, so the eliminant is the same
+        old = TermOrder.lex(nvars, tuple(range(1, nvars)) + (0,))
+        assert old != TermOrder.elimination(nvars)
+        one = Polynomial.constant(field, nvars, field.one())
+        rng = random.Random(61)
+        kinds = set()
+        for _ in range(40):
+            gens = [random_poly(rng, field, nvars) for _ in range(nvars)]
+            ref = buchberger(gens, old, domain=field, nvars=nvars)
+            dense = next((g.dense_in(0) for g in ref.elements if g.univariate_in(0)), ())
+            ideal = Ideal(gens, domain=field, nvars=nvars)
+            verdict = bool(is_trivial(ideal))
+            assert verdict == (ref.elements == (one,))
+            p = eliminate_to_x1(ideal)
+            assert p == Polynomial.from_dense(field, 1, 0, dense)
+            kinds.add("trivial" if verdict else "zero" if p.is_zero() else "nonzero")
+        assert kinds == {"trivial", "zero", "nonzero"}
+
+    def test_triangular_system_is_already_a_basis(self, monkeypatch):
+        x1, x2, x3 = _vars(F5, 3)
+        gens = [  # tests/golden/tower3_gf5.gb, largest leading term first
+            x3 * x3 + x2 * x3 + x1 + _const(F5, 3, 1),
+            x2 * x2 + x1 * x2 + _const(F5, 3, 3),
+            x1 * x1 + _const(F5, 3, 2),
+        ]
+        pairs = []
+        real = groebner._multipliers
+        monkeypatch.setattr(
+            groebner, "_multipliers", lambda *a: pairs.append(a[0]) or real(*a)
+        )
+        order = TermOrder.elimination(3)
+        basis = buchberger(gens, order)
+        assert pairs == []  # every S-pair has coprime leading monomials
+        leads = [g.leading(order).exponents for g in basis.elements]
+        assert leads == [(0, 0, 2), (0, 2, 0), (2, 0, 0)]
+        assert list(basis.elements) == gens

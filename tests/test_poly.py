@@ -71,9 +71,10 @@ class TestTermOrder:
         assert TermOrder.elimination(0).priority == ()
         assert TermOrder.elimination(1) == TermOrder.lex(1)
         order = TermOrder.elimination(3)
-        assert order.priority == (1, 2, 0)
+        assert order.priority == (2, 1, 0)
         assert order.compare((0, 0, 1), (5, 0, 0)) == 1  # x3 above x1^5
-        assert order.compare((0, 1, 0), (9, 0, 1)) == 1  # x2 above x1^9*x3
+        assert order.compare((0, 0, 1), (0, 9, 0)) == 1  # x3 above x2^9
+        assert order.compare((0, 1, 0), (9, 0, 0)) == 1  # x2 above x1^9
 
     def test_key_is_priority_lex_led_by_weighted_degree(self):
         rng = random.Random(3)

@@ -3,14 +3,16 @@
 import itertools
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from corpus import common_zeros, ideals_equal, random_poly
 from gbsolve import groebner, unipoly
 from gbsolve.errors import UsageError
-from gbsolve.fields import GF, QQ, FFElement
+from gbsolve.fields import GF, QQ, FFElement, FieldTower, TowerLevel, adjoin_root
 from gbsolve.groebner import Ideal, is_trivial, member
+from gbsolve.parser import parse_problem
 from gbsolve.poly import Polynomial, TermOrder, exp_divides, to_text
 from gbsolve.solver import (
     Point,
@@ -177,6 +179,36 @@ class TestSolve:
             assert order == TermOrder.elimination(order.nvars)
         # runs keeps every generator tuple alive, so no id is reused
         assert max(Counter(id(gens) for gens, _ in untracked).values()) == 1
+
+    def test_tower_levels_from_factor_output_are_not_rechecked(self, monkeypatch):
+        golden = Path(__file__).parent / "golden" / "tower3_levels_gf5.gb"
+        problem = parse_problem(golden.read_text())  # x1^2 + 3*x1 + 4 has no root
+        ideal = Ideal(problem.gens, domain=problem.domain, nvars=problem.nvars)
+        calls = []
+        real = unipoly.is_irreducible
+        monkeypatch.setattr(
+            unipoly, "is_irreducible", lambda f, F: calls.append(F) or real(f, F)
+        )
+        outcome, trace = solve(ideal)
+        assert isinstance(outcome, Point) and len(outcome.tower.levels) == 3
+        assert [s.branch for s in trace] == ["root", "root", "base"]
+        assert calls == []
+        # a level from first_irreducible is not checked a second time either
+        unipoly.first_irreducible(2, F3)
+        searched = len(calls)
+        calls.clear()
+        good_specialization_point(_uni(F3, 0, 1) * _uni(F3, 2, 1) * _uni(F3, 1, 1))
+        assert len(calls) == searched
+        # a level from outside is still checked: x^2 + 2 = (x - 1)(x + 1) over F3
+        calls.clear()
+        for build in (
+            lambda: adjoin_root(F3, (2, 0, 1)),
+            lambda: F3.extend((2, 0, 1)),
+            lambda: FieldTower(3, [TowerLevel("t1", (2, 0, 1))]),
+        ):
+            with pytest.raises(UsageError):
+                build()
+        assert calls == [F3, F3, F3]
 
     def test_zero_ideal_yields_the_origin(self):
         outcome, trace = solve(Ideal([], domain=F3, nvars=2))

@@ -84,6 +84,33 @@ class TestDivision:
         assert calls == []
         got += [unipoly.divmod_(a, b, field) for a, b in general]
         assert got == expected
+        # rem keeps no quotient: at most (deg a - n + 1) * n products of field
+        # elements for a monic b of degree n, none when deg a < n
+        while len(general) < 40:
+            a = _random_tuple(rng, field, 2)
+            b = _random_tuple(rng, field, 3)
+            if unipoly.deg(b) > unipoly.deg(a):
+                general.append((a, b))
+                monic.append((a, unipoly.monic(b, field)))
+        expected = [textbook_divmod(a, b, field)[1] for a, b in monic + general]
+        calls.clear()
+        products = []
+        real_mul = FieldTower.mul
+
+        def counting_mul(F, x, y):
+            if F is field:
+                products.append((x, y))
+            return real_mul(F, x, y)
+
+        monkeypatch.setattr(FieldTower, "mul", counting_mul)
+        for (a, b), want in zip(monic, expected):
+            products.clear()
+            assert unipoly.rem(a, b, field) == want
+            n = unipoly.deg(b)
+            assert len(products) <= max(unipoly.deg(a) - n + 1, 0) * n
+        assert calls == []
+        got = [unipoly.rem(a, b, field) for a, b in general]
+        assert got == expected[len(monic):]
 
     def test_division_by_zero_rejected(self):
         with pytest.raises(UsageError):
