@@ -20,12 +20,25 @@ has cached and otherwise computes the one under ``TermOrder.elimination``
 triangular system is already a basis and its completion reduces no S-pair.
 A certificate comes from a tracked lex run, made only for a trivial ideal.
 
-Each term order key is computed once.  Division keeps the live terms of the
-dividend in a max-heap keyed when a term first appears, and drops an entry
-whose term has cancelled when it reaches the top; since reduction only adds
-terms below the current one, terms are taken in strictly descending order.
-Completion keys each pair (key of the lcm, kind, i, j) once, when the later
-basis element is added, and reduces pairs smallest lcm first from a heap.
+Division and completion work on packed terms (``poly.Packing``).  Each
+exponent tuple becomes one int of equal fields, one per variable in the
+order's priority and, for a weighted order, the weighted degree in the top
+field, each with a guard bit above it.  Integer comparison is then the term
+order, a product of terms is a sum, and s divides t exactly when t - s
+borrows from no guard bit.  Every entry point packs its input once and
+unpacks its output once.  Division keeps the live terms of the dividend in a
+heap of negated packed terms and drops an entry whose term has cancelled
+when it reaches the top; since reduction only adds terms below the current
+one, terms are taken in strictly descending order.  Completion queues each
+pair as (packed lcm, kind, i, j) and reduces pairs smallest lcm first.
+
+The fields start a few bits wider than the largest field value of the input,
+but exponents grow during completion and, under lex, during division.  A sum
+that passes a field's maximum would carry into the next field and silently
+become another term; instead it sets that field's guard bit, every new term
+is checked against the guard bits, and the run restarts from its input with
+fields twice as wide, so the width only changes how often a run restarts,
+never what it returns.
 """
 
 from __future__ import annotations
@@ -33,16 +46,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
-from .errors import UsageError
-from .poly import (
-    Polynomial,
-    TermOrder,
-    exp_add,
-    exp_divides,
-    exp_lcm,
-    exp_sub,
-    heap_entry,
-)
+from .errors import UsageError, ZeroPolynomialError
+from .poly import Overflow, Packing, Polynomial, TermOrder
 
 
 @dataclass(frozen=True)
@@ -72,23 +77,55 @@ def _ring(gens, domain, nvars):
     return domain, nvars
 
 
-def _leading(f, order):
-    m = f.leading(order)
-    return m.exponents, m.coefficient
+def _start_width(top):
+    """Starting field width for inputs whose largest field value is top."""
+    return top.bit_length() + 3
 
 
-def _leads(basis, order):
-    """Leading (exponents, coefficient) of each divisor; rejects zero."""
-    lead = []
-    for g in basis:
-        if g.is_zero():
-            raise UsageError("division by a basis containing zero")
-        lead.append(_leading(g, order))
-    return lead
+def _packed(order, polys, run):
+    """run(packing) with fields wide enough for every term it forms.
+
+    The fields start a few bits wider than the largest field value of the
+    input terms.  A term that passes the field maximum raises ``Overflow``,
+    and run starts over with fields twice as wide.
+    """
+    for f in polys:
+        if f.nvars != order.nvars:
+            raise UsageError("order does not match the variable count")
+    top = max((v for f in polys for e in f.coeffs for v in order.key(e)), default=0)
+    bits = _start_width(top)
+    while True:
+        try:
+            return run(Packing(order, bits))
+        except Overflow:
+            bits *= 2
 
 
-def _divide(f, basis, lead, order, want_cofs):
-    """Strong division of f by the basis whose leading terms are ``lead``.
+def _pack(f, pk):
+    return {pk.pack(e): c for e, c in f.coeffs.items()}
+
+
+def _unpack(f, pk, domain, nvars):
+    return Polynomial(domain, nvars, {pk.unpack(t): c for t, c in f.items()})
+
+
+def _leading(f):
+    """Leading (packed term, coefficient) of a packed polynomial."""
+    if not f:
+        raise ZeroPolynomialError("the zero polynomial has no leading term")
+    t = max(f)
+    return t, f[t]
+
+
+def _leads(basis):
+    """Leading (packed term, coefficient) of each divisor; rejects zero."""
+    if not all(basis):
+        raise UsageError("division by a basis containing zero")
+    return [_leading(g) for g in basis]
+
+
+def _divide(f, basis, lead, guard, dom, want_cofs):
+    """Strong division of packed f by the packed basis with leading terms ``lead``.
 
     A term c*t meets the divisors in order; at each one whose leading term
     divides t, c is replaced by its Euclidean remainder modulo the leading
@@ -97,39 +134,42 @@ def _divide(f, basis, lead, order, want_cofs):
     remainder has lower degree than every leading coefficient passed over
     with quotient zero, so one pass leaves c reduced modulo all of them.
 
-    Live terms wait in a max-heap, keyed once when they enter ``work``; a
-    term that cancelled since is skipped when its entry surfaces.  Every new
-    term lies below the one being reduced, so the heap yields the terms in
-    strictly descending order.
+    Live terms wait in a max-heap of negated packed terms; a term that
+    cancelled since it was pushed is skipped when its entry surfaces.  Every
+    new term lies below the one being reduced, so the heap yields the terms
+    in strictly descending order.  Returns the packed remainder and, with
+    ``want_cofs``, the packed cofactors.
     """
-    dom = f.domain
-    work = dict(f.coeffs)
-    heap = [heap_entry(order, t) for t in work]
+    work = dict(f)
+    heap = [-t for t in work]
     heapify(heap)
     remainder = {}
-    cofs = [dict() for _ in basis] if want_cofs else None
+    cofs = [{} for _ in basis] if want_cofs else None
     while heap:
-        t = heappop(heap)[1]
+        t = -heappop(heap)
         c = work.pop(t, None)
         if c is None:
             continue
-        for idx, (lexp, lc) in enumerate(lead):
-            if not exp_divides(lexp, t):
+        for idx, (lt, lc) in enumerate(lead):
+            m = t - lt
+            if m & guard:
                 continue
             u, c = dom.euclid_divmod(c, lc)
             if not dom.is_zero(u):
-                m = exp_sub(t, lexp)
-                for s, cs in basis[idx].coeffs.items():
-                    if s == lexp:
+                for s, cs in basis[idx].items():
+                    if s == lt:
                         continue
-                    key = exp_add(s, m)
+                    key = s + m
                     old = work.get(key)
-                    nv = dom.sub(dom.zero() if old is None else old, dom.mul(u, cs))
+                    if old is None:
+                        if key & guard:
+                            raise Overflow
+                        heappush(heap, -key)
+                        old = dom.zero()
+                    nv = dom.sub(old, dom.mul(u, cs))
                     if dom.is_zero(nv):
                         work.pop(key, None)
                     else:
-                        if old is None:
-                            heappush(heap, heap_entry(order, key))
                         work[key] = nv
                 if want_cofs:
                     cofs[idx][m] = dom.add(cofs[idx].get(m, dom.zero()), u)
@@ -137,26 +177,34 @@ def _divide(f, basis, lead, order, want_cofs):
                 break
         else:
             remainder[t] = c
-    rem = Polynomial(dom, f.nvars, remainder)
-    if not want_cofs:
-        return rem, None
-    return rem, tuple(Polynomial(dom, f.nvars, c) for c in cofs)
+    return remainder, cofs
+
+
+def _division(f, basis, order, want_cofs):
+    if order is None:
+        order = TermOrder.lex(f.nvars)
+    basis = list(basis)
+    dom, nvars = f.domain, f.nvars
+
+    def run(pk):
+        divisors = [_pack(g, pk) for g in basis]
+        lead = _leads(divisors)
+        r, cofs = _divide(_pack(f, pk), divisors, lead, pk.guard, dom, want_cofs)
+        if want_cofs:
+            cofs = tuple(_unpack(c, pk, dom, nvars) for c in cofs)
+        return _unpack(r, pk, dom, nvars), cofs
+
+    return _packed(order, [f, *basis], run)
 
 
 def reduce(f, basis, order=None):
     """Remainder and cofactors with f = sum(cof * g) + remainder exactly."""
-    if order is None:
-        order = TermOrder.lex(f.nvars)
-    basis = list(basis)
-    return _divide(f, basis, _leads(basis, order), order, True)
+    return _division(f, basis, order, True)
 
 
 def normal_form(f, basis, order=None):
     """Remainder of f on division by the basis, without cofactor bookkeeping."""
-    if order is None:
-        order = TermOrder.lex(f.nvars)
-    basis = list(basis)
-    return _divide(f, basis, _leads(basis, order), order, False)[0]
+    return _division(f, basis, order, False)[0]
 
 
 _S, _G = 0, 1  # pair kinds; at an equal lcm the S-pair pops first
@@ -164,44 +212,62 @@ _S, _G = 0, 1  # pair kinds; at an equal lcm the S-pair pops first
 
 def spoly(f, g, order):
     """S-polynomial through the coefficient lcm; leading monomials cancel."""
-    return _pair(_S, f, _leading(f, order), g, _leading(g, order))
+    return _pair_poly(_S, f, g, order)
 
 
 def gpoly(f, g, order):
     """G-polynomial: leading coefficients combine into their gcd."""
-    return _pair(_G, f, _leading(f, order), g, _leading(g, order))
+    return _pair_poly(_G, f, g, order)
 
 
-def _multipliers(kind, f_lead, g_lead, dom):
+def _pair_poly(kind, f, g, order):
+    def run(pk):
+        pf, pg = _pack(f, pk), _pack(g, pk)
+        h = _pair(kind, pf, _leading(pf), pg, _leading(pg), pk, f.domain)
+        return _unpack(h, pk, f.domain, f.nvars)
+
+    return _packed(order, [f, g], run)
+
+
+def _multipliers(kind, f_lead, g_lead, t, dom):
     """(a, m, b, n) with a*x^m*f - b*x^n*g the S- or G-polynomial of f, g.
 
-    x^m and x^n lift both leading terms to their lcm.  An S-polynomial scales
-    both leading coefficients to their lcm, a G-polynomial combines them
-    into their gcd through Bezout cofactors.
+    x^m and x^n lift both leading terms to their lcm t (all packed).  An
+    S-polynomial scales both leading coefficients to their lcm, a
+    G-polynomial combines them into their gcd through Bezout cofactors.
     """
     (fe, fc), (ge, gc) = f_lead, g_lead
-    t = exp_lcm(fe, ge)
     if kind == _S:
         l = dom.lcm(fc, gc)
         a, b = dom.exact_div(l, fc), dom.exact_div(l, gc)
     else:
         _, a, b = dom.xgcd(fc, gc)
         b = dom.neg(b)
-    return a, exp_sub(t, fe), b, exp_sub(t, ge)
+    return a, t - fe, b, t - ge
 
 
-def _combine(f, g, a, m, b, n):
-    return f.mul_monomial(a, m) - g.mul_monomial(b, n)
+def _combine(f, g, a, m, b, n, dom, guard):
+    """a*x^m*f - b*x^n*g on packed polynomials."""
+    out = {}
+    for p, u, shift in ((f, a, m), (g, dom.neg(b), n)):
+        for s, c in p.items():
+            t = s + shift
+            if t & guard:
+                raise Overflow
+            c = dom.mul(c, u)
+            out[t] = dom.add(out[t], c) if t in out else c
+    return {t: c for t, c in out.items() if not dom.is_zero(c)}
 
 
-def _pair(kind, f, f_lead, g, g_lead):
-    return _combine(f, g, *_multipliers(kind, f_lead, g_lead, f.domain))
+def _pair(kind, f, f_lead, g, g_lead, pk, dom):
+    t = pk.lcm(f_lead[0], g_lead[0])
+    return _combine(f, g, *_multipliers(kind, f_lead, g_lead, t, dom), dom, pk.guard)
 
 
-def _strongly_divides(dom, lead_a, lead_b):
+def _strongly_divides(dom, guard, lead_a, lead_b):
     """Whether leading monomial a divides b, term and coefficient both."""
     (ta, ca), (tb, cb) = lead_a, lead_b
-    return exp_divides(ta, tb) and dom.divides(ca, cb)
+    return not (tb - ta) & guard and dom.divides(ca, cb)
 
 
 def _minus(vec, cofs, lineages):
@@ -236,35 +302,39 @@ def _complete(gens, order, domain, nvars, track):
     third leading monomial divides its lcm monomial and that element's
     S-pairs with both are done; a G-pair is made only when neither leading
     coefficient divides the other, so over a field there are none.  With
-    ``track`` each element carries its cofactors over the generators.
+    ``track`` each element carries its cofactors over the generators.  The
+    generators are packed once and the basis is unpacked once, at the end.
     """
     if order is None:
         order = TermOrder.lex(nvars)
     if order.nvars != nvars:
         raise UsageError("order does not match the variable count")
+    return _packed(order, gens, lambda pk: _completion(gens, pk, domain, nvars, track))
 
+
+def _completion(gens, pk, domain, nvars, track):
+    guard = pk.guard
     one = domain.one()
-    basis = []
-    lead = []  # (leading exponents, canonical leading coefficient)
+    basis = []  # packed elements
+    lead = []  # (packed leading term, canonical leading coefficient)
     lineage = []
     pending = set()  # S-pairs not yet popped
-    queue = []  # (order key of the lcm, kind, i, j, lcm), smallest first
+    queue = []  # (packed lcm, kind, i, j), smallest first
 
     def push(f, vec):
-        lexp, lc = _leading(f, order)
-        u = _unit_normalizer(domain, lc)
-        f = f.scaled(u)
-        lc = f.coeffs[lexp]
+        lt = max(f)
+        u = _unit_normalizer(domain, f[lt])
+        f = {t: domain.mul(c, u) for t, c in f.items()}
+        lc = f[lt]
         j = len(basis)
         for i, (e, c) in enumerate(lead):
-            t = exp_lcm(e, lexp)
-            key = order.key(t)
-            heappush(queue, (key, _S, i, j, t))
+            t = pk.lcm(e, lt)
+            heappush(queue, (t, _S, i, j))
             pending.add((i, j))
             if not (domain.divides(c, lc) or domain.divides(lc, c)):
-                heappush(queue, (key, _G, i, j, t))
+                heappush(queue, (t, _G, i, j))
         basis.append(f)
-        lead.append((lexp, lc))
+        lead.append((lt, lc))
         if track:
             lineage.append(tuple(v.scaled(u) for v in vec))
 
@@ -278,49 +348,56 @@ def _complete(gens, order, domain, nvars, track):
                 Polynomial.constant(domain, nvars, one) if m == k else zero
                 for m in range(len(gens))
             )
-        push(g, vec)
+        push(_pack(g, pk), vec)
 
     while queue:
-        _, kind, i, j, t = heappop(queue)
+        t, kind, i, j = heappop(queue)
         if kind == _S:
             pending.discard((i, j))
             (ei, ci), (ej, cj) = lead[i], lead[j]
-            if t == exp_add(ei, ej) and domain.is_unit(domain.gcd(ci, cj)):
+            if t == ei + ej and domain.is_unit(domain.gcd(ci, cj)):
                 continue  # coprime leading monomials: reduces to zero
             lcm_lead = (t, domain.lcm(ci, cj))
             if any(
                 k != i
                 and k != j
-                and _strongly_divides(domain, lead[k], lcm_lead)
+                and _strongly_divides(domain, guard, lead[k], lcm_lead)
                 and (min(i, k), max(i, k)) not in pending
                 and (min(j, k), max(j, k)) not in pending
                 for k in range(len(basis))
             ):
                 continue  # chain criterion: a third leading monomial covers it
-        mult = _multipliers(kind, lead[i], lead[j], domain)
-        h = _combine(basis[i], basis[j], *mult)
-        r, cofs = _divide(h, basis, lead, order, track)
-        if r.is_zero():
+        mult = _multipliers(kind, lead[i], lead[j], t, domain)
+        h = _combine(basis[i], basis[j], *mult, domain, guard)
+        r, cofs = _divide(h, basis, lead, guard, domain, track)
+        if not r:
             continue
         vec = None
         if track:
-            vec = [_combine(a, b, *mult) for a, b in zip(lineage[i], lineage[j])]
+            a, m, b, n = mult
+            m, n = pk.unpack(m), pk.unpack(n)
+            vec = [
+                x.mul_monomial(a, m) - y.mul_monomial(b, n)
+                for x, y in zip(lineage[i], lineage[j])
+            ]
+            cofs = [_unpack(c, pk, domain, nvars) for c in cofs]
             vec = _minus(vec, cofs, lineage)
         push(r, vec)
 
-    # Minimal basis: visit in ascending (order key, coefficient sort key), so
-    # every strong divisor comes first, and keep an element unless a kept one
-    # strongly divides its leading monomial.  Among equal leading monomials
-    # the earliest element survives over a field (printed certificates depend
-    # on it) and the latest over K[x1] (printed strong bases depend on it).
+    # Minimal basis: visit in ascending (leading term, coefficient sort key),
+    # so every strong divisor comes first, and keep an element unless a kept
+    # one strongly divides its leading monomial.  Among equal leading
+    # monomials the earliest element survives over a field (printed
+    # certificates depend on it) and the latest over K[x1] (printed strong
+    # bases depend on it).
     tie = 1 if domain.is_field else -1
     keep = []
     ranked = sorted(
         range(len(basis)),
-        key=lambda k: (order.key(lead[k][0]), domain.sort_key(lead[k][1]), tie * k),
+        key=lambda k: (lead[k][0], domain.sort_key(lead[k][1]), tie * k),
     )
     for k in ranked:
-        if not any(_strongly_divides(domain, lead[m], lead[k]) for m in keep):
+        if not any(_strongly_divides(domain, guard, lead[m], lead[k]) for m in keep):
             keep.append(k)
 
     # Inter-reduce in the same order against unit-led elements only.  Such an
@@ -341,17 +418,19 @@ def _complete(gens, order, domain, nvars, track):
             elems[idx],
             [elems[m] for m in others],
             [leads[m] for m in others],
-            order,
+            guard,
+            domain,
             track,
         )
         elems[idx] = r
         if track:
+            cofs = [_unpack(c, pk, domain, nvars) for c in cofs]
             lins[idx] = _minus(lins[idx], cofs, [lins[m] for m in others])
 
     # leading monomials are distinct now, so this is descending order
-    elements = tuple(reversed(elems))
+    elements = tuple(_unpack(f, pk, domain, nvars) for f in reversed(elems))
     lin = tuple(reversed(lins)) if track else None
-    return StrongBasis(elements, order, domain, nvars, lineage=lin)
+    return StrongBasis(elements, pk.order, domain, nvars, lineage=lin)
 
 
 def certify_basis(elements, order):
@@ -362,16 +441,20 @@ def certify_basis(elements, order):
     strong basis.
     """
     elements = list(elements)
-    lead = _leads(elements, order)
-    for i in range(len(elements)):
-        for j in range(i + 1, len(elements)):
-            for kind in (_S, _G):
-                c = _pair(kind, elements[i], lead[i], elements[j], lead[j])
-                if c.is_zero():
-                    continue
-                if not _divide(c, elements, lead, order, False)[0].is_zero():
-                    return False
-    return True
+
+    def run(pk):
+        packed = [_pack(g, pk) for g in elements]
+        lead = _leads(packed)
+        for i, f in enumerate(packed):
+            dom = elements[i].domain
+            for j in range(i + 1, len(packed)):
+                for kind in (_S, _G):
+                    c = _pair(kind, f, lead[i], packed[j], lead[j], pk, dom)
+                    if c and _divide(c, packed, lead, pk.guard, dom, False)[0]:
+                        return False
+        return True
+
+    return _packed(order, elements, run)
 
 
 class Ideal:

@@ -15,6 +15,8 @@ rational literal may be written ``a/b`` (two integer tokens around ``/``) so
 that printed rational output parses back; over a prime field it means
 ``a * b**-1``.  Whitespace never matters inside a line.  Parentheses nest
 at most ``MAX_NESTING`` levels deep; the parser recurses once per level.
+An integer literal (coefficient, denominator, exponent or prime) has at most
+``MAX_DIGITS`` digits.
 """
 
 from __future__ import annotations
@@ -31,6 +33,11 @@ _KEYWORDS = frozenset({"field", "vars", "query"})
 # Each level of parentheses costs the recursive descent five Python frames,
 # and about 200 levels exhaust the default recursion limit of 1000.
 MAX_NESTING = 100
+
+# Python refuses int() of a decimal string longer than its int-string limit
+# (4300 digits by default), and the limit may be set as low as 640.  Longer
+# literals are a parse error, so no limit setting can turn one into a crash.
+MAX_DIGITS = 640
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^()/]))"
@@ -56,6 +63,9 @@ def _tokenize_line(text, line):
         m = _TOKEN.match(text, pos)
         if m is None or m.end() == pos:
             raise ParseError(f"unexpected character {text[pos]!r}", line, pos + 1)
+        if m.lastgroup == "int" and len(m.group("int")) > MAX_DIGITS:
+            message = f"integer literal longer than {MAX_DIGITS} digits"
+            raise ParseError(message, line, m.start("int") + 1)
         if m.lastgroup is not None:
             out.append(Token(m.lastgroup, m.group(m.lastgroup), line, m.start(m.lastgroup) + 1))
         pos = m.end()

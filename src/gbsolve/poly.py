@@ -4,12 +4,14 @@ A polynomial is a map from exponent tuples to nonzero coefficients, tagged
 with its coefficient domain and variable count.  Term orders are total orders
 on exponent tuples; both plain and weighted lexicographic orders support an
 arbitrary variable priority so the same machinery serves elimination.
+``Packing`` turns exponent tuples into ints whose integer order is a term
+order, the representation the division and completion loops work on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter, mul, neg
+from operator import itemgetter, mul
 
 from .errors import UsageError, ZeroPolynomialError
 from .unipoly import elem_pow, power
@@ -110,9 +112,57 @@ class TermOrder:
         return (ks > kt) - (ks < kt)
 
 
-def heap_entry(order, exps):
-    """Min-heap entry for a term; the largest term under the order pops first."""
-    return tuple(map(neg, order.key(exps))), exps
+class Overflow(ArithmeticError):
+    """A packed field passed its maximum; the caller retries with wider fields."""
+
+
+class Packing:
+    """Exponent tuples packed into one int whose integer order is the term order.
+
+    Every field is ``bits`` wide with one guard bit above it.  The variables'
+    fields go in ``order.priority`` order, most significant first, and a
+    weighted order puts the weighted degree in the top field, so comparing
+    two packed terms compares their ``order.key``.  While no guard bit is set,
+    the product of two terms is the sum of their packed ints, and s divides t
+    exactly when ``(t - s) & guard`` is 0: a field with s above t borrows
+    from its guard bit.  A sum that passes a field's maximum sets that
+    field's guard bit instead of wrapping, so every new term is checked
+    against ``guard`` and the work restarts with wider fields on ``Overflow``.
+    """
+
+    __slots__ = ("order", "bits", "guard", "_shifts", "_deg_shift")
+
+    def __init__(self, order, bits):
+        n = order.nvars
+        stride = bits + 1
+        nfields = n + (order.weights is not None)
+        self.order = order
+        self.bits = bits
+        self.guard = sum(1 << (stride * k + bits) for k in range(nfields))
+        shifts = [0] * n
+        for rank, var in enumerate(order.priority):
+            shifts[var] = stride * (n - 1 - rank)
+        self._shifts = tuple(shifts)
+        self._deg_shift = stride * n
+
+    def pack(self, exps):
+        """The packed int of an exponent tuple; Overflow when a field is too big."""
+        fields = list(exps)
+        packed = sum(e << s for e, s in zip(fields, self._shifts))
+        if self.order.weights is not None:
+            deg = sum(map(mul, self.order.weights, fields))
+            packed += deg << self._deg_shift
+            fields.append(deg)
+        if fields and max(fields) >> self.bits:
+            raise Overflow
+        return packed
+
+    def unpack(self, packed):
+        field = (1 << self.bits) - 1
+        return tuple((packed >> s) & field for s in self._shifts)
+
+    def lcm(self, s, t):
+        return self.pack(tuple(map(max, self.unpack(s), self.unpack(t))))
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from gbsolve import cli
 from gbsolve.errors import ParseError
 from gbsolve.fields import GF, QQ
 from gbsolve.groebner import Ideal
-from gbsolve.parser import parse_polynomial, parse_problem
+from gbsolve.parser import MAX_DIGITS, parse_polynomial, parse_problem
 from gbsolve.poly import Polynomial, to_text
 
 F5 = GF(5)
@@ -285,6 +285,34 @@ class TestCommands:
             code, out, err = _run(capsys, "gb", path)
             assert (code, out) == (2, "")
             assert err.startswith(f"error: line 3, col {col}: parentheses nest")
+
+    def test_long_integer_literals_exit_two(self, tmp_path, capsys):
+        # past Python's int-string limit these exited 3 with a ValueError
+        for digits in (MAX_DIGITS + 1, 4301, 5000):
+            n = "1" * digits
+            for text, col in (
+                (f"field p 5\nvars x\n{n}*x\n", "line 3, col 1"),
+                (f"field q\nvars x\n1/{n}*x\n", "line 3, col 3"),
+                (f"field p 5\nvars x\nx^{n}\n", "line 3, col 3"),
+                (f"field p {n}\nvars x\nx\n", "line 1, col 9"),
+            ):
+                path = _problem(tmp_path, text)
+                code, out, err = _run(capsys, "gb", path)
+                assert (code, out) == (2, "")
+                assert err == f"error: {col}: integer literal longer than 640 digits\n"
+
+    def test_longest_integer_literal_parses(self, tmp_path, capsys):
+        n = "1" * MAX_DIGITS  # 1 mod 5
+        path = _problem(tmp_path, f"field p 5\nvars x\n{n}*x^{n} + {n}/{n}\n")
+        code, out, err = _run(capsys, "gb", path)
+        assert (code, out, err) == (0, f"x^{n} + 1\n", "")
+
+    def test_long_order_weight_exits_two(self, tmp_path, capsys):
+        path = _problem(tmp_path, "field p 5\nvars x\nx\n")
+        for digits in (4301, 5000):
+            code, out, err = _run(capsys, "gb", path, "--order", "wlex:" + "1" * digits)
+            assert (code, out) == (2, "")
+            assert err.startswith("error: bad weight list")
 
     def test_long_minus_run_is_a_polynomial(self, tmp_path, capsys):
         path = _problem(tmp_path, "field p 5\nvars x\n" + "-" * 1200 + "x\n")

@@ -7,7 +7,15 @@ import pytest
 from corpus import random_poly, random_poly_q
 from gbsolve.errors import UsageError, ZeroPolynomialError
 from gbsolve.fields import GF, QQ
-from gbsolve.poly import Polynomial, TermOrder, to_text
+from gbsolve.poly import (
+    Overflow,
+    Packing,
+    Polynomial,
+    TermOrder,
+    exp_add,
+    exp_divides,
+    to_text,
+)
 
 F5 = GF(5)
 F3 = GF(3)
@@ -19,6 +27,39 @@ def _xyz(domain, nvars=2):
 
 def const(domain, nvars, n):
     return Polynomial.constant(domain, nvars, domain.from_int(n))
+
+
+def _cmp(a, b):
+    return (a > b) - (a < b)
+
+
+def _check_packing(order, rng, bits=3):
+    """Packed terms compare, divide, add and unpack as their exponent tuples."""
+    top = (1 << bits) - 1
+    pk = Packing(order, bits)
+    n = order.nvars
+    samples = [tuple(rng.choice((0, 1, top, rng.randrange(top + 1))) for _ in range(n))]
+    samples += [tuple(rng.randrange(top + 1) for _ in range(n)) for _ in range(6)]
+    # each variable alone at the largest value its field (and the degree) holds
+    weights = order.weights or (1,) * n
+    samples += [tuple(top // w if j == i else 0 for j in range(n)) for i, w in enumerate(weights)]
+    packed = {}
+    for exps in samples:
+        if max(order.key(exps), default=0) > top:
+            with pytest.raises(Overflow):
+                pk.pack(exps)
+        else:
+            packed[exps] = pk.pack(exps)
+            assert pk.unpack(packed[exps]) == exps
+    for s, ps in packed.items():
+        for t, pt in packed.items():
+            assert _cmp(ps, pt) == _cmp(order.key(s), order.key(t))
+            assert ((pt - ps) & pk.guard == 0) == exp_divides(s, t)
+            total = exp_add(s, t)
+            if max(order.key(total), default=0) > top:
+                assert (ps + pt) & pk.guard
+            else:
+                assert ps + pt == pk.pack(total)
 
 
 class TestTermOrder:
@@ -88,6 +129,13 @@ class TestTermOrder:
                 assert TermOrder.lex(nvars, priority).key(exps) == lexkey
                 assert TermOrder.weighted(weights, priority).key(exps) == weighted
                 assert TermOrder.lex(nvars, priority).key(list(exps)) == lexkey
+                for order in (
+                    TermOrder.lex(nvars, priority),
+                    TermOrder.elimination(nvars),
+                    TermOrder.weighted(weights, priority),
+                    TermOrder.weighted((1,) * nvars, priority),
+                ):
+                    _check_packing(order, rng)
 
 
 class TestConstruction:
