@@ -83,11 +83,12 @@ def _start_width(top):
 
 
 def _packed(order, polys, run):
-    """run(packing) with fields wide enough for every term it forms.
+    """run(packing, packed polys) with fields wide enough for every term.
 
-    The fields start a few bits wider than the largest field value of the
-    input terms.  A term that passes the field maximum raises ``Overflow``,
-    and run starts over with fields twice as wide.
+    A packed polynomial is a dict from packed term to coefficient.  The
+    fields start a few bits wider than the largest field value of the input
+    terms.  A term that passes the field maximum raises ``Overflow``, and
+    the run starts over with fields twice as wide.
     """
     for f in polys:
         if f.nvars != order.nvars:
@@ -95,14 +96,12 @@ def _packed(order, polys, run):
     top = max((v for f in polys for e in f.coeffs for v in order.key(e)), default=0)
     bits = _start_width(top)
     while True:
+        pk = Packing(order, bits)
         try:
-            return run(Packing(order, bits))
+            packed = [{pk.pack(e): c for e, c in f.coeffs.items()} for f in polys]
+            return run(pk, packed)
         except Overflow:
             bits *= 2
-
-
-def _pack(f, pk):
-    return {pk.pack(e): c for e, c in f.coeffs.items()}
 
 
 def _unpack(f, pk, domain, nvars):
@@ -186,10 +185,9 @@ def _division(f, basis, order, want_cofs):
     basis = list(basis)
     dom, nvars = f.domain, f.nvars
 
-    def run(pk):
-        divisors = [_pack(g, pk) for g in basis]
-        lead = _leads(divisors)
-        r, cofs = _divide(_pack(f, pk), divisors, lead, pk.guard, dom, want_cofs)
+    def run(pk, packed):
+        pf, *divisors = packed
+        r, cofs = _divide(pf, divisors, _leads(divisors), pk.guard, dom, want_cofs)
         if want_cofs:
             cofs = tuple(_unpack(c, pk, dom, nvars) for c in cofs)
         return _unpack(r, pk, dom, nvars), cofs
@@ -221,8 +219,8 @@ def gpoly(f, g, order):
 
 
 def _pair_poly(kind, f, g, order):
-    def run(pk):
-        pf, pg = _pack(f, pk), _pack(g, pk)
+    def run(pk, packed):
+        pf, pg = packed
         h = _pair(kind, pf, _leading(pf), pg, _leading(pg), pk, f.domain)
         return _unpack(h, pk, f.domain, f.nvars)
 
@@ -309,10 +307,13 @@ def _complete(gens, order, domain, nvars, track):
         order = TermOrder.lex(nvars)
     if order.nvars != nvars:
         raise UsageError("order does not match the variable count")
-    return _packed(order, gens, lambda pk: _completion(gens, pk, domain, nvars, track))
+    return _packed(
+        order, gens, lambda pk, packed: _completion(pk, packed, domain, nvars, track)
+    )
 
 
-def _completion(gens, pk, domain, nvars, track):
+def _completion(pk, gens, domain, nvars, track):
+    """``_complete`` on the generators packed by ``pk``."""
     guard = pk.guard
     one = domain.one()
     basis = []  # packed elements
@@ -340,7 +341,7 @@ def _completion(gens, pk, domain, nvars, track):
 
     zero = Polynomial.zero(domain, nvars)
     for k, g in enumerate(gens):
-        if g.is_zero():
+        if not g:
             continue
         vec = None
         if track:
@@ -348,7 +349,7 @@ def _completion(gens, pk, domain, nvars, track):
                 Polynomial.constant(domain, nvars, one) if m == k else zero
                 for m in range(len(gens))
             )
-        push(_pack(g, pk), vec)
+        push(g, vec)
 
     while queue:
         t, kind, i, j = heappop(queue)
@@ -442,8 +443,7 @@ def certify_basis(elements, order):
     """
     elements = list(elements)
 
-    def run(pk):
-        packed = [_pack(g, pk) for g in elements]
+    def run(pk, packed):
         lead = _leads(packed)
         for i, f in enumerate(packed):
             dom = elements[i].domain
