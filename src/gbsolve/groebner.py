@@ -78,7 +78,11 @@ def _ring(gens, domain, nvars):
 
 
 def _start_width(top):
-    """Starting field width for inputs whose largest field value is top."""
+    """Starting field width for inputs whose largest field value is top.
+
+    Three spare bits let values grow eightfold, which covers the completions
+    of typical inputs without a restart; wider fields make every int longer.
+    """
     return top.bit_length() + 3
 
 
@@ -182,7 +186,6 @@ def _divide(f, basis, lead, guard, dom, want_cofs):
 def _division(f, basis, order, want_cofs):
     if order is None:
         order = TermOrder.lex(f.nvars)
-    basis = list(basis)
     dom, nvars = f.domain, f.nvars
 
     def run(pk, packed):
