@@ -176,6 +176,23 @@ class Field(Domain):
         return self.div(a, b)
 
 
+# Python's str(int) refuses more digits than its int-string limit (4300 by
+# default, 640 at its lowest), and rational arithmetic can outgrow any input
+# bound, so rationals print in decimal chunks well below every limit setting.
+_CHUNK_DIGITS = 600
+_CHUNK = 10**_CHUNK_DIGITS
+
+
+def _decimal(n):
+    """Decimal text of the int n >= 0, whatever the int-string limit."""
+    chunks = []
+    while n >= _CHUNK:
+        n, low = divmod(n, _CHUNK)
+        chunks.append(f"{low:0{_CHUNK_DIGITS}d}")
+    chunks.append(str(n))
+    return "".join(reversed(chunks))
+
+
 class RationalField(Field):
     """The rationals, represented by fractions.Fraction."""
 
@@ -215,10 +232,14 @@ class RationalField(Field):
         return a == 1
 
     def to_text(self, a):
-        return str(a)
+        negative, text = self.coeff_text(a)
+        return "-" + text if negative else text
 
     def coeff_text(self, a):
-        return a < 0, str(abs(a))
+        text = _decimal(abs(a.numerator))
+        if a.denominator != 1:
+            text += "/" + _decimal(a.denominator)
+        return a < 0, text
 
     def sort_key(self, a):
         return a

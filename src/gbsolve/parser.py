@@ -12,7 +12,8 @@ skipped, and the remaining lines are:
 Polynomials use integer literals, declared variables, ``+``, binary and unary
 ``-``, ``*``, ``^`` with a positive integer exponent, and parentheses.  A
 rational literal may be written ``a/b`` (two integer tokens around ``/``) so
-that printed rational output parses back; over a prime field it means
+that printed rational output parses back, as long as its numerator and
+denominator have at most ``MAX_DIGITS`` digits; over a prime field it means
 ``a * b**-1``.  Whitespace never matters inside a line.  Parentheses nest
 at most ``MAX_NESTING`` levels deep; the parser recurses once per level.
 An integer literal (coefficient, denominator, exponent or prime) has at most

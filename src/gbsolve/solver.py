@@ -4,9 +4,9 @@
 combination of the generators) or produces a common zero in a finite
 extension tower, eliminating one variable per recursion step:
 
-* the ideal meets K[x1] in a nonconstant polynomial: some root of that
-  polynomial keeps the evaluated ideal proper, so substitute it and recurse
-  (``find_branch_root``);
+* the ideal meets K[x1] in a nonconstant polynomial p: every root of p
+  extends to a zero of the ideal (the Closure Theorem), so substitute the
+  root of p's first irreducible factor and recurse (``find_branch_root``);
 * the intersection is zero: compute a strong basis over K[x1], keep x1 away
   from the roots of the leading-coefficient product (``specialization_locus``)
   and substitute; the specialized basis is still a strong basis with no
@@ -108,13 +108,18 @@ def good_specialization_point(q):
 
 
 def find_branch_root(p, ideal, rng=None):
-    """First root of p (canonical factor order) keeping the evaluated ideal proper.
+    """A root of p, the generator of the ideal's intersection with K[x1].
 
-    Returns (root, evaluated ideal); the root's tower is extended beyond the
-    ideal's field when the chosen irreducible factor has degree above one.  At
-    least one root must work when p generates the intersection of a proper
-    ideal with K[x1]; exhausting them all means the inputs did not come from
-    that situation, which is an internal error rather than a usage error.
+    Returns (root, evaluated ideal).  The root is that of the first
+    irreducible factor of p in canonical order; its tower is extended beyond
+    the ideal's field when that factor has degree above one.  p must be a
+    nonconstant polynomial in x1 whose monic form is ``eliminate_to_x1`` of
+    the ideal I.  Then every root of p extends to a zero of I, so any factor
+    keeps the evaluated ideal proper.  Over the algebraic closure, the
+    projection of V(I) onto the x1-axis lies in the finite set V(p), so it is
+    Zariski closed; by the Closure Theorem (Cox, Little & O'Shea, ch. 3
+    section 2) its closure is the zero set of I's intersection with K[x1],
+    which is V(p), so the projection is all of V(p).
     """
     if rng is None:
         rng = random.Random(0)
@@ -123,21 +128,15 @@ def find_branch_root(p, ideal, rng=None):
         raise UsageError("root branching needs a finite coefficient field")
     if p.domain != tower or not p.univariate_in(0):
         raise UsageError("expected a polynomial in x1 over the ideal's field")
-    if is_trivial(ideal):
-        raise UsageError("the ideal is trivial; there is nothing to branch on")
     dense = p.dense_in(0)
     if unipoly.deg(dense) < 1:
         raise UsageError("a constant has no roots to branch on")
-    for g, _mult in unipoly.factor(dense, tower, rng):
-        ext, root = _adjoin_irreducible(tower, g)
-        evaluated = Ideal(
-            [h.evaluate_x1(root.rep, ext) for h in ideal.gens],
-            domain=ext,
-            nvars=ideal.nvars - 1,
-        )
-        if not is_trivial(evaluated):
-            return root, evaluated
-    raise InvariantViolation("every root evaluation became trivial")
+    if unipoly.monic(dense, tower) != eliminate_to_x1(ideal).dense_in(0):
+        raise UsageError("p must generate the ideal's intersection with K[x1]")
+    g, _mult = unipoly.factor(dense, tower, rng)[0]
+    ext, root = _adjoin_irreducible(tower, g)
+    gens = [h.evaluate_x1(root.rep, ext) for h in ideal.gens]
+    return root, Ideal(gens, domain=ext, nvars=ideal.nvars - 1)
 
 
 def _point(ideal, rng, trace, depth):

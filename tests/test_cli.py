@@ -307,6 +307,28 @@ class TestCommands:
         code, out, err = _run(capsys, "gb", path)
         assert (code, out, err) == (0, f"x^{n} + 1\n", "")
 
+    def test_long_rational_coefficients_print(self, tmp_path, capsys):
+        # x - 1/R^8 for the 600-digit repunit R: a 4793-digit denominator,
+        # past the default int-string limit, which used to exit 3
+        repunit = "1" * 600
+        path = _problem(tmp_path, f"field q\nvars x\n({repunit})^8*x - 1\n")
+        runs = [_run(capsys, "gb", path)]
+        if hasattr(sys, "set_int_max_str_digits"):
+            saved = sys.get_int_max_str_digits()
+            sys.set_int_max_str_digits(640)  # the lowest limit Python accepts
+            try:
+                runs.append(_run(capsys, "gb", path))
+            finally:
+                sys.set_int_max_str_digits(saved)
+        for code, out, err in runs:
+            assert (code, err) == (0, "")
+            head, den = out.rstrip("\n").split("/")
+            assert head == "x - 1" and den[0] != "0"
+            value = 0
+            for i in range(0, len(den), 500):
+                value = value * 10 ** len(den[i : i + 500]) + int(den[i : i + 500])
+            assert value == int(repunit) ** 8
+
     def test_long_order_weight_exits_two(self, tmp_path, capsys):
         path = _problem(tmp_path, "field p 5\nvars x\nx\n")
         for digits in (4301, 5000):

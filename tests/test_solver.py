@@ -90,15 +90,39 @@ class TestFindBranchRoot:
         assert evaluated.nvars == 1
         assert member(Polynomial.variable(F3, 1, 0) - _const(F3, 1, 1), evaluated)
 
-    def test_skips_roots_that_make_the_ideal_trivial(self):
+    def test_p_must_generate_the_intersection_with_k_x1(self):
         x1, x2 = _vars(F3, 2)
         one = _const(F3, 2, 1)
-        p = _uni(F3, 2, 0, 1)  # roots 1 and 2, tried in that order
+        # x1 = 1 makes the second generator -1, so the eliminant is x1 + 1
         embedded = (x1 - one) * (x1 - _const(F3, 2, 2))
         ideal = Ideal([embedded, (x1 - one) * x2 - one])
-        root, evaluated = find_branch_root(p, ideal)
+        root, evaluated = find_branch_root(_uni(F3, 1, 1), ideal)
         assert root == FFElement(F3, 2)
         assert not is_trivial(evaluated)
+        with pytest.raises(UsageError):
+            find_branch_root(_uni(F3, 2, 0, 1), ideal)  # x1^2 - 1, a proper multiple
+
+    def test_every_factor_of_the_eliminant_keeps_the_ideal_proper(self):
+        # The Closure Theorem: every root of the eliminant extends to a zero
+        ideals = multi = extended = 0
+        for field, nvars in itertools.product((F3, F5), (2, 3)):
+            rng = random.Random(73)
+            for _ in range(80):
+                gens = [random_poly(rng, field, nvars, 3, 4) for _ in range(3)]
+                ideal = Ideal(gens, domain=field, nvars=nvars)
+                p = groebner.eliminate_to_x1(ideal)
+                if is_trivial(ideal) or p.is_zero():
+                    continue
+                factors = unipoly.factor(p.dense_in(0), field)
+                ideals += 1
+                multi += len(factors) > 1
+                extended += any(unipoly.deg(g) > 1 for g, _ in factors)
+                for g, _ in factors:
+                    tower, root = adjoin_root(field, g)
+                    evaluated = [h.evaluate_x1(root.rep, tower) for h in gens]
+                    assert not is_trivial(Ideal(evaluated, domain=tower, nvars=nvars - 1))
+                assert find_branch_root(p, ideal)[0] == adjoin_root(field, factors[0][0])[1]
+        assert ideals >= 150 and multi >= 40 and extended >= 20
 
     def test_adjoins_an_extension_when_needed(self):
         x1 = Polynomial.variable(F3, 1, 0)
@@ -177,6 +201,8 @@ class TestSolve:
         assert len(untracked) == len(runs) >= 2
         for _, order in untracked:  # so never lex(n) for n >= 2
             assert order == TermOrder.elimination(order.nvars)
+        # the root step never completes the 0-variable ideal it evaluates to
+        assert all(order.nvars >= 1 for _, order, _ in runs)
         # runs keeps every generator tuple alive, so no id is reused
         assert max(Counter(id(gens) for gens, _ in untracked).values()) == 1
 
