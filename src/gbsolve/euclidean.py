@@ -19,8 +19,8 @@ from __future__ import annotations
 from . import unipoly
 from .errors import SpecializationError, UsageError
 from .fields import FFElement, UnivariatePolyDomain
-from .groebner import StrongBasis, _complete, _ring, _unit_normalizer
-from .poly import Polynomial
+from .groebner import StrongBasis, _complete, _ring
+from .poly import MAX_DENSE_DEGREE, Polynomial
 
 
 def to_coeff_view(p, name="x1"):
@@ -35,7 +35,10 @@ def to_coeff_view(p, name="x1"):
         groups.setdefault(exps[1:], {})[exps[0]] = c
     out = {}
     for rest, dense in groups.items():
-        cs = [p.domain.zero()] * (max(dense) + 1)
+        top = max(dense)
+        if top > MAX_DENSE_DEGREE:
+            raise UsageError(f"degree {top} exceeds the dense bound {MAX_DENSE_DEGREE}")
+        cs = [p.domain.zero()] * (top + 1)
         for e, c in dense.items():
             cs[e] = c
         out[rest] = tuple(cs)
@@ -54,11 +57,6 @@ def from_coeff_view(p):
             if not field.is_zero(c):
                 out[(e,) + rest] = c
     return Polynomial(field, p.nvars + 1, out)
-
-
-def normalize_leading_unit(f, order):
-    """Scale by a unit of K[x1] so the leading coefficient is monic."""
-    return f.scaled(_unit_normalizer(f.domain, f.leading(order).coefficient))
 
 
 def strong_buchberger(gens, order=None, *, domain=None, nvars=None):

@@ -26,11 +26,13 @@ order's priority and, for a weighted order, the weighted degree in the top
 field, each with a guard bit above it.  Integer comparison is then the term
 order, a product of terms is a sum, and s divides t exactly when t - s
 borrows from no guard bit.  Every entry point packs its input once and
-unpacks its output once.  Division keeps the live terms of the dividend in a
-heap of negated packed terms and drops an entry whose term has cancelled
-when it reaches the top; since reduction only adds terms below the current
-one, terms are taken in strictly descending order.  Completion queues each
-pair as (packed lcm, kind, i, j) and reduces pairs smallest lcm first.
+unpacks its output once; a tracked completion keeps each element's lineage
+packed too, one packed cofactor per generator, and unpacks it once with the
+basis.  Division keeps the live terms of the dividend in a heap of negated
+packed terms and drops an entry whose term has cancelled when it reaches the
+top; since reduction only adds terms below the current one, terms are taken
+in strictly descending order.  Completion queues each pair as (packed lcm,
+kind, i, j) and reduces pairs smallest lcm first.
 
 The fields start a few bits wider than the largest field value of the input,
 but exponents grow during completion and, under lex, during division.  A sum
@@ -38,7 +40,8 @@ that passes a field's maximum would carry into the next field and silently
 become another term; instead it sets that field's guard bit, every new term
 is checked against the guard bits, and the run restarts from its input with
 fields twice as wide, so the width only changes how often a run restarts,
-never what it returns.
+never what it returns.  Lineage terms are checked the same way: a
+certificate can need higher powers than any basis element.
 """
 
 from __future__ import annotations
@@ -271,12 +274,19 @@ def _strongly_divides(dom, guard, lead_a, lead_b):
     return not (tb - ta) & guard and dom.divides(ca, cb)
 
 
-def _minus(vec, cofs, lineages):
-    """Lineage vector vec minus the sum of cof times lineage, pairwise."""
-    for cof, lv in zip(cofs, lineages):
-        if not cof.is_zero():
-            vec = [v - cof * l for v, l in zip(vec, lv)]
-    return tuple(vec)
+def _submul(vec, cofs, vecs, dom, guard):
+    """Packed vector vec minus the sum of cof * w over cofs and vecs, slotwise."""
+    out = [dict(v) for v in vec]
+    zero = dom.zero()
+    for cof, w in zip(cofs, vecs):
+        for acc, f in zip(out, w):
+            for s, c in cof.items():
+                for t, d in f.items():
+                    key = s + t
+                    if key & guard:
+                        raise Overflow
+                    acc[key] = dom.sub(acc.get(key, zero), dom.mul(c, d))
+    return [{t: c for t, c in acc.items() if not dom.is_zero(c)} for acc in out]
 
 
 def _unit_normalizer(dom, lc):
@@ -303,8 +313,9 @@ def _complete(gens, order, domain, nvars, track):
     third leading monomial divides its lcm monomial and that element's
     S-pairs with both are done; a G-pair is made only when neither leading
     coefficient divides the other, so over a field there are none.  With
-    ``track`` each element carries its cofactors over the generators.  The
-    generators are packed once and the basis is unpacked once, at the end.
+    ``track`` each element carries its cofactors over the generators, packed
+    like the element itself.  The generators are packed once, and the basis
+    and its lineage are unpacked once, at the end.
     """
     if order is None:
         order = TermOrder.lex(nvars)
@@ -318,10 +329,9 @@ def _complete(gens, order, domain, nvars, track):
 def _completion(pk, gens, domain, nvars, track):
     """``_complete`` on the generators packed by ``pk``."""
     guard = pk.guard
-    one = domain.one()
     basis = []  # packed elements
     lead = []  # (packed leading term, canonical leading coefficient)
-    lineage = []
+    lineage = []  # with track: packed cofactors over the generators
     pending = set()  # S-pairs not yet popped
     queue = []  # (packed lcm, kind, i, j), smallest first
 
@@ -340,18 +350,14 @@ def _completion(pk, gens, domain, nvars, track):
         basis.append(f)
         lead.append((lt, lc))
         if track:
-            lineage.append(tuple(v.scaled(u) for v in vec))
+            lineage.append([{t: domain.mul(c, u) for t, c in v.items()} for v in vec])
 
-    zero = Polynomial.zero(domain, nvars)
     for k, g in enumerate(gens):
         if not g:
             continue
         vec = None
-        if track:
-            vec = tuple(
-                Polynomial.constant(domain, nvars, one) if m == k else zero
-                for m in range(len(gens))
-            )
+        if track:  # generator k is 1 times itself: the constant term packs to 0
+            vec = [{0: domain.one()} if m == k else {} for m in range(len(gens))]
         push(g, vec)
 
     while queue:
@@ -378,14 +384,9 @@ def _completion(pk, gens, domain, nvars, track):
             continue
         vec = None
         if track:
-            a, m, b, n = mult
-            m, n = pk.unpack(m), pk.unpack(n)
-            vec = [
-                x.mul_monomial(a, m) - y.mul_monomial(b, n)
-                for x, y in zip(lineage[i], lineage[j])
-            ]
-            cofs = [_unpack(c, pk, domain, nvars) for c in cofs]
-            vec = _minus(vec, cofs, lineage)
+            pair = zip(lineage[i], lineage[j])
+            vec = [_combine(x, y, *mult, domain, guard) for x, y in pair]
+            vec = _submul(vec, cofs, lineage, domain, guard)
         push(r, vec)
 
     # Minimal basis: visit in ascending (leading term, coefficient sort key),
@@ -428,12 +429,16 @@ def _completion(pk, gens, domain, nvars, track):
         )
         elems[idx] = r
         if track:
-            cofs = [_unpack(c, pk, domain, nvars) for c in cofs]
-            lins[idx] = _minus(lins[idx], cofs, [lins[m] for m in others])
+            lins[idx] = _submul(
+                lins[idx], cofs, [lins[m] for m in others], domain, guard
+            )
+
+    def unpack(f):
+        return _unpack(f, pk, domain, nvars)
 
     # leading monomials are distinct now, so this is descending order
-    elements = tuple(_unpack(f, pk, domain, nvars) for f in reversed(elems))
-    lin = tuple(reversed(lins)) if track else None
+    elements = tuple(map(unpack, reversed(elems)))
+    lin = tuple(tuple(map(unpack, v)) for v in reversed(lins)) if track else None
     return StrongBasis(elements, pk.order, domain, nvars, lineage=lin)
 
 

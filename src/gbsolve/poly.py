@@ -16,6 +16,10 @@ from operator import itemgetter, mul
 from .errors import UsageError, ZeroPolynomialError
 from .unipoly import elem_pow, power
 
+# Largest degree that ``dense_in`` and ``euclidean.to_coeff_view`` lay out
+# as a list, one slot per degree; a higher one is a usage error.
+MAX_DENSE_DEGREE = 10**6
+
 
 def exp_add(s, t):
     return tuple(a + b for a, b in zip(s, t))
@@ -262,6 +266,8 @@ class Polynomial:
         if not self.coeffs:
             return ()
         top = max(exps[var] for exps in self.coeffs)
+        if top > MAX_DENSE_DEGREE:
+            raise UsageError(f"degree {top} exceeds the dense bound {MAX_DENSE_DEGREE}")
         out = [self.domain.zero()] * (top + 1)
         for exps, c in self.coeffs.items():
             out[exps[var]] = c
@@ -330,22 +336,6 @@ class Polynomial:
             raise UsageError("polynomial powers take an integer exponent")
         one = Polynomial.constant(self.domain, self.nvars, self.domain.one())
         return power(self, e, mul, one)
-
-    def scaled(self, c):
-        """Multiply every coefficient by the domain element c."""
-        dom = self.domain
-        return Polynomial(
-            dom, self.nvars, {e: dom.mul(v, c) for e, v in self.coeffs.items()}
-        )
-
-    def mul_monomial(self, c, exps):
-        """Multiply by the monomial c * x**exps."""
-        dom = self.domain
-        return Polynomial(
-            dom,
-            self.nvars,
-            {exp_add(e, exps): dom.mul(v, c) for e, v in self.coeffs.items()},
-        )
 
     # -- variable plumbing ------------------------------------------------------
 

@@ -7,10 +7,11 @@ extension tower, eliminating one variable per recursion step:
 * the ideal meets K[x1] in a nonconstant polynomial p: every root of p
   extends to a zero of the ideal (the Closure Theorem), so substitute the
   root of p's first irreducible factor and recurse (``find_branch_root``);
-* the intersection is zero: compute a strong basis over K[x1], keep x1 away
-  from the roots of the leading-coefficient product (``specialization_locus``)
-  and substitute; the specialized basis is still a strong basis with no
-  constant member, so the smaller ideal stays proper;
+* the intersection is zero: compute a strong basis over K[x1] and take x1 = a
+  off the roots of its leading-coefficient product (``specialization_locus``);
+  there the strong basis specializes to a Groebner basis of I(a) with no
+  constant member, so I(a) is proper.  The recursion substitutes a into the
+  generators, as the root step does: they generate the same I(a);
 * one variable left: the same root step, on the gcd of the generators (the
   trace calls it ``base``); every root works, and the zero ideal takes 0.
 
@@ -36,12 +37,7 @@ from dataclasses import dataclass
 
 from . import unipoly
 from .errors import InvariantViolation, UsageError
-from .euclidean import (
-    specialization_locus,
-    specialize_basis,
-    strong_buchberger,
-    to_coeff_view,
-)
+from .euclidean import specialization_locus, strong_buchberger, to_coeff_view
 from .fields import FFElement, FieldTower, UnivariatePolyDomain, _adjoin_irreducible
 from .groebner import Ideal, eliminate_to_x1, is_trivial, member
 from .poly import Polynomial, TermOrder
@@ -161,11 +157,8 @@ def _point(ideal, rng, trace, depth):
         )
         branch, locus = "locus", specialization_locus(strong)
         a = good_specialization_point(locus)
-        specialized = specialize_basis(strong, a)
-        for e in specialized.elements:
-            if e.is_constant():
-                raise InvariantViolation("a specialized strong basis kept a constant")
-        evaluated = Ideal(specialized.elements, domain=a.tower, nvars=ideal.nvars - 1)
+        gens = [h.evaluate_x1(a.rep, a.tower) for h in ideal.gens]
+        evaluated = Ideal(gens, domain=a.tower, nvars=ideal.nvars - 1)
     extension = a.tower if a.tower != tower else None
     trace.append(BranchStep(depth, branch, p, a, extension, locus))
     final, rest = _point(evaluated, rng, trace, depth + 1)

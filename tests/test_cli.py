@@ -13,7 +13,7 @@ from gbsolve.errors import ParseError
 from gbsolve.fields import GF, QQ
 from gbsolve.groebner import Ideal
 from gbsolve.parser import MAX_DIGITS, parse_polynomial, parse_problem
-from gbsolve.poly import Polynomial, to_text
+from gbsolve.poly import MAX_DENSE_DEGREE, Polynomial, to_text
 
 F5 = GF(5)
 
@@ -335,6 +335,19 @@ class TestCommands:
             code, out, err = _run(capsys, "gb", path, "--order", "wlex:" + "1" * digits)
             assert (code, out) == (2, "")
             assert err.startswith("error: bad weight list")
+
+    def test_dense_degree_past_the_bound_exits_two(self, tmp_path, capsys):
+        # one past the bound: refused before a list of that length is built
+        e = MAX_DENSE_DEGREE + 1
+        cases = [
+            ("eliminate", f"field p 5\nvars x\nx^{e}\n"),
+            ("solve", f"field p 5\nvars x\nx^{e}\n"),
+            ("gb-strong", f"field p 5\nvars x1 x2\nx1^{e}*x2 - 1\n"),
+        ]
+        for command, text in cases:
+            code, out, err = _run(capsys, command, _problem(tmp_path, text))
+            assert (code, out) == (2, ""), command
+            assert err.startswith(f"error: degree {e} exceeds the dense bound"), command
 
     def test_long_minus_run_is_a_polynomial(self, tmp_path, capsys):
         path = _problem(tmp_path, "field p 5\nvars x\n" + "-" * 1200 + "x\n")

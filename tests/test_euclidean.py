@@ -59,12 +59,6 @@ class TestViews:
         with pytest.raises(UsageError):
             euclidean.from_coeff_view(p)
 
-    def test_normalize_leading_unit(self):
-        f = _cpoly(D5, {(1,): (0, 2), (0,): (3,)})
-        g = euclidean.normalize_leading_unit(f, TermOrder.lex(1))
-        assert g.leading(TermOrder.lex(1)).coefficient == (0, 1)
-        assert g == f.scaled((3,))
-
 
 class TestStrongReduction:
     def test_contract_random(self):

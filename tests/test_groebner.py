@@ -117,9 +117,7 @@ class TestBuchberger:
             gb = buchberger(gens, domain=F3, nvars=2)
             shuffled = list(gens)
             rng.shuffle(shuffled)
-            scaled = [
-                g.scaled(F3.element(rng.randrange(1, 3))) for g in shuffled
-            ]
+            scaled = [g * _const(F3, 2, rng.randrange(1, 3)) for g in shuffled]
             assert buchberger(scaled, domain=F3, nvars=2).elements == gb.elements
 
     def test_certify_accepts_output_rejects_raw_gens(self):
@@ -185,6 +183,30 @@ class TestBuchberger:
                 for cof, gen in zip(vec, gens):
                     acc = acc + cof * gen
                 assert acc == g
+
+    def test_tracked_runs_unpack_once(self, monkeypatch):
+        # the lineage stays packed: the only polynomials built are the
+        # unpacked elements and one cofactor per element and generator
+        rng = random.Random(27)
+        systems = []
+        for field in (F5, F49, QQ):
+            maker = random_poly_q if field is QQ else random_poly
+            for _ in range(10):
+                count = rng.randrange(1, 5)
+                gens = [maker(rng, field, 3, max_total=2) for _ in range(count)]
+                systems.append((field, gens))
+        built = [0]
+        real = Polynomial.__init__
+
+        def counting(self, *args):
+            built[0] += 1
+            real(self, *args)
+
+        monkeypatch.setattr(Polynomial, "__init__", counting)
+        for field, gens in systems:
+            built[0] = 0
+            gb = buchberger(gens, track=True, domain=field, nvars=3)
+            assert built[0] == len(gb.elements) * (1 + len(gens))
 
     def test_zero_generators_are_dropped(self):
         x1, _ = _vars(F5, 2)

@@ -3,10 +3,10 @@
 Division and completion pack every exponent tuple into one int of
 fixed-width fields (``poly.Packing``).  A new term that passes a field's
 maximum sets that field's guard bit and the run starts over with fields
-twice as wide.  Here every run starts at 1-bit fields, so nearly every run
-restarts, and the output must equal the output at the default width.  A
-term formed without a guard check would wrap silently and change a basis or
-a verdict.
+twice as wide.  Here runs start at 1-bit fields (3 bits in one test), so
+nearly every run restarts, and the output must equal the output at the default width.  A
+term formed without a guard check would wrap silently and change a basis, a
+verdict or a certificate; the lineage of a tracked run is checked too.
 """
 
 import random
@@ -28,24 +28,25 @@ from gbsolve.groebner import (
     reduce,
     spoly,
 )
-from gbsolve.poly import TermOrder
+from gbsolve.poly import Polynomial, TermOrder
 
 F5 = GF(5)
 F49 = GF(7).extend((1, 0, 1))  # t^2 + 1 has no root mod 7
+F3 = GF(3)
 
 
-def _narrow(monkeypatch):
-    """Start every packed run at 1-bit fields; count the runs and packings."""
+def _narrow(monkeypatch, bits=1):
+    """Start every packed run at ``bits``-bit fields; count runs and packings."""
     counts = Counter()
     real = groebner.Packing
 
-    def packing(order, bits):
+    def packing(order, width):
         counts["packings"] += 1
-        return real(order, bits)
+        return real(order, width)
 
     def start(top):
         counts["runs"] += 1
-        return 1
+        return bits
 
     monkeypatch.setattr(groebner, "Packing", packing)
     monkeypatch.setattr(groebner, "_start_width", start)
@@ -126,4 +127,37 @@ def test_huge_weights_at_one_bit(monkeypatch):
     expected = bases()
     counts = _narrow(monkeypatch)
     assert bases() == expected
+    assert _restarted(counts)
+
+
+def _c(n):
+    return Polynomial.constant(F3, 2, F3.from_int(n))
+
+
+def _certificate(gens):
+    return buchberger(gens, TermOrder.lex(2), track=True).lineage[0]
+
+
+def test_lineage_terms_restart_the_run(monkeypatch):
+    # the basis of <x1^4, x1*x2^2 - 1> fits 3-bit fields, but its certificate
+    # has the term x2^8, whose field value 8 does not
+    x, y = (Polynomial.variable(F3, 2, i) for i in range(2))
+    gens = [x**4, x * y**2 - _c(1)]
+    expected = _certificate(gens)
+    assert expected[0] == y**8
+    counts = _narrow(monkeypatch, bits=3)
+    assert buchberger(gens, TermOrder.lex(2)).elements == (_c(1),)
+    assert (counts["runs"], counts["packings"]) == (1, 1)
+    assert _certificate(gens) == expected
+    assert (counts["runs"], counts["packings"]) == (2, 3)
+
+
+def test_cofactor_updates_are_guarded(monkeypatch):
+    # at 1-bit fields a cofactor times a lineage entry passes the fields here;
+    # left unchecked it would wrap and change the certificate
+    x, y = (Polynomial.variable(F3, 2, i) for i in range(2))
+    gens = [x**3, x * y**3 + _c(2), _c(2) * x * y + _c(2) * x, x**2 + _c(2) * y**3]
+    expected = _certificate(gens)
+    counts = _narrow(monkeypatch)
+    assert _certificate(gens) == expected
     assert _restarted(counts)

@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 from corpus import common_zeros, ideals_equal, random_poly
-from gbsolve import groebner, unipoly
-from gbsolve.errors import UsageError
+from gbsolve import groebner, solver, unipoly
+from gbsolve.errors import KernelError, UsageError
 from gbsolve.fields import GF, QQ, FFElement, FieldTower, TowerLevel, adjoin_root
 from gbsolve.groebner import Ideal, is_trivial, member
 from gbsolve.parser import parse_problem
@@ -180,6 +180,17 @@ class TestSolve:
         assert [s.branch for s in trace] == ["locus", "base"]
         assert to_text(trace[0].locus) == "x1"
         assert trace[0].eliminated.is_zero()
+
+    def test_a_point_on_the_locus_is_a_kernel_fault(self, monkeypatch):
+        # x1 = 0 is a root of the locus x1, so I(0) = <-1> is trivial; the
+        # next level's eliminant is then 1, which no proper ideal has
+        x1, x2 = _vars(F5, 2)
+        monkeypatch.setattr(
+            solver, "good_specialization_point", lambda q: FFElement(F5, F5.zero())
+        )
+        with pytest.raises(KernelError) as caught:
+            solve(Ideal([x1 * x2 - _const(F5, 2, 1)]))
+        assert not isinstance(caught.value, UsageError)
 
     def test_one_untracked_completion_per_ideal(self, monkeypatch):
         x1, x2, x3 = _vars(F5, 3)
