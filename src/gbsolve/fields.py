@@ -4,6 +4,19 @@ Tower elements are plain nested tuples (ints at the prime-field floor), so they
 hash and compare structurally; the tower object itself carries the arithmetic.
 Every element handed to a tower operation must already live at that tower's top
 level; ``lift`` embeds elements from any prefix tower.
+
+A tower with at least one level and order q <= ``TABLE_MAX_ORDER`` computes
+through Zech-logarithm tables (Huber 1990, "Some comments on Zech's
+logarithms"): ``exp[k] = g^k`` for a generator g of its multiplicative group,
+``log`` inverting it, and ``Z[k] = log(1 + g^k)``.  A product or inverse is
+then index arithmetic, and a sum is ``exp[la + Z[lb - la]]``.  Each tower
+object builds its own tables on its first ``add``, ``sub``, ``neg``, ``mul``
+or ``inv``, from its polynomial arithmetic, and keeps them only after checking
+that g's powers fill the group.  A reducible level (only a test that bypasses
+the irreducibility check can build one) fails that check and keeps polynomial
+arithmetic.  The tables hold the same canonical tuples the polynomial
+arithmetic makes, so no result changes.  A larger tower keeps polynomial
+arithmetic, over its tabled sub-levels.
 """
 
 from __future__ import annotations
@@ -254,6 +267,28 @@ class RationalField(Field):
 QQ = RationalField()
 
 
+# Building the tables of an order-q tower costs about q products and q sums,
+# so they pay only where a tower does many more operations than that.  Solver
+# towers of order up to 25 do; the GF(625) towers of the solve-tower benchmark
+# do about 137 top-level products each, and a bound of 625 ran no faster there
+# than 256.  At 256 a tower's tables hold about 1000 entries.
+TABLE_MAX_ORDER = 256
+
+
+def _prime_divisors(n):
+    """The distinct primes dividing n >= 1, ascending, by trial division."""
+    out, r = [], 2
+    while r * r <= n:
+        if n % r == 0:
+            out.append(r)
+            while n % r == 0:
+                n //= r
+        r += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
 @dataclass(frozen=True)
 class TowerLevel:
     """One extension step: a named generator and its monic minimal polynomial."""
@@ -273,6 +308,12 @@ class FieldTower(Field):
     tuples of (k-1)-level elements in ascending degree order with trailing
     zeros trimmed, so representations are canonical.
 
+    A tower with at least one level and order at most ``TABLE_MAX_ORDER``
+    adds, subtracts, negates, multiplies and inverts through log, antilog and
+    Zech tables (see the module docstring), built by ``_tabulate`` on the
+    first such call and checked before they are used; until then ``_log`` is
+    None, and it is False for a tower without tables.
+
     Every tower is built by one stacking step, ``_stack``, which checks
     nothing.  A level from outside is checked once, before it is stacked:
     ``FieldTower(p, levels)`` checks every level of its input, ``extend``
@@ -282,7 +323,17 @@ class FieldTower(Field):
     (``_adjoin_irreducible``), as both are irreducible by construction.
     """
 
-    __slots__ = ("p", "levels", "_sub", "_order", "_hash")
+    __slots__ = (
+        "p",
+        "levels",
+        "_sub",
+        "_order",
+        "_hash",
+        "_log",  # element -> k with g^k = element; None until built, False if none
+        "_exp",  # exp[k] = g^k for 0 <= k < 2(q - 1), so index sums need no mod
+        "_zech",  # zech[k] = log(1 + g^k), None where 1 + g^k = 0; period q - 1
+        "_log_minus_one",  # log(-1): (q - 1)/2 for odd q, 0 in characteristic 2
+    )
 
     def __init__(self, p, levels=()):
         levels = tuple(levels)
@@ -298,6 +349,7 @@ class FieldTower(Field):
         self._sub = None
         self._order = p
         self._hash = hash((p, ()))
+        self._log = False
 
     def _stack(self, sub, top):
         """Make this tower ``sub`` extended by the level ``top``, unchecked."""
@@ -306,6 +358,7 @@ class FieldTower(Field):
         self._sub = sub
         self._order = sub.order ** top.degree
         self._hash = hash((self.p, self.levels))
+        self._log = None if self._order <= TABLE_MAX_ORDER else False
 
     @property
     def char(self):
@@ -350,22 +403,55 @@ class FieldTower(Field):
     def add(self, a, b):
         if not self.levels:
             return (a + b) % self.p
+        log = self._log
+        if log is None:
+            log = self._tabulate()
+        if log:
+            if not a:
+                return b
+            if not b:
+                return a
+            la = log[a]
+            z = self._zech[log[b] - la]
+            return () if z is None else self._exp[la + z]
         return unipoly.add(a, b, self._sub)
 
     def sub(self, a, b):
         if not self.levels:
             return (a - b) % self.p
+        log = self._log
+        if log is None:
+            log = self._tabulate()
+        if log:
+            if not b:
+                return a
+            lb = log[b] + self._log_minus_one  # log(-b)
+            if not a:
+                return self._exp[lb]
+            la = log[a]
+            z = self._zech[lb - la]
+            return () if z is None else self._exp[la + z]
         return unipoly.sub(a, b, self._sub)
 
     def mul(self, a, b):
         if not self.levels:
             return a * b % self.p
+        log = self._log
+        if log is None:
+            log = self._tabulate()
+        if log:
+            return self._exp[log[a] + log[b]] if a and b else ()
         prod = unipoly.mul(a, b, self._sub)
         return unipoly.rem(prod, self.levels[-1].minpoly, self._sub)
 
     def neg(self, a):
         if not self.levels:
             return -a % self.p
+        log = self._log
+        if log is None:
+            log = self._tabulate()
+        if log:
+            return self._exp[log[a] + self._log_minus_one] if a else a
         return unipoly.neg(a, self._sub)
 
     def inv(self, a):
@@ -373,6 +459,11 @@ class FieldTower(Field):
             raise UsageError("inverse of zero")
         if not self.levels:
             return pow(a, -1, self.p)
+        log = self._log
+        if log is None:
+            log = self._tabulate()
+        if log:
+            return self._exp[-log[a]]  # g^(2(q-1) - k) = g^-k
         if self.is_one(a):
             return a
         d, u, _ = unipoly.xgcd(a, self.levels[-1].minpoly, self._sub)
@@ -381,6 +472,43 @@ class FieldTower(Field):
                 f"{self.tag}: an element shares a factor with the minimal polynomial"
             )
         return unipoly.rem(u, self.levels[-1].minpoly, self._sub)
+
+    def _tabulate(self):
+        """Build this tower's tables, or find it has none; return ``_log``.
+
+        The generator g is the first nonzero element, in ``element`` order,
+        with g^((q-1)/r) != 1 for every prime r dividing q - 1; in a field
+        that makes g's order q - 1.  The tables are kept only when g^0, ...,
+        g^(q-2) are q - 1 distinct elements and g^(q-1) = 1.  A reducible
+        level fails this: the powers of a unit stay in a unit group with
+        fewer than q - 1 elements, and a zero divisor has no power 1.
+        """
+        sub, minpoly, n = self._sub, self.levels[-1].minpoly, self._order - 1
+        one = self.one()
+
+        def mul(a, b):
+            return unipoly.rem(unipoly.mul(a, b, sub), minpoly, sub)
+
+        self._log = False
+        cofactors = [n // r for r in _prime_divisors(n)]
+        for i in range(1, self._order):
+            g = self.element(i)
+            if all(unipoly.power(g, e, mul, one) != one for e in cofactors):
+                break
+        else:
+            return False
+        exp = [one]
+        for _ in range(n - 1):
+            exp.append(mul(exp[-1], g))
+        if mul(exp[-1], g) != one or len(set(exp)) != n:
+            return False
+        log = {a: k for k, a in enumerate(exp)}
+        zech = [log.get(unipoly.add(one, a, sub)) for a in exp]  # no log of 0
+        self._exp = exp + exp
+        self._zech = zech + zech
+        self._log_minus_one = 0 if self.p == 2 else n // 2
+        self._log = log
+        return log
 
     # -- tower structure -----------------------------------------------------
 
