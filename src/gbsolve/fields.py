@@ -268,10 +268,10 @@ QQ = RationalField()
 
 
 # Building the tables of an order-q tower costs about q products and q sums,
-# so they pay only where a tower does many more operations than that.  Solver
-# towers of order up to 25 do; the GF(625) towers of the solve-tower benchmark
-# do about 137 top-level products each, and a bound of 625 ran no faster there
-# than 256.  At 256 a tower's tables hold about 1000 entries.
+# so they pay only where a tower does many more operations than that.  The
+# GF(25) towers of the solve-tower benchmark do; its GF(625) towers do about
+# 137 top-level products each, and a bound of 625 ran no faster there than
+# 256.  At order 256 a tower's three tables hold about 1300 entries.
 TABLE_MAX_ORDER = 256
 
 
@@ -441,6 +441,10 @@ class FieldTower(Field):
             log = self._tabulate()
         if log:
             return self._exp[log[a] + log[b]] if a and b else ()
+        return self._poly_mul(a, b)
+
+    def _poly_mul(self, a, b):
+        """The product as polynomials over the level below, reduced."""
         prod = unipoly.mul(a, b, self._sub)
         return unipoly.rem(prod, self.levels[-1].minpoly, self._sub)
 
@@ -483,12 +487,7 @@ class FieldTower(Field):
         level fails this: the powers of a unit stay in a unit group with
         fewer than q - 1 elements, and a zero divisor has no power 1.
         """
-        sub, minpoly, n = self._sub, self.levels[-1].minpoly, self._order - 1
-        one = self.one()
-
-        def mul(a, b):
-            return unipoly.rem(unipoly.mul(a, b, sub), minpoly, sub)
-
+        mul, n, one = self._poly_mul, self._order - 1, self.one()
         self._log = False
         cofactors = [n // r for r in _prime_divisors(n)]
         for i in range(1, self._order):
@@ -503,7 +502,7 @@ class FieldTower(Field):
         if mul(exp[-1], g) != one or len(set(exp)) != n:
             return False
         log = {a: k for k, a in enumerate(exp)}
-        zech = [log.get(unipoly.add(one, a, sub)) for a in exp]  # no log of 0
+        zech = [log.get(unipoly.add(one, a, self._sub)) for a in exp]  # None at 1 + g^k = 0
         self._exp = exp + exp
         self._zech = zech + zech
         self._log_minus_one = 0 if self.p == 2 else n // 2
