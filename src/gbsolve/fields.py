@@ -488,7 +488,7 @@ class FieldTower(Field):
         fewer than q - 1 elements, and a zero divisor has no power 1.
         """
         mul, n, one = self._poly_mul, self._order - 1, self.one()
-        self._log = False
+        self._log = False  # until the tables pass their check
         cofactors = [n // r for r in _prime_divisors(n)]
         for i in range(1, self._order):
             g = self.element(i)
@@ -502,7 +502,8 @@ class FieldTower(Field):
         if mul(exp[-1], g) != one or len(set(exp)) != n:
             return False
         log = {a: k for k, a in enumerate(exp)}
-        zech = [log.get(unipoly.add(one, a, self._sub)) for a in exp]  # None at 1 + g^k = 0
+        # log has no entry for 0, so zech holds None where 1 + g^k = 0
+        zech = [log.get(unipoly.add(one, a, self._sub)) for a in exp]
         self._exp = exp + exp
         self._zech = zech + zech
         self._log_minus_one = 0 if self.p == 2 else n // 2
