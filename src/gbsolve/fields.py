@@ -10,13 +10,13 @@ through Zech-logarithm tables (Huber 1990, "Some comments on Zech's
 logarithms"): ``exp[k] = g^k`` for a generator g of its multiplicative group,
 ``log`` inverting it, and ``Z[k] = log(1 + g^k)``.  A product or inverse is
 then index arithmetic, and a sum is ``exp[la + Z[lb - la]]``.  Each tower
-object builds its own tables on its first ``add``, ``sub``, ``neg``, ``mul``
-or ``inv``, from its polynomial arithmetic, and keeps them only after checking
-that g's powers fill the group.  A reducible level (only a test that bypasses
-the irreducibility check can build one) fails that check and keeps polynomial
-arithmetic.  The tables hold the same canonical tuples the polynomial
-arithmetic makes, so no result changes.  A larger tower keeps polynomial
-arithmetic, over its tabled sub-levels.
+object builds its own tables when its level is stacked, from its polynomial
+arithmetic, in one walk of a candidate's powers: g is accepted when its
+powers first return to 1 at g^(q-1).  A reducible level (only a test that
+bypasses the irreducibility check can build one) has no such g and keeps
+polynomial arithmetic.  The tables hold the same canonical tuples the
+polynomial arithmetic makes, so no result changes.  A larger tower keeps
+polynomial arithmetic, over its tabled sub-levels.
 """
 
 from __future__ import annotations
@@ -275,20 +275,6 @@ QQ = RationalField()
 TABLE_MAX_ORDER = 256
 
 
-def _prime_divisors(n):
-    """The distinct primes dividing n >= 1, ascending, by trial division."""
-    out, r = [], 2
-    while r * r <= n:
-        if n % r == 0:
-            out.append(r)
-            while n % r == 0:
-                n //= r
-        r += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 @dataclass(frozen=True)
 class TowerLevel:
     """One extension step: a named generator and its monic minimal polynomial."""
@@ -310,9 +296,8 @@ class FieldTower(Field):
 
     A tower with at least one level and order at most ``TABLE_MAX_ORDER``
     adds, subtracts, negates, multiplies and inverts through log, antilog and
-    Zech tables (see the module docstring), built by ``_tabulate`` on the
-    first such call and checked before they are used; until then ``_log`` is
-    None, and it is False for a tower without tables.
+    Zech tables (see the module docstring), which ``_stack`` builds with
+    ``_tabulate``; ``_log`` is False for a tower without tables.
 
     Every tower is built by one stacking step, ``_stack``, which checks
     nothing.  A level from outside is checked once, before it is stacked:
@@ -329,7 +314,7 @@ class FieldTower(Field):
         "_sub",
         "_order",
         "_hash",
-        "_log",  # element -> k with g^k = element; None until built, False if none
+        "_log",  # element -> k with g^k = element, built at stacking; False if none
         "_exp",  # exp[k] = g^k for 0 <= k < 2(q - 1), so index sums need no mod
         "_zech",  # zech[k] = log(1 + g^k), None where 1 + g^k = 0; period q - 1
         "_log_minus_one",  # log(-1): (q - 1)/2 for odd q, 0 in characteristic 2
@@ -352,13 +337,16 @@ class FieldTower(Field):
         self._log = False
 
     def _stack(self, sub, top):
-        """Make this tower ``sub`` extended by the level ``top``, unchecked."""
+        """Make this tower ``sub`` extended by the level ``top``, unchecked,
+        with tables when its order is at most ``TABLE_MAX_ORDER``."""
         self.p = sub.p
         self.levels = sub.levels + (top,)
         self._sub = sub
         self._order = sub.order ** top.degree
         self._hash = hash((self.p, self.levels))
-        self._log = None if self._order <= TABLE_MAX_ORDER else False
+        self._log = False
+        if self._order <= TABLE_MAX_ORDER:
+            self._tabulate()
 
     @property
     def char(self):
@@ -404,8 +392,6 @@ class FieldTower(Field):
         if not self.levels:
             return (a + b) % self.p
         log = self._log
-        if log is None:
-            log = self._tabulate()
         if log:
             if not a:
                 return b
@@ -420,8 +406,6 @@ class FieldTower(Field):
         if not self.levels:
             return (a - b) % self.p
         log = self._log
-        if log is None:
-            log = self._tabulate()
         if log:
             if not b:
                 return a
@@ -437,8 +421,6 @@ class FieldTower(Field):
         if not self.levels:
             return a * b % self.p
         log = self._log
-        if log is None:
-            log = self._tabulate()
         if log:
             return self._exp[log[a] + log[b]] if a and b else ()
         return self._poly_mul(a, b)
@@ -452,8 +434,6 @@ class FieldTower(Field):
         if not self.levels:
             return -a % self.p
         log = self._log
-        if log is None:
-            log = self._tabulate()
         if log:
             return self._exp[log[a] + self._log_minus_one] if a else a
         return unipoly.neg(a, self._sub)
@@ -464,8 +444,6 @@ class FieldTower(Field):
         if not self.levels:
             return pow(a, -1, self.p)
         log = self._log
-        if log is None:
-            log = self._tabulate()
         if log:
             return self._exp[-log[a]]  # g^(2(q-1) - k) = g^-k
         if self.is_one(a):
@@ -478,29 +456,28 @@ class FieldTower(Field):
         return unipoly.rem(u, self.levels[-1].minpoly, self._sub)
 
     def _tabulate(self):
-        """Build this tower's tables, or find it has none; return ``_log``.
+        """Build this tower's tables in one walk of a candidate's powers.
 
-        The generator g is the first nonzero element, in ``element`` order,
-        with g^((q-1)/r) != 1 for every prime r dividing q - 1; in a field
-        that makes g's order q - 1.  The tables are kept only when g^0, ...,
-        g^(q-2) are q - 1 distinct elements and g^(q-1) = 1.  A reducible
-        level fails this: the powers of a unit stay in a unit group with
-        fewer than q - 1 elements, and a zero divisor has no power 1.
+        Candidates g are taken in ``element`` order from the first element
+        outside the sub-level, whose elements have orders dividing the
+        sub-level's order minus 1.  The walk multiplies x <- x*g, appending
+        each power to exp, until x returns to 1 or exp holds q - 1 powers.  g
+        is accepted, and the tables kept, exactly when the first return to 1
+        is at g^(q-1); in a field g then generates the group and its powers
+        fill exp.  A reducible level has no such g: its units form a group of
+        fewer than q - 1 elements, and a zero divisor never reaches 1.
         """
         mul, n, one = self._poly_mul, self._order - 1, self.one()
-        self._log = False  # until the tables pass their check
-        cofactors = [n // r for r in _prime_divisors(n)]
-        for i in range(1, self._order):
-            g = self.element(i)
-            if all(unipoly.power(g, e, mul, one) != one for e in cofactors):
+        for i in range(self._sub.order, self._order):
+            g = x = self.element(i)
+            exp = [one]
+            while x != one and len(exp) < n:
+                exp.append(x)
+                x = mul(x, g)
+            if x == one and len(exp) == n:
                 break
         else:
-            return False
-        exp = [one]
-        for _ in range(n - 1):
-            exp.append(mul(exp[-1], g))
-        if mul(exp[-1], g) != one or len(set(exp)) != n:
-            return False
+            return
         log = {a: k for k, a in enumerate(exp)}
         # log has no entry for 0, so zech holds None where 1 + g^k = 0
         zech = [log.get(unipoly.add(one, a, self._sub)) for a in exp]
@@ -508,7 +485,6 @@ class FieldTower(Field):
         self._zech = zech + zech
         self._log_minus_one = 0 if self.p == 2 else n // 2
         self._log = log
-        return log
 
     # -- tower structure -----------------------------------------------------
 

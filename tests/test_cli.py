@@ -12,7 +12,7 @@ from gbsolve import cli
 from gbsolve.errors import ParseError
 from gbsolve.fields import GF, QQ
 from gbsolve.groebner import Ideal
-from gbsolve.parser import MAX_DIGITS, parse_polynomial, parse_problem
+from gbsolve.parser import MAX_DIGITS, MAX_POWER_TERMS, parse_polynomial, parse_problem
 from gbsolve.poly import MAX_DENSE_DEGREE, Polynomial, to_text
 
 F5 = GF(5)
@@ -306,6 +306,18 @@ class TestCommands:
         path = _problem(tmp_path, f"field p 5\nvars x\n{n}*x^{n} + {n}/{n}\n")
         code, out, err = _run(capsys, "gb", path)
         assert (code, out, err) == (0, f"x^{n} + 1\n", "")
+
+    def test_powers_of_sums_are_bounded(self, tmp_path, capsys):
+        # (x1+x2+x3)^e has C(e+2, 2) terms: 990 for e = 43, 1035 for e = 44
+        head = "field p 32003\nvars x1 x2 x3\n"
+        (f,) = parse_problem(head + "(x1+x2+x3)^43\n").gens
+        assert len(f.coeffs) == 990 <= MAX_POWER_TERMS
+        nines = "9" * MAX_DIGITS  # refused before any expansion
+        for line, col in (("(x1+x2+x3)^44", 12), (f"(x1+1)^{nines}", 8)):
+            path = _problem(tmp_path, f"{head}{line}\n")
+            code, out, err = _run(capsys, "gb", path)
+            assert (code, out) == (2, "")
+            assert err == f"error: line 3, col {col}: power may expand to more than 1000 terms\n"
 
     def test_long_rational_coefficients_print(self, tmp_path, capsys):
         # x - 1/R^8 for the 600-digit repunit R: a 4793-digit denominator,

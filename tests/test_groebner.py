@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpus import random_poly, random_poly_q
 from gbsolve import groebner
@@ -315,6 +317,29 @@ class TestTriviality:
         verdict = is_trivial(unit)
         assert [to_text(c) for c in verdict.certificate] == ["4", "4", "1"]
         assert calls == [(TermOrder.lex(3), True)]
+
+    @settings(max_examples=80, derandomize=True, database=None, deadline=None)
+    @given(
+        st.sampled_from([F3, F5]),
+        st.integers(2, 3),
+        st.integers(1, 3),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_verdict_does_not_depend_on_the_cached_basis(self, field, nvars, ngens, seed):
+        rng = random.Random(seed)
+        gens = [random_poly(rng, field, nvars, max_total=2, max_terms=4) for _ in range(ngens)]
+        ideals = [Ideal(gens, domain=field, nvars=nvars) for _ in range(3)]
+        ideals[1].groebner(TermOrder.lex(nvars))
+        ideals[2].groebner(TermOrder.weighted((1,) * nvars))
+        verdicts = [is_trivial(ideal) for ideal in ideals]
+        assert verdicts[0] == verdicts[1] == verdicts[2]  # verdict and certificate
+        if verdicts[0]:
+            acc = Polynomial.zero(field, nvars)
+            for cof, gen in zip(verdicts[0].certificate, gens):
+                acc = acc + cof * gen
+            assert acc.is_one()
+        eliminants = [eliminate_to_x1(ideal) for ideal in ideals]
+        assert eliminants[0] == eliminants[1] == eliminants[2]
 
     def test_proper_ideal_has_no_certificate(self):
         x1, x2 = _vars(F3, 2)

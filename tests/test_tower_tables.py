@@ -159,28 +159,55 @@ def _degree_chains(k):
                 yield (d,) + rest
 
 
+def _multiplicative_order(a, ref):
+    """The least k >= 1 with a^k = 1, by repeated reference products."""
+    x, k = a, 1
+    while not ref.is_one(x):
+        x, k = ref.mul(x, a), k + 1
+    return k
+
+
 @pytest.mark.parametrize("p, k", list(_prime_powers(TABLE_MAX_ORDER)))
 def test_every_order_up_to_the_bound_gets_tables(p, k):
     for degrees in _degree_chains(k):
         tower = _stack(p, degrees)
-        g = tower.generator()
-        assert tower.mul(g, g) == PolynomialTower(tower).mul(g, g)
-        assert tower._log, degrees  # tables built and accepted
+        assert tower._log, degrees  # built when the level was stacked
         assert len(tower._log) == tower.order - 1
+        ref = PolynomialTower(tower)
+        first = next(
+            a
+            for a in map(tower.element, range(1, tower.order))
+            if _multiplicative_order(a, ref) == tower.order - 1
+        )
+        assert tower._exp[1] == first, degrees
+        g = tower.generator()
+        assert tower.mul(g, g) == ref.mul(g, g)
 
 
-def test_a_reducible_level_keeps_polynomial_arithmetic(monkeypatch):
+# reducible levels over F3, each with a zero divisor of the quotient ring
+REDUCIBLE = [
+    # x^2 + 2 = (x - 1)(x + 1); t1 - 1
+    pytest.param((2, 0, 1), (2, 1), id="GF(9)-split"),
+    # (x^2 + 1)^2 and (x^2 + 1)(x^2 + x + 2), both rootless; t1^2 + 1
+    pytest.param((1, 0, 2, 0, 1), (1, 0, 1), id="GF(81)-square"),
+    pytest.param((2, 1, 0, 1, 1), (1, 0, 1), id="GF(81)-product"),
+]
+
+
+@pytest.mark.parametrize("minpoly, zero_divisor", REDUCIBLE)
+def test_a_reducible_level_keeps_polynomial_arithmetic(monkeypatch, minpoly, zero_divisor):
     # only reachable when a reducible minimal polynomial slips past the check
     monkeypatch.setattr(unipoly, "is_irreducible", lambda f, F: True)
-    bad = GF(3).extend((2, 0, 1))  # x^2 + 2 = (x - 1)(x + 1) over F3
+    bad = GF(3).extend(minpoly)
+    assert bad._log is False  # the walk found no generator
     ref = PolynomialTower(bad)
     elements = list(bad.elements())
-    for a in elements:
-        for b in elements:
+    stride = 1 if len(elements) < 81 else 9  # every pair at order 9, a ninth at 81
+    for i, a in enumerate(elements):
+        for b in elements[i % stride :: stride]:
             assert bad.mul(a, b) == ref.mul(a, b)
             assert bad.add(a, b) == ref.add(a, b)
             assert bad.sub(a, b) == ref.sub(a, b)
         assert bad.neg(a) == ref.neg(a)
-    assert bad._log is False  # the check refused the tables
     with pytest.raises(InvariantViolation, match="shares a factor"):
-        bad.inv((2, 1))  # t1 - 1
+        bad.inv(zero_divisor)
