@@ -1,8 +1,11 @@
 """Coefficient domains: exact rationals, prime fields and their extension towers.
 
 Tower elements are plain nested tuples (ints at the prime-field floor), so they
-hash and compare structurally; the tower object itself carries the arithmetic.
-Every element handed to a tower operation must already live at that tower's top
+hash and compare structurally; the tower object itself carries the arithmetic,
+and ``FFElement`` only pairs an element with its tower.  A tower grows one
+level at a time from ``GF(p)``: ``extend`` and ``adjoin_root`` check a level
+from outside, and the solver stacks irreducible factors unchecked.  Every
+element handed to a tower operation must already live at that tower's top
 level; ``lift`` embeds elements from any prefix tower.
 
 A tower with at least one level and order q <= ``TABLE_MAX_ORDER`` computes
@@ -299,13 +302,14 @@ class FieldTower(Field):
     Zech tables (see the module docstring), which ``_stack`` builds with
     ``_tabulate``; ``_log`` is False for a tower without tables.
 
-    Every tower is built by one stacking step, ``_stack``, which checks
-    nothing.  A level from outside is checked once, before it is stacked:
-    ``FieldTower(p, levels)`` checks every level of its input, ``extend``
-    only the new one, sharing the tower it extends, and ``adjoin_root`` the
-    polynomial it is given.  The solver stacks the factors ``unipoly.factor``
-    returns and the output of ``unipoly.first_irreducible`` unchecked
-    (``_adjoin_irreducible``), as both are irreducible by construction.
+    ``FieldTower(p)`` is the prime field; every level above it is built by
+    one stacking step, ``_stack``, which checks nothing.  A level from
+    outside enters through ``extend``, which checks only the new level with
+    ``_check_level`` and shares the tower it extends; ``adjoin_root`` checks
+    a polynomial of degree >= 2 with the same ``_check_level``.  The solver
+    stacks the factors ``unipoly.factor`` returns and the output of
+    ``unipoly.first_irreducible`` unchecked (``_adjoin_irreducible``), as
+    both are irreducible by construction.
     """
 
     __slots__ = (
@@ -320,13 +324,7 @@ class FieldTower(Field):
         "_log_minus_one",  # log(-1): (q - 1)/2 for odd q, 0 in characteristic 2
     )
 
-    def __init__(self, p, levels=()):
-        levels = tuple(levels)
-        if levels:
-            sub = FieldTower(p, levels[:-1])
-            _check_level(sub, levels[-1])
-            self._stack(sub, levels[-1])
-            return
+    def __init__(self, p):
         if not is_probable_prime(p):
             raise UsageError(f"characteristic {p} is not prime")
         self.p = p
@@ -582,12 +580,10 @@ class FieldTower(Field):
 
 
 def _check_level(sub, top):
-    """Reject a level that cannot extend ``sub``: degree below 2, a minimal
-    polynomial that is not monic, or one that is reducible over ``sub``."""
+    """Reject a level that cannot extend ``sub``: degree below 2, or a monic
+    minimal polynomial that is reducible over ``sub``."""
     if top.degree < 2:
         raise UsageError("tower levels must have degree >= 2")
-    if not sub.is_one(top.minpoly[-1]):
-        raise UsageError("tower minimal polynomials must be monic")
     if not unipoly.is_irreducible(top.minpoly, sub):
         raise UsageError(f"minimal polynomial of {top.name} is reducible")
 
@@ -599,71 +595,14 @@ def GF(p):
 
 @dataclass(frozen=True)
 class FFElement:
-    """A tower element bundled with its tower, for API boundaries and tests."""
+    """A tower element bundled with its tower, for API boundaries and tests;
+    its arithmetic is the tower's."""
 
     tower: FieldTower
     rep: object
 
-    def _peer(self, other):
-        if isinstance(other, FFElement):
-            if other.tower != self.tower:
-                raise UsageError("elements live in different towers")
-            return other.rep
-        if isinstance(other, int):
-            return self.tower.from_int(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        rep = self._peer(other)
-        if rep is NotImplemented:
-            return NotImplemented
-        return FFElement(self.tower, self.tower.add(self.rep, rep))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        rep = self._peer(other)
-        if rep is NotImplemented:
-            return NotImplemented
-        return FFElement(self.tower, self.tower.sub(self.rep, rep))
-
-    def __rsub__(self, other):
-        rep = self._peer(other)
-        if rep is NotImplemented:
-            return NotImplemented
-        return FFElement(self.tower, self.tower.sub(rep, self.rep))
-
-    def __mul__(self, other):
-        rep = self._peer(other)
-        if rep is NotImplemented:
-            return NotImplemented
-        return FFElement(self.tower, self.tower.mul(self.rep, rep))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        rep = self._peer(other)
-        if rep is NotImplemented:
-            return NotImplemented
-        return FFElement(self.tower, self.tower.div(self.rep, rep))
-
-    def __neg__(self):
-        return FFElement(self.tower, self.tower.neg(self.rep))
-
-    def __pow__(self, e):
-        return FFElement(self.tower, unipoly.elem_pow(self.rep, e, self.tower))
-
-    def is_zero(self):
-        return self.tower.is_zero(self.rep)
-
     def __str__(self):
         return self.tower.to_text(self.rep)
-
-
-def enumerate_elements(tower):
-    """Yield every tower element in canonical order, starting at zero."""
-    for rep in tower.elements():
-        yield FFElement(tower, rep)
 
 
 def adjoin_root(tower, g):
@@ -676,8 +615,8 @@ def adjoin_root(tower, g):
     if unipoly.deg(g) < 1:
         raise UsageError("cannot adjoin a root of a constant")
     g = unipoly.monic(g, tower)
-    if unipoly.deg(g) > 1 and not unipoly.is_irreducible(g, tower):
-        raise UsageError(f"{tower.tag}: cannot adjoin a root of a reducible polynomial")
+    if unipoly.deg(g) > 1:
+        _check_level(tower, TowerLevel(f"t{len(tower.levels) + 1}", g))
     return _adjoin_irreducible(tower, g)
 
 
@@ -690,13 +629,6 @@ def _adjoin_irreducible(tower, g):
     bigger = object.__new__(FieldTower)
     bigger._stack(tower, TowerLevel(f"t{len(tower.levels) + 1}", g))
     return bigger, FFElement(bigger, bigger.generator())
-
-
-def extended_gcd(f, g, F):
-    """Extended gcd with a monic result; rejects the (0, 0) input pair."""
-    if unipoly.is_zero(unipoly.trim(f, F)) and unipoly.is_zero(unipoly.trim(g, F)):
-        raise UsageError("extended gcd of two zero polynomials")
-    return unipoly.xgcd(f, g, F)
 
 
 @dataclass(frozen=True)

@@ -25,19 +25,6 @@ def exp_add(s, t):
     return tuple(a + b for a, b in zip(s, t))
 
 
-def exp_sub(s, t):
-    return tuple(a - b for a, b in zip(s, t))
-
-
-def exp_lcm(s, t):
-    return tuple(max(a, b) for a, b in zip(s, t))
-
-
-def exp_divides(s, t):
-    """True when the term with exponents s divides the term with exponents t."""
-    return all(a <= b for a, b in zip(s, t))
-
-
 def _compile_key(priority, weights):
     """Key function of an order: the exponents in priority order, led by the
     weighted degree when the order is weighted."""
@@ -239,18 +226,6 @@ class Polynomial:
 
     def is_constant(self):
         return all(not any(exps) for exps in self.coeffs)
-
-    def constant_value(self):
-        if self.is_zero():
-            return self.domain.zero()
-        if not self.is_constant():
-            raise UsageError("polynomial is not constant")
-        return self.coeffs[(0,) * self.nvars]
-
-    def total_degree(self):
-        if not self.coeffs:
-            return -1
-        return max(sum(exps) for exps in self.coeffs)
 
     def univariate_in(self, var):
         """True when no variable other than var appears (constants qualify)."""

@@ -104,11 +104,6 @@ def power(a, e, mul, one):
     return one if result is None else result
 
 
-def poly_pow(f, e, F):
-    """f**e by squaring, e >= 0."""
-    return power(f, e, lambda g, h: mul(g, h, F), one(F))
-
-
 def divmod_(f, g, F):
     """Quotient and remainder of f by nonzero g; a monic g inverts nothing."""
     if not g:

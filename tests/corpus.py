@@ -1,11 +1,48 @@
-"""Shared test helpers: seeded random generators and brute-force oracles."""
+"""Shared test helpers: seeded random generators, brute-force oracles and the
+plain references that kernel arithmetic is checked against."""
 
 import itertools
 from fractions import Fraction
 
 from gbsolve import unipoly
+from gbsolve.errors import UsageError
 from gbsolve.groebner import member
 from gbsolve.poly import Polynomial
+
+
+# Tuple references for the packed exponent arithmetic of gbsolve.poly.
+def exp_sub(s, t):
+    return tuple(a - b for a, b in zip(s, t))
+
+
+def exp_lcm(s, t):
+    return tuple(max(a, b) for a, b in zip(s, t))
+
+
+def exp_divides(s, t):
+    """True when the term with exponents s divides the term with exponents t."""
+    return all(a <= b for a, b in zip(s, t))
+
+
+def poly_pow(f, e, F):
+    """f**e of a dense univariate tuple by squaring, e >= 0."""
+    return unipoly.power(f, e, lambda g, h: unipoly.mul(g, h, F), unipoly.one(F))
+
+
+def constant_value(f):
+    """The constant term of a constant polynomial."""
+    if f.is_zero():
+        return f.domain.zero()
+    if not f.is_constant():
+        raise UsageError("polynomial is not constant")
+    return f.coeffs[(0,) * f.nvars]
+
+
+def total_degree(f):
+    """The largest total degree of a term of f, -1 for zero."""
+    if not f.coeffs:
+        return -1
+    return max(sum(exps) for exps in f.coeffs)
 
 
 def exponent_tuples(nvars, max_total):

@@ -7,12 +7,18 @@ import sys
 
 import pytest
 
-from corpus import ideals_equal, random_poly, random_poly_q
+from corpus import constant_value, ideals_equal, random_poly, random_poly_q
 from gbsolve import cli
 from gbsolve.errors import ParseError
 from gbsolve.fields import GF, QQ
 from gbsolve.groebner import Ideal
-from gbsolve.parser import MAX_DIGITS, MAX_POWER_TERMS, parse_polynomial, parse_problem
+from gbsolve.parser import (
+    MAX_DIGITS,
+    MAX_POWER_BITS,
+    MAX_POWER_TERMS,
+    parse_polynomial,
+    parse_problem,
+)
 from gbsolve.poly import MAX_DENSE_DEGREE, Polynomial, to_text
 
 F5 = GF(5)
@@ -54,7 +60,7 @@ class TestParseProblem:
     def test_rational_literal_over_a_prime_field(self):
         problem = parse_problem("field p 5\nvars x\n3/4\n")
         # 3 * 4^-1 = 3 * 4 = 12 = 2
-        assert problem.gens[0].constant_value() == 2
+        assert constant_value(problem.gens[0]) == 2
 
     def test_vanishing_denominator(self):
         with pytest.raises(ParseError, match="denominator vanishes"):
@@ -318,6 +324,32 @@ class TestCommands:
             code, out, err = _run(capsys, "gb", path)
             assert (code, out) == (2, "")
             assert err == f"error: line 3, col {col}: power may expand to more than 1000 terms\n"
+
+    def test_one_term_rational_powers_are_bounded(self, tmp_path, capsys):
+        # c^e for c = a/b counts max(|a|, b).bit_length() - 1 bits per factor
+        head = "field q\nvars x\n"
+        (f,) = parse_problem(f"{head}2^{MAX_POWER_BITS}*x - 1\n").gens
+        assert f.coeffs[(1,)] == 2**MAX_POWER_BITS
+        nines = "9" * MAX_DIGITS  # refused before any power is taken
+        over = MAX_POWER_BITS + 1
+        for line, col in (
+            (f"2^{over}*x - 1", 3),
+            (f"(2*x)^{over}", 7),
+            (f"(3/4)^{over // 2 + 1}*x", 7),
+            (f"2^{nines}*x - 1", 3),
+        ):
+            path = _problem(tmp_path, f"{head}{line}\n")
+            code, out, err = _run(capsys, "gb", path)
+            assert (code, out) == (2, "")
+            assert err == (
+                f"error: line 3, col {col}: "
+                f"power would have a coefficient of more than {MAX_POWER_BITS} bits\n"
+            )
+        # coefficients that do not grow: +-1, a bare monomial, a prime field
+        (f,) = parse_problem(f"{head}(-1)^{nines}*x - x^{nines} + 1\n").gens
+        assert f.coeffs == {(1,): -1, (int(nines),): -1, (0,): 1}
+        (f,) = parse_problem(f"field p 5\nvars x\n2^{nines}*x - 1\n").gens
+        assert f.coeffs == {(1,): pow(2, int(nines), 5), (0,): 4}
 
     def test_long_rational_coefficients_print(self, tmp_path, capsys):
         # x - 1/R^8 for the 600-digit repunit R: a 4793-digit denominator,

@@ -11,10 +11,10 @@ import random
 
 import pytest
 
-from corpus import random_poly, random_poly_q
+from corpus import exp_divides, exp_sub, random_poly, random_poly_q
 from gbsolve import euclidean, groebner
 from gbsolve.fields import GF, QQ, UnivariatePolyDomain
-from gbsolve.poly import Polynomial, TermOrder, exp_divides, exp_sub
+from gbsolve.poly import Polynomial, TermOrder
 
 F5 = GF(5)
 F49 = GF(7).extend((1, 0, 1))  # t^2 + 1 has no root mod 7

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from corpus import random_poly, random_poly_q
+from corpus import exp_divides, exp_lcm, random_poly, random_poly_q
 from gbsolve import euclidean
 from gbsolve.errors import SpecializationError, UsageError
 from gbsolve.fields import GF, QQ, UnivariatePolyDomain
@@ -17,7 +17,7 @@ from gbsolve.groebner import (
     reduce,
     spoly,
 )
-from gbsolve.poly import Polynomial, TermOrder, exp_divides, exp_lcm, to_text
+from gbsolve.poly import Polynomial, TermOrder, to_text
 
 F3 = GF(3)
 F5 = GF(5)

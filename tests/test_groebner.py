@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import random_poly, random_poly_q
+from corpus import exp_divides, exp_lcm, random_poly, random_poly_q
 from gbsolve import groebner
 from gbsolve.errors import UsageError
 from gbsolve.fields import GF, QQ
@@ -21,7 +21,7 @@ from gbsolve.groebner import (
     reduce,
     spoly,
 )
-from gbsolve.poly import Polynomial, TermOrder, exp_divides, exp_lcm, to_text
+from gbsolve.poly import Polynomial, TermOrder, to_text
 
 F2 = GF(2)
 F3 = GF(3)

@@ -7,13 +7,13 @@ from pathlib import Path
 
 import pytest
 
-from corpus import common_zeros, ideals_equal, random_poly
+from corpus import common_zeros, exp_divides, ideals_equal, random_poly
 from gbsolve import groebner, solver, unipoly
 from gbsolve.errors import KernelError, UsageError
-from gbsolve.fields import GF, QQ, FFElement, FieldTower, TowerLevel, adjoin_root
+from gbsolve.fields import GF, QQ, FFElement, adjoin_root
 from gbsolve.groebner import Ideal, is_trivial, member
 from gbsolve.parser import parse_problem
-from gbsolve.poly import Polynomial, TermOrder, exp_divides, to_text
+from gbsolve.poly import Polynomial, TermOrder, to_text
 from gbsolve.solver import (
     Point,
     Trivial,
@@ -236,16 +236,20 @@ class TestSolve:
         calls.clear()
         good_specialization_point(_uni(F3, 0, 1) * _uni(F3, 2, 1) * _uni(F3, 1, 1))
         assert len(calls) == searched
-        # a level from outside is still checked: x^2 + 2 = (x - 1)(x + 1) over F3
-        calls.clear()
-        for build in (
-            lambda: adjoin_root(F3, (2, 0, 1)),
-            lambda: F3.extend((2, 0, 1)),
-            lambda: FieldTower(3, [TowerLevel("t1", (2, 0, 1))]),
-        ):
-            with pytest.raises(UsageError):
+
+    def test_a_level_from_outside_is_checked(self, monkeypatch):
+        calls = []
+        real = unipoly.is_irreducible
+        monkeypatch.setattr(
+            unipoly, "is_irreducible", lambda f, F: calls.append(F) or real(f, F)
+        )
+        # x^2 + 2 = (x - 1)(x + 1) over F3: one check, one message, either way
+        for build in (lambda: adjoin_root(F3, (2, 0, 1)), lambda: F3.extend((2, 0, 1))):
+            calls.clear()
+            with pytest.raises(UsageError) as raised:
                 build()
-        assert calls == [F3, F3, F3]
+            assert str(raised.value) == "minimal polynomial of t1 is reducible"
+            assert calls == [F3]
 
     def test_zero_ideal_yields_the_origin(self):
         outcome, trace = solve(Ideal([], domain=F3, nvars=2))

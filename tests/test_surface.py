@@ -1,0 +1,73 @@
+"""The kernel's public surface: every definition has a use, and every name the
+tracer patches is where it looks.
+
+A top-level function or class of a kernel module counts as used when some
+kernel module names it, as an identifier or as an attribute, or when the
+package exports it through ``gbsolve.__all__``.  A helper that only tests call
+belongs in ``tests/corpus.py``.
+
+``bench/tracing.py`` patches kernel names from four tables, so a deleted or
+renamed name breaks every traced benchmark run; it is loaded here by path.
+"""
+
+import ast
+import importlib
+import importlib.util
+from pathlib import Path
+
+import gbsolve
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "gbsolve"
+TRACING = ROOT / "bench" / "tracing.py"
+
+
+def _named(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def unused_definitions(sources, exported):
+    """(module, name) for every top-level function or class of the sources
+    (module name -> source text) that no source names and that is not in
+    ``exported``."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    named = {name for tree in trees.values() for name in _named(tree)}
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return [
+        (module, node.name)
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, defs) and node.name not in named | exported
+    ]
+
+
+def test_the_check_sees_an_unused_definition():
+    sources = {
+        "a": "def called(): pass\ndef dead(): pass\nclass Exported: pass\n",
+        "b": "from .a import called\ncalled()\nx.attribute\ndef attribute(): pass\n",
+    }
+    assert unused_definitions(sources, {"Exported"}) == [("a", "dead")]
+
+
+def test_every_kernel_definition_is_used_or_exported():
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert unused_definitions(sources, set(gbsolve.__all__)) == []
+
+
+def test_every_name_the_tracer_patches_exists():
+    spec = importlib.util.spec_from_file_location("tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for module, attr, _ in tracing.SPAN_FUNCTIONS + tracing.COUNT_FUNCTIONS:
+        if not callable(getattr(importlib.import_module(f"gbsolve.{module}"), attr, None)):
+            missing.append(f"{module}.{attr}")
+    for module, cls, attr, _ in tracing.SPAN_METHODS + tracing.COUNT_METHODS:
+        owner = getattr(importlib.import_module(f"gbsolve.{module}"), cls, None)
+        if owner is None or attr not in vars(owner):
+            missing.append(f"{module}.{cls}.{attr}")
+    assert missing == []

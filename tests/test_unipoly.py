@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from corpus import textbook_divmod
+from corpus import poly_pow, textbook_divmod
 from gbsolve import unipoly
 from gbsolve.errors import UsageError
 from gbsolve.fields import GF, QQ, FieldTower
@@ -162,7 +162,7 @@ class TestDerivativeAndSquarefree:
                 parts = unipoly.sqf_list(unipoly.monic(f, field), field)
                 acc = unipoly.one(field)
                 for g, e in parts:
-                    acc = unipoly.mul(acc, unipoly.poly_pow(g, e, field), field)
+                    acc = unipoly.mul(acc, poly_pow(g, e, field), field)
                 assert acc == unipoly.monic(f, field)
 
 
@@ -180,7 +180,7 @@ class TestFactor:
                 assert F_is_monic(g, field)
                 if field.order <= 9:
                     assert _irreducible_by_trial_division(g, field)
-                acc = unipoly.mul(acc, unipoly.poly_pow(g, e, field), field)
+                acc = unipoly.mul(acc, poly_pow(g, e, field), field)
             assert acc == unipoly.monic(f, field)
 
     def test_factor_is_deterministic(self):
@@ -251,7 +251,7 @@ def _ladder_cost(e):
 class TestPower:
     """Every power in the kernel goes through ``unipoly.power``."""
 
-    @pytest.mark.parametrize("site", ["elem_pow", "poly_pow", "pow_mod", "Polynomial"])
+    @pytest.mark.parametrize("site", ["elem_pow", "pow_mod", "Polynomial"])
     def test_ladder_matches_repeated_products_at_its_cost(self, site, monkeypatch):
         if site == "elem_pow":
             a = F9.add(F9.generator(), F9.one())
@@ -272,12 +272,8 @@ class TestPower:
             counted = _counting(unipoly.mul)
             monkeypatch.setattr(unipoly, "mul", counted)
             one = unipoly.one(F3)
-            if site == "poly_pow":
-                raise_to = lambda e: unipoly.poly_pow(f, e, F3)
-                step = lambda acc: unipoly.mul(acc, f, F3)
-            else:
-                raise_to = lambda e: unipoly.pow_mod(f, e, m, F3)
-                step = lambda acc: unipoly.rem(unipoly.mul(acc, f, F3), m, F3)
+            raise_to = lambda e: unipoly.pow_mod(f, e, m, F3)
+            step = lambda acc: unipoly.rem(unipoly.mul(acc, f, F3), m, F3)
         naive = one
         for e in range(65):
             counted.calls = 0
@@ -291,7 +287,7 @@ class TestPower:
         with pytest.raises(UsageError):
             unipoly.pow_mod((0, 1), -3, (1, 0, 1), F3)
         with pytest.raises(UsageError):
-            unipoly.poly_pow((0, 1), -1, F3)
+            poly_pow((0, 1), -1, F3)
 
 
 class TestIrreducible:
