@@ -18,8 +18,8 @@ denominator have at most ``MAX_DIGITS`` digits; over a prime field it means
 at most ``MAX_NESTING`` levels deep; the parser recurses once per level.
 An integer literal (coefficient, denominator, exponent or prime) has at most
 ``MAX_DIGITS`` digits.  A power of a base with two or more terms may expand
-to at most ``MAX_POWER_TERMS`` terms, and a power of one term over the
-rationals is refused when its coefficient would pass ``MAX_POWER_BITS`` bits.
+to at most ``MAX_POWER_TERMS`` terms, and over the rationals a power or a
+product is refused when its coefficients could pass ``MAX_POWER_BITS`` bits.
 """
 
 from __future__ import annotations
@@ -49,11 +49,14 @@ MAX_DIGITS = 640
 # may have more than this many terms, C(e+k-1, k-1) for the exponent e.
 MAX_POWER_TERMS = 1000
 
-# A power of one term over the rationals keeps one term, but c^e has about
-# e * log2(c) bits, and its printing costs time quadratic in its length:
-# gb on 2^e*x - 1 took 0.10 s for e = 3*10**5, 1.1 s for 10**6 and 4.4 s for
-# 2*10**6.  Over ``field q``, c^e for a one-term base c*m with c = a/b is
-# refused when e * (max(|a|, b).bit_length() - 1) is above this bound.
+# Over the rationals c^e has about e * log2(c) bits, and printing costs time
+# quadratic in its length: gb on 2^e*x - 1 took 0.10 s for e = 3*10**5, 1.1 s
+# for 10**6 and 4.4 s for 2*10**6.  Over ``field q`` a polynomial's size is
+# the largest max(|a|, b).bit_length() - 1 over its coefficients a/b
+# (``_coeff_bits``).  A product is refused when its factors' sizes sum past
+# this bound, and a power f^e of f with k >= 1 terms when
+# e * (size + (k - 1).bit_length()) does: a coefficient of f^e is a sum of
+# at most k^e products of e coefficients of f.
 MAX_POWER_BITS = 10**6
 
 _TOKEN = re.compile(
@@ -89,6 +92,14 @@ def _tokenize_line(text, line):
     return out
 
 
+def _coeff_bits(p):
+    """The largest max(|a|, b).bit_length() - 1 over p's coefficients a/b."""
+    return max(
+        (max(abs(c.numerator), c.denominator).bit_length() - 1 for c in p.coeffs.values()),
+        default=0,
+    )
+
+
 class _PolyParser:
     """Recursive descent over one line's tokens."""
 
@@ -96,6 +107,7 @@ class _PolyParser:
         self.tokens = tokens
         self.pos = 0
         self.domain = domain
+        self.rational = domain == QQ  # only rational coefficients grow
         self.names = names
         self.nvars = len(names)
         self.line = line
@@ -146,7 +158,11 @@ class _PolyParser:
             tok = self.peek()
             if tok is not None and tok.kind == "op" and tok.text == "*":
                 self.take()
-                p = p * self.unary()
+                q = self.unary()
+                if self.rational and _coeff_bits(p) + _coeff_bits(q) > MAX_POWER_BITS:
+                    message = f"product would have a coefficient of more than {MAX_POWER_BITS} bits"
+                    self.fail(message, tok)
+                p = p * q
             else:
                 return p
 
@@ -179,10 +195,9 @@ class _PolyParser:
                 if terms > MAX_POWER_TERMS:
                     message = f"power may expand to more than {MAX_POWER_TERMS} terms"
                     self.fail(message, etok)
-            if k == 1 and self.domain == QQ:
-                (c,) = p.coeffs.values()
-                bits = max(abs(c.numerator), c.denominator).bit_length() - 1
-                if e * bits > MAX_POWER_BITS:
+            if self.rational and k:
+                bits = e * (_coeff_bits(p) + (k - 1).bit_length())
+                if bits > MAX_POWER_BITS:
                     message = f"power would have a coefficient of more than {MAX_POWER_BITS} bits"
                     self.fail(message, etok)
             return p ** e

@@ -4,13 +4,20 @@ A polynomial is a tuple of field elements in ascending degree order with no
 trailing zeros; the zero polynomial is the empty tuple.  Every function takes
 the field object last.  The factorization routines additionally require a
 finite field exposing ``char``, ``order`` and index-based element access.
+
+``factor`` splits f into squarefree parts (``sqf_list``).  In odd
+characteristic a part of degree 2 splits by one square root in the field
+(``_split_quadratic``, ``_sqrt``); every other part goes through
+distinct-degree (``ddf``) and randomized equal-degree (``edf``, Cantor and
+Zassenhaus 1981) factorization.  The result is unique and sorted, so the
+random source never reaches it.
 """
 
 from __future__ import annotations
 
 import random
 
-from .errors import UsageError
+from .errors import InvariantViolation, UsageError
 
 
 def trim(f, F):
@@ -246,6 +253,8 @@ def sqf_list(f, F):
         df = derivative(f, F)
         if df:
             g = gcd(f, df, F)
+            if deg(g) == 0:  # f is squarefree: the loop below would add (f, n)
+                return factors + [(f, n)]
             h = quo(f, g, F)
             i = 1
             while deg(h) > 0:
@@ -325,6 +334,62 @@ def edf(f, d, F, rng):
     return out
 
 
+def _sqrt(a, F):
+    """A square root of a in the finite field F of odd order q, or None.
+
+    Euler's criterion decides: a nonzero a is a square exactly when
+    a^((q-1)/2) = 1.  A square is then rooted by Tonelli-Shanks (Shanks 1973;
+    Cohen, GTM 138, Alg. 1.5.1) with q - 1 = 2^s * t, t odd.  It needs a
+    non-square only when a^t != 1, and takes the last one in ``element``
+    order, searching down from element(q - 1); going downwards skips the
+    sub-level, whose elements are all squares when the top level has even
+    degree.
+    """
+    if F.is_zero(a):
+        return a
+    q = F.order
+    if not F.is_one(elem_pow(a, (q - 1) // 2, F)):
+        return None
+    s = ((q - 1) & (1 - q)).bit_length() - 1
+    t = (q - 1) >> s
+    x = elem_pow(a, (t - 1) // 2, F)
+    x, b = F.mul(a, x), F.mul(a, F.mul(x, x))  # x^2 = a*b, b = a^t
+    if F.is_one(b):
+        return x
+    for i in range(q - 1, 0, -1):
+        c = F.element(i)
+        if not F.is_one(elem_pow(c, (q - 1) // 2, F)):
+            break
+    y, r = elem_pow(c, t, F), s  # y has order 2^r, b order 2^m with m < r
+    for _ in range(s):  # r falls at every step
+        if F.is_one(b):
+            return x
+        m, b2 = 1, F.mul(b, b)
+        for _ in range(r):
+            if F.is_one(b2):
+                break
+            m, b2 = m + 1, F.mul(b2, b2)
+        z = y
+        for _ in range(r - m - 1):
+            z = F.mul(z, z)
+        y, r = F.mul(z, z), m
+        x, b = F.mul(x, z), F.mul(b, y)
+    raise InvariantViolation(f"{F.tag}: Tonelli-Shanks did not reach a root")
+
+
+def _split_quadratic(g, F):
+    """The monic irreducible factors of a monic squarefree quadratic g over
+    a field of odd characteristic: g = (x + h)^2 - (h^2 - g0) with h = g1/2,
+    so g splits into x + h - r and x + h + r when r^2 = h^2 - g0 has a root r.
+    """
+    h = F.mul(g[1], F.from_int((F.char + 1) // 2))  # (p+1)/2 is 1/2 mod p
+    r = _sqrt(F.sub(F.mul(h, h), g[0]), F)
+    if r is None:
+        return [g]
+    one = F.one()
+    return [(F.sub(h, r), one), (F.add(h, r), one)]
+
+
 def factor_key(g, F):
     """Canonical sort key: linear factors by root, others by coefficient index."""
     if deg(g) == 1:
@@ -341,6 +406,9 @@ def factor(f, F, rng=None):
         rng = random.Random(0)
     out = []
     for g, e in sqf_list(f, F):
+        if deg(g) == 2 and F.char != 2:
+            out.extend((irr, e) for irr in _split_quadratic(g, F))
+            continue
         for part, d in ddf(g, F):
             for irr in edf(part, d, F, rng):
                 out.append((monic(irr, F), e))

@@ -29,6 +29,17 @@ def poly_pow(f, e, F):
     return unipoly.power(f, e, lambda g, h: unipoly.mul(g, h, F), unipoly.one(F))
 
 
+def reference_factor(f, F, rng):
+    """factor's answer through sqf_list, ddf and edf alone, with no square-root
+    split of quadratics: the reference for unipoly.factor."""
+    out = []
+    for g, e in unipoly.sqf_list(f, F):
+        for part, d in unipoly.ddf(g, F):
+            for irr in unipoly.edf(part, d, F, rng):
+                out.append((unipoly.monic(irr, F), e))
+    return sorted(out, key=lambda ge: unipoly.factor_key(ge[0], F))
+
+
 def constant_value(f):
     """The constant term of a constant polynomial."""
     if f.is_zero():

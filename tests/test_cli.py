@@ -1,5 +1,6 @@
 """Problem-file grammar and the command-line transcript contract."""
 
+import math
 import os
 import random
 import subprocess
@@ -350,6 +351,29 @@ class TestCommands:
         assert f.coeffs == {(1,): -1, (int(nines),): -1, (0,): 1}
         (f,) = parse_problem(f"field p 5\nvars x\n2^{nines}*x - 1\n").gens
         assert f.coeffs == {(1,): pow(2, int(nines), 5), (0,): 4}
+
+    def test_rational_products_and_powers_of_sums_are_bounded(self, tmp_path, capsys):
+        # a product sums its factors' bits; f^e with k terms counts
+        # e * (bits + (k - 1).bit_length())
+        half = MAX_POWER_BITS // 2
+        (f,) = parse_problem(f"field q\nvars x\n2^{half}*2^{half}*x\n").gens
+        assert f.coeffs == {(1,): 2**MAX_POWER_BITS}
+        (f,) = parse_problem("field q\nvars x1\n(x1+1)^999\n").gens
+        assert len(f.coeffs) == 1000 and f.coeffs[(499,)] == math.comb(999, 499)
+        big = "9" * MAX_DIGITS
+        for line, col, what in (
+            ("2^1000000*2^1000000*2^1000000*2^1000000*x - 1", 10, "product"),
+            (f"2^{half}*2^{half + 1}*x", 9, "product"),
+            (f"({big}*x + 1)^999", MAX_DIGITS + 10, "power"),
+            ("(2^1001*x + 1)^999", 16, "power"),
+        ):
+            path = _problem(tmp_path, f"field q\nvars x\n{line}\n")
+            code, out, err = _run(capsys, "gb", path)
+            assert (code, out) == (2, "")
+            assert err == (
+                f"error: line 3, col {col}: "
+                f"{what} would have a coefficient of more than {MAX_POWER_BITS} bits\n"
+            )
 
     def test_long_rational_coefficients_print(self, tmp_path, capsys):
         # x - 1/R^8 for the 600-digit repunit R: a 4793-digit denominator,

@@ -10,17 +10,23 @@ import random
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from corpus import poly_pow, textbook_divmod
+from corpus import poly_pow, reference_factor, textbook_divmod
 from gbsolve import unipoly
 from gbsolve.errors import UsageError
 from gbsolve.fields import GF, QQ, FieldTower
 from gbsolve.poly import Polynomial
 
-F2, F3, F5 = GF(2), GF(3), GF(5)
+F2, F3, F5, F7 = GF(2), GF(3), GF(5), GF(7)
 F4 = F2.extend((1, 1, 1))
 F9 = F3.extend((1, 0, 1))
 F81 = F9.extend(unipoly.first_irreducible(2, F9))
+F25 = F5.extend(unipoly.first_irreducible(2, F5))
+F27 = F3.extend(unipoly.first_irreducible(3, F3))
+F49 = F7.extend(unipoly.first_irreducible(2, F7))
+F625 = F25.extend(unipoly.first_irreducible(2, F25))  # above TABLE_MAX_ORDER
 
 
 def _random_tuple(rng, field, max_deg):
@@ -226,6 +232,77 @@ class TestFactor:
             unipoly.factor((3,), F5)
         with pytest.raises(UsageError):
             unipoly.factor((), F5)
+
+
+class TestQuadraticSplit:
+    """Squarefree quadratics in odd characteristic split by one square root."""
+
+    @pytest.mark.parametrize(
+        "field", [F3, F5, F7, F9, F25, F27, F49, F81], ids=lambda F: f"GF{F.order}"
+    )
+    def test_sqrt_of_every_element(self, field):
+        roots = {a: unipoly._sqrt(a, field) for a in field.elements()}
+        squares = {a for a, r in roots.items() if r is not None}
+        assert all(field.mul(r, r) == a for a, r in roots.items() if r is not None)
+        assert len(squares) == (field.order + 1) // 2
+        assert squares == {field.mul(b, b) for b in field.elements()}
+
+    @pytest.mark.parametrize("field", [F625, GF(32003)], ids=["GF625", "GF32003"])
+    def test_sqrt_on_a_fixed_sample(self, field):
+        squares = {field.mul(b, b) for b in field.elements()}
+        for i in random.Random(3).sample(range(field.order), 60):
+            a = field.element(i)
+            r = unipoly._sqrt(a, field)
+            assert (r is not None) == (a in squares), i
+            assert r is None or field.mul(r, r) == a, i
+
+    @settings(max_examples=120, derandomize=True, database=None, deadline=None)
+    @given(
+        st.sampled_from([F3, F5, F7, F9, F25, F81, F625, F4]),
+        st.sampled_from(["split", "irreducible", "squared", "product"]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_factor_matches_the_reference(self, field, shape, seed):
+        rng = random.Random(seed)
+
+        def monic_of_degree(d):
+            tail = tuple(field.element(rng.randrange(field.order)) for _ in range(d))
+            return tail + (field.one(),)
+
+        if shape == "split":
+            a, b = rng.sample(range(field.order), 2)
+            one = field.one()
+            f = unipoly.mul((field.element(a), one), (field.element(b), one), field)
+        elif shape == "irreducible":
+            f = monic_of_degree(2)
+            while not unipoly.is_irreducible(f, field):  # about half of all quadratics are
+                f = monic_of_degree(2)
+        elif shape == "squared":
+            f = poly_pow(monic_of_degree(2), 2, field)
+        else:
+            f = (field.element(rng.randrange(1, field.order)),)
+            for _ in range(rng.randrange(1, 4)):
+                g = poly_pow(monic_of_degree(rng.randrange(1, 4)), rng.randrange(1, 3), field)
+                f = unipoly.mul(f, g, field)
+        want = reference_factor(f, field, random.Random(0))
+        assert unipoly.factor(f, field, random.Random(seed)) == want
+        if shape in ("split", "irreducible"):
+            assert len(want) == (2 if shape == "split" else 1)
+
+    def test_squarefree_quadratic_takes_one_gcd_and_no_ddf(self, monkeypatch):
+        calls = []
+        for name in ("ddf", "edf", "gcd"):
+            real = getattr(unipoly, name)
+            monkeypatch.setattr(
+                unipoly, name, lambda *a, real=real, name=name: calls.append(name) or real(*a)
+            )
+        t = F625.generator()
+        split = unipoly.mul((t, F625.one()), (F625.one(), F625.one()), F625)  # (x + t)(x + 1)
+        irreducible = unipoly.first_irreducible(2, F625)
+        for f, n in ((split, 2), (irreducible, 1)):
+            calls.clear()
+            assert len(unipoly.factor(f, F625)) == n
+            assert calls == ["gcd"]
 
 
 def F_is_monic(g, field):
