@@ -18,8 +18,14 @@ denominator have at most ``MAX_DIGITS`` digits; over a prime field it means
 at most ``MAX_NESTING`` levels deep; the parser recurses once per level.
 An integer literal (coefficient, denominator, exponent or prime) has at most
 ``MAX_DIGITS`` digits.  A power of a base with two or more terms may expand
-to at most ``MAX_POWER_TERMS`` terms, and over the rationals a power or a
-product is refused when its coefficients could pass ``MAX_POWER_BITS`` bits.
+to at most ``MAX_POWER_TERMS`` terms, and a product p*q is refused when
+len(p) * len(q) passes ``MAX_PRODUCT_TERMS``.  Over the rationals a power or
+a product is refused when one of its coefficients could pass
+``MAX_POWER_BITS`` bits, and a power also when all of them together could.
+
+Each generator or query line is worked out as one dict {exponent tuple:
+coefficient}, with integer coefficients over the rationals until ``a/b``
+makes a Fraction, and becomes a single Polynomial at the end of the line.
 """
 
 from __future__ import annotations
@@ -29,7 +35,8 @@ from dataclasses import dataclass
 
 from .errors import ParseError
 from .fields import GF, QQ, is_probable_prime
-from .poly import Polynomial
+from .poly import Polynomial, exp_add
+from .unipoly import power
 
 _KEYWORDS = frozenset({"field", "vars", "query"})
 
@@ -42,8 +49,8 @@ MAX_NESTING = 100
 # literals are a parse error, so no limit setting can turn one into a crash.
 MAX_DIGITS = 640
 
-# A power of a sum expands term by term through Polynomial.__pow__, with no
-# bound of its own: (x1+1)^1000 took 0.88 s over GF(32003) and 2.55 s over
+# A power of a sum expands term by term, with no bound of its own: through
+# Polynomial.__pow__, (x1+1)^1000 took 0.88 s over GF(32003) and 2.55 s over
 # QQ, and ^2000 took 3.25 s and 9.51 s, while a 640-digit exponent is a legal
 # literal.  A power of a base with k >= 2 terms is refused when its expansion
 # may have more than this many terms, C(e+k-1, k-1) for the exponent e.
@@ -56,187 +63,223 @@ MAX_POWER_TERMS = 1000
 # (``_coeff_bits``).  A product is refused when its factors' sizes sum past
 # this bound, and a power f^e of f with k >= 1 terms when
 # e * (size + (k - 1).bit_length()) does: a coefficient of f^e is a sum of
-# at most k^e products of e coefficients of f.
+# at most k^e products of e coefficients of f.  Such a power is refused as
+# well when its at most C(e+k-1, k-1) coefficients could pass the bound
+# together, so (2^1000*x + 1)^999 cannot ask for 1000 coefficients of about
+# 10^6 bits each.
 MAX_POWER_BITS = 10**6
 
+# A product of sums multiplies every term of one factor by every term of
+# the other: (x1+1)*(x2+1)*...*(xn+1) has 2^n terms, its 16,384 terms for
+# n = 14 took 0.15 s through Polynomial products, and a line of about 250
+# bytes reaches 2^30.  A product p*q is refused at its ``*`` when
+# len(p) * len(q) passes this bound.
+MAX_PRODUCT_TERMS = 1000
+
 _TOKEN = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^()/]))"
+    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^()/])"
+    r"|(?P<end>#|\Z)|(?P<bad>.))",
+    re.DOTALL,
 )
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    line: int
-    column: int
-
-
 def _tokenize_line(text, line):
-    pos = 0
+    """The line's tokens as (kind, text, column) tuples, closed by an
+    ("end", "", column) token placed just past the last one."""
     out = []
-    while pos < len(text):
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
-        if pos == len(text) or text[pos] == "#":
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "end":
             break
-        m = _TOKEN.match(text, pos)
-        if m is None or m.end() == pos:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, pos + 1)
-        if m.lastgroup == "int" and len(m.group("int")) > MAX_DIGITS:
-            message = f"integer literal longer than {MAX_DIGITS} digits"
-            raise ParseError(message, line, m.start("int") + 1)
-        if m.lastgroup is not None:
-            out.append(Token(m.lastgroup, m.group(m.lastgroup), line, m.start(m.lastgroup) + 1))
-        pos = m.end()
+        word, col = m.group(kind), m.start(kind) + 1
+        if kind == "bad":
+            raise ParseError(f"unexpected character {word!r}", line, col)
+        if kind == "int" and len(word) > MAX_DIGITS:
+            raise ParseError(f"integer literal longer than {MAX_DIGITS} digits", line, col)
+        out.append((kind, word, col))
+    _, word, col = out[-1] if out else ("end", "", 1)
+    out.append(("end", "", col + len(word)))
     return out
 
 
 def _coeff_bits(p):
     """The largest max(|a|, b).bit_length() - 1 over p's coefficients a/b."""
     return max(
-        (max(abs(c.numerator), c.denominator).bit_length() - 1 for c in p.coeffs.values()),
+        (max(abs(c.numerator), c.denominator).bit_length() - 1 for c in p.values()),
         default=0,
     )
 
 
+def _add_to(p, q, negate, mod):
+    """p += q, or p -= q when negate, dropping the terms that cancel."""
+    get = p.get
+    for e, c in q.items():
+        c = get(e, 0) - c if negate else get(e, 0) + c
+        if mod:
+            c %= mod
+        if c:
+            p[e] = c
+        else:
+            del p[e]
+
+
+def _negated(p, mod):
+    if mod:
+        return {e: mod - c for e, c in p.items()}
+    return {e: -c for e, c in p.items()}
+
+
+def _product(p, q, mod):
+    out = {}
+    get = out.get
+    for s, a in p.items():
+        for t, b in q.items():
+            e = exp_add(s, t)
+            out[e] = get(e, 0) + a * b
+    if mod:
+        return {e: r for e, c in out.items() if (r := c % mod)}
+    return {e: c for e, c in out.items() if c}
+
+
 class _PolyParser:
-    """Recursive descent over one line's tokens."""
+    """Recursive descent over a line's tokens, for one field and variable list.
 
-    def __init__(self, tokens, domain, names, line):
-        self.tokens = tokens
-        self.pos = 0
+    A subexpression is a dict {exponent tuple: nonzero coefficient}.
+    Coefficients are ints in [1, p) over a field of characteristic p, and
+    ints or Fractions over the rationals; only a whole line becomes a
+    Polynomial, its coefficients mapped into the field by ``from_int``.
+    """
+
+    def __init__(self, domain, names):
+        n = len(names)
         self.domain = domain
-        self.rational = domain == QQ  # only rational coefficients grow
-        self.names = names
-        self.nvars = len(names)
-        self.line = line
-        self.depth = 0
+        self.mod = domain.char  # 0 over the rationals, whose coefficients grow
+        self.nvars = n
+        self.zero = (0,) * n
+        self.units = {
+            name: tuple(int(j == i) for j in range(n)) for i, name in enumerate(names)
+        }
 
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self):
-        tok = self.peek()
-        if tok is not None:
-            self.pos += 1
-        return tok
-
-    def fail(self, message, tok=None):
-        col = tok.column if tok is not None else (
-            self.tokens[-1].column + len(self.tokens[-1].text) if self.tokens else 1
-        )
-        raise ParseError(message, self.line, col)
-
-    def expect_op(self, op):
-        tok = self.take()
-        if tok is None or tok.kind != "op" or tok.text != op:
-            self.fail(f"expected {op!r}", tok)
-        return tok
-
-    def parse(self):
+    def parse(self, tokens, pos, line):
+        """The Polynomial of tokens[pos:], which end with the end token."""
+        self.tokens, self.pos, self.line, self.depth = tokens, pos, line, 0
         p = self.expr()
-        tok = self.peek()
-        if tok is not None:
-            self.fail(f"unexpected {tok.text!r}", tok)
-        return p
+        tok = tokens[self.pos]
+        if tok[0] != "end":
+            self.fail(f"unexpected {tok[1]!r}", tok)
+        from_int = self.domain.from_int
+        return Polynomial(self.domain, self.nvars, {e: from_int(c) for e, c in p.items()})
+
+    def fail(self, message, tok):
+        raise ParseError(message, self.line, tok[2])
 
     def expr(self):
         p = self.term()
+        tokens = self.tokens
         while True:
-            tok = self.peek()
-            if tok is not None and tok.kind == "op" and tok.text in "+-":
-                self.take()
-                q = self.term()
-                p = p + q if tok.text == "+" else p - q
-            else:
+            op = tokens[self.pos][1]
+            if op != "+" and op != "-":
                 return p
+            self.pos += 1
+            _add_to(p, self.term(), op == "-", self.mod)
 
     def term(self):
         p = self.unary()
-        while True:
-            tok = self.peek()
-            if tok is not None and tok.kind == "op" and tok.text == "*":
-                self.take()
-                q = self.unary()
-                if self.rational and _coeff_bits(p) + _coeff_bits(q) > MAX_POWER_BITS:
-                    message = f"product would have a coefficient of more than {MAX_POWER_BITS} bits"
-                    self.fail(message, tok)
-                p = p * q
-            else:
-                return p
+        tokens = self.tokens
+        while tokens[self.pos][1] == "*":
+            tok = tokens[self.pos]
+            self.pos += 1
+            q = self.unary()
+            if not self.mod and _coeff_bits(p) + _coeff_bits(q) > MAX_POWER_BITS:
+                message = f"product would have a coefficient of more than {MAX_POWER_BITS} bits"
+                self.fail(message, tok)
+            if len(p) * len(q) > MAX_PRODUCT_TERMS:
+                self.fail(f"product may expand to more than {MAX_PRODUCT_TERMS} terms", tok)
+            p = _product(p, q, self.mod)
+        return p
 
     def unary(self):
         negate = False
-        tok = self.peek()
-        while tok is not None and tok.kind == "op" and tok.text == "-":
-            self.take()
+        tokens = self.tokens
+        while tokens[self.pos][1] == "-":
+            self.pos += 1
             negate = not negate
-            tok = self.peek()
         p = self.power()
-        return -p if negate else p
+        return _negated(p, self.mod) if negate else p
 
     def power(self):
         p = self.atom()
-        tok = self.peek()
-        if tok is not None and tok.kind == "op" and tok.text == "^":
-            self.take()
-            etok = self.take()
-            if etok is None or etok.kind != "int":
-                self.fail("expected an integer exponent", etok)
-            e = int(etok.text)
-            if e <= 0:
-                self.fail("exponents must be positive", etok)
-            # f^e for f with k terms may have C(e+k-1, k-1) terms; the
-            # product C(e+j, j) over j < k stops once it passes the bound
-            terms, k = 1, len(p.coeffs)
-            for j in range(1, k):
-                terms = terms * (e + j) // j
-                if terms > MAX_POWER_TERMS:
-                    message = f"power may expand to more than {MAX_POWER_TERMS} terms"
-                    self.fail(message, etok)
-            if self.rational and k:
-                bits = e * (_coeff_bits(p) + (k - 1).bit_length())
-                if bits > MAX_POWER_BITS:
-                    message = f"power would have a coefficient of more than {MAX_POWER_BITS} bits"
-                    self.fail(message, etok)
-            return p ** e
-        return p
+        if self.tokens[self.pos][1] != "^":
+            return p
+        etok = self.tokens[self.pos + 1]
+        self.pos += 2
+        if etok[0] != "int":
+            self.fail("expected an integer exponent", etok)
+        e = int(etok[1])
+        if e <= 0:
+            self.fail("exponents must be positive", etok)
+        # f^e for f with k terms may have C(e+k-1, k-1) terms; the
+        # product C(e+j, j) over j < k stops once it passes the bound
+        terms, k = 1, len(p)
+        for j in range(1, k):
+            terms = terms * (e + j) // j
+            if terms > MAX_POWER_TERMS:
+                self.fail(f"power may expand to more than {MAX_POWER_TERMS} terms", etok)
+        if not self.mod and k:
+            bits = e * (_coeff_bits(p) + (k - 1).bit_length())
+            if bits > MAX_POWER_BITS:
+                message = f"power would have a coefficient of more than {MAX_POWER_BITS} bits"
+                self.fail(message, etok)
+            if terms * bits > MAX_POWER_BITS:
+                self.fail(f"power may expand to more than {MAX_POWER_BITS} coefficient bits", etok)
+        mod = self.mod
+        return power(p, e, lambda a, b: _product(a, b, mod), {self.zero: 1})
 
     def atom(self):
-        tok = self.take()
-        if tok is None:
-            self.fail("unexpected end of line")
-        if tok.kind == "int":
-            value = self.domain.from_int(int(tok.text))
-            nxt = self.peek()
-            if nxt is not None and nxt.kind == "op" and nxt.text == "/":
-                self.take()
-                dtok = self.take()
-                if dtok is None or dtok.kind != "int":
+        tok = self.tokens[self.pos]
+        kind, word, _ = tok
+        self.pos += 1
+        if kind == "int":
+            value, mod = int(word), self.mod
+            if self.tokens[self.pos][1] == "/":
+                dtok = self.tokens[self.pos + 1]
+                self.pos += 2
+                if dtok[0] != "int":
                     self.fail("expected an integer denominator", dtok)
-                denom = self.domain.from_int(int(dtok.text))
-                if self.domain.is_zero(denom):
+                denom = int(dtok[1])
+                if mod:
+                    denom %= mod
+                if not denom:
                     self.fail("denominator vanishes in this field", dtok)
-                value = self.domain.div(value, denom)
-            return Polynomial.constant(self.domain, self.nvars, value)
-        if tok.kind == "name":
-            if tok.text in _KEYWORDS:
-                self.fail(f"{tok.text!r} is a keyword", tok)
-            try:
-                i = self.names.index(tok.text)
-            except ValueError:
-                self.fail(f"undeclared variable {tok.text!r}", tok)
-            return Polynomial.variable(self.domain, self.nvars, i)
-        if tok.kind == "op" and tok.text == "(":
+                if mod:
+                    value *= pow(denom, -1, mod)
+                else:
+                    dom = self.domain
+                    value = dom.div(dom.from_int(value), dom.from_int(denom))
+            if mod:
+                value %= mod
+            return {self.zero: value} if value else {}
+        if kind == "name":
+            exps = self.units.get(word)
+            if exps is None:
+                if word in _KEYWORDS:
+                    self.fail(f"{word!r} is a keyword", tok)
+                self.fail(f"undeclared variable {word!r}", tok)
+            return {exps: 1}
+        if word == "(":
             if self.depth == MAX_NESTING:
                 self.fail(f"parentheses nest deeper than {MAX_NESTING} levels", tok)
             self.depth += 1
             p = self.expr()
-            self.expect_op(")")
+            tok = self.tokens[self.pos]
+            if tok[1] != ")":
+                self.fail("expected ')'", tok)
+            self.pos += 1
             self.depth -= 1
             return p
-        self.fail(f"unexpected {tok.text!r}", tok)
+        if kind == "end":
+            self.fail("unexpected end of line", tok)
+        self.fail(f"unexpected {word!r}", tok)
 
 
 @dataclass(frozen=True)
@@ -254,34 +297,37 @@ class ProblemFile:
 
 
 def _parse_field(tokens, line):
-    if len(tokens) >= 2 and tokens[1].kind == "name" and tokens[1].text == "q":
+    """The field a 'field' line declares; tokens exclude the end token."""
+    words = [word for _, word, _ in tokens]
+    if words[1:2] == ["q"]:
         if len(tokens) > 2:
-            raise ParseError("trailing input after 'field q'", line, tokens[2].column)
+            raise ParseError("trailing input after 'field q'", line, tokens[2][2])
         return QQ
-    if len(tokens) >= 2 and tokens[1].kind == "name" and tokens[1].text == "p":
-        if len(tokens) < 3 or tokens[2].kind != "int":
+    if words[1:2] == ["p"]:
+        if len(tokens) < 3 or tokens[2][0] != "int":
             raise ParseError("expected 'field p <prime>'", line, None)
         if len(tokens) > 3:
-            raise ParseError("trailing input after the prime", line, tokens[3].column)
-        p = int(tokens[2].text)
+            raise ParseError("trailing input after the prime", line, tokens[3][2])
+        p = int(words[2])
         if not is_probable_prime(p):
-            raise ParseError(f"{p} is not prime", line, tokens[2].column)
+            raise ParseError(f"{p} is not prime", line, tokens[2][2])
         return GF(p)
     raise ParseError("expected 'field q' or 'field p <prime>'", line, None)
 
 
 def _parse_vars(tokens, line):
+    """The names a 'vars' line declares; tokens exclude the end token."""
     if len(tokens) < 2:
         raise ParseError("expected at least one variable name", line, None)
     names = []
-    for tok in tokens[1:]:
-        if tok.kind != "name":
-            raise ParseError("variable names must be identifiers", line, tok.column)
-        if tok.text in _KEYWORDS:
-            raise ParseError(f"{tok.text!r} is a keyword", line, tok.column)
-        if tok.text in names:
-            raise ParseError(f"duplicate variable {tok.text!r}", line, tok.column)
-        names.append(tok.text)
+    for kind, word, col in tokens[1:]:
+        if kind != "name":
+            raise ParseError("variable names must be identifiers", line, col)
+        if word in _KEYWORDS:
+            raise ParseError(f"{word!r} is a keyword", line, col)
+        if word in names:
+            raise ParseError(f"duplicate variable {word!r}", line, col)
+        names.append(word)
     return tuple(names)
 
 
@@ -289,36 +335,37 @@ def parse_problem(text):
     """Parse a whole problem file into a ProblemFile."""
     domain = None
     names = None
+    parser = None
     gens = []
     query = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = _tokenize_line(raw, lineno)
-        if not tokens:
+        kind, head, col = tokens[0]
+        if kind == "end":
             continue
-        head = tokens[0]
         if domain is None:
-            if head.kind != "name" or head.text != "field":
-                raise ParseError("the first line must declare the field", lineno, head.column)
-            domain = _parse_field(tokens, lineno)
+            if head != "field":
+                raise ParseError("the first line must declare the field", lineno, col)
+            domain = _parse_field(tokens[:-1], lineno)
             continue
         if names is None:
-            if head.kind != "name" or head.text != "vars":
-                raise ParseError("expected a 'vars' line after the field", lineno, head.column)
-            names = _parse_vars(tokens, lineno)
+            if head != "vars":
+                raise ParseError("expected a 'vars' line after the field", lineno, col)
+            names = _parse_vars(tokens[:-1], lineno)
+            parser = _PolyParser(domain, names)
             continue
-        if head.kind == "name" and head.text == "field":
-            raise ParseError("the field is already declared", lineno, head.column)
-        if head.kind == "name" and head.text == "vars":
-            raise ParseError("variables are already declared", lineno, head.column)
-        if head.kind == "name" and head.text == "query":
+        if head == "field":
+            raise ParseError("the field is already declared", lineno, col)
+        if head == "vars":
+            raise ParseError("variables are already declared", lineno, col)
+        if head == "query":
             if query is not None:
-                raise ParseError("only one query line is allowed", lineno, head.column)
-            body = tokens[1:]
-            if not body:
-                raise ParseError("the query line needs a polynomial", lineno, head.column)
-            query = _PolyParser(body, domain, names, lineno).parse()
+                raise ParseError("only one query line is allowed", lineno, col)
+            if tokens[1][0] == "end":
+                raise ParseError("the query line needs a polynomial", lineno, col)
+            query = parser.parse(tokens, 1, lineno)
             continue
-        gens.append(_PolyParser(tokens, domain, names, lineno).parse())
+        gens.append(parser.parse(tokens, 0, lineno))
     if domain is None:
         raise ParseError("empty input: no field declaration", None, None)
     if names is None:
@@ -329,6 +376,6 @@ def parse_problem(text):
 def parse_polynomial(text, domain, names, line=1):
     """Parse a single polynomial expression (used for round-trip checks)."""
     tokens = _tokenize_line(text, line)
-    if not tokens:
+    if tokens[0][0] == "end":
         raise ParseError("expected a polynomial", line, None)
-    return _PolyParser(tokens, domain, tuple(names), line).parse()
+    return _PolyParser(domain, tuple(names)).parse(tokens, 0, line)

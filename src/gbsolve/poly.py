@@ -11,7 +11,7 @@ order, the representation the division and completion loops work on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter, mul
+from operator import add, itemgetter, mul
 
 from .errors import UsageError, ZeroPolynomialError
 from .unipoly import elem_pow, power
@@ -22,7 +22,7 @@ MAX_DENSE_DEGREE = 10**6
 
 
 def exp_add(s, t):
-    return tuple(a + b for a, b in zip(s, t))
+    return tuple(map(add, s, t))
 
 
 def _compile_key(priority, weights):

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -17,6 +18,7 @@ from gbsolve.parser import (
     MAX_DIGITS,
     MAX_POWER_BITS,
     MAX_POWER_TERMS,
+    MAX_PRODUCT_TERMS,
     parse_polynomial,
     parse_problem,
 )
@@ -62,6 +64,16 @@ class TestParseProblem:
         problem = parse_problem("field p 5\nvars x\n3/4\n")
         # 3 * 4^-1 = 3 * 4 = 12 = 2
         assert constant_value(problem.gens[0]) == 2
+
+    def test_rational_coefficients_are_fractions(self):
+        # lines are worked out in ints; each coefficient becomes a Fraction
+        problem = parse_problem(
+            "field q\nvars x y\n3*x^2 - 2*y + 1\n7\n(x - 2*y + 1)^3\n"
+            "1/2*x*y - 4/2\nquery -(x + y)^2\n"
+        )
+        coeffs = [c for g in problem.gens + (problem.query,) for c in g.coeffs.values()]
+        assert len(coeffs) == 3 + 1 + 10 + 2 + 3
+        assert all(type(c) is Fraction for c in coeffs)
 
     def test_vanishing_denominator(self):
         with pytest.raises(ParseError, match="denominator vanishes"):
@@ -125,6 +137,95 @@ class TestParseProblem:
         y = Polynomial.variable(F5, 2, 1)
         expected = -(x**2) * y - Polynomial.constant(F5, 2, F5.from_int(3))
         assert problem.gens[0] == expected
+
+
+_H3 = "field p 3\nvars x\n"
+_HQ = "field q\nvars x\n"
+
+# One row per ParseError raise site in the parser: input and full message.
+PARSE_ERRORS = [
+    pytest.param(_H3 + "x @ x\n", "line 3, col 3: unexpected character '@'", id="bad-char"),
+    pytest.param(
+        f"{_H3}x + {'1' * (MAX_DIGITS + 1)}\n",
+        "line 3, col 5: integer literal longer than 640 digits",
+        id="long-literal",
+    ),
+    pytest.param(_H3 + "(x + 1\n", "line 3, col 7: expected ')'", id="close-paren-at-end"),
+    pytest.param(_H3 + "(x + 1 x\n", "line 3, col 8: expected ')'", id="close-paren"),
+    pytest.param(_H3 + "x x\n", "line 3, col 3: unexpected 'x'", id="trailing-token"),
+    pytest.param(
+        _HQ + "2^500000*2^500001*x\n",
+        "line 3, col 9: product would have a coefficient of more than 1000000 bits",
+        id="product-bits",
+    ),
+    pytest.param(_H3 + "x^x\n", "line 3, col 3: expected an integer exponent", id="exponent"),
+    pytest.param(_H3 + "x^\n", "line 3, col 3: expected an integer exponent", id="exponent-at-end"),
+    pytest.param(_H3 + "x^0\n", "line 3, col 3: exponents must be positive", id="exponent-zero"),
+    pytest.param(
+        "field p 5\nvars x\n(x+1)^1000\n",
+        "line 3, col 7: power may expand to more than 1000 terms",
+        id="power-terms",
+    ),
+    pytest.param(
+        _HQ + "(2*x)^1000001\n",
+        "line 3, col 7: power would have a coefficient of more than 1000000 bits",
+        id="power-bits",
+    ),
+    pytest.param(_H3 + "x +\n", "line 3, col 4: unexpected end of line", id="end-of-line"),
+    pytest.param(_H3 + "1/x\n", "line 3, col 3: expected an integer denominator", id="denominator"),
+    pytest.param(
+        "field p 5\nvars x\n1/5\n",
+        "line 3, col 3: denominator vanishes in this field",
+        id="denominator-mod-p",
+    ),
+    pytest.param(_HQ + "1/0\n", "line 3, col 3: denominator vanishes in this field", id="denominator-zero"),
+    pytest.param(_H3 + "x + query\n", "line 3, col 5: 'query' is a keyword", id="keyword"),
+    pytest.param(_H3 + "x*x + y\n", "line 3, col 7: undeclared variable 'y'", id="undeclared"),
+    pytest.param(
+        f"{_H3}{'(' * 101}x{')' * 101}\n",
+        "line 3, col 101: parentheses nest deeper than 100 levels",
+        id="nesting",
+    ),
+    pytest.param(_H3 + "x + )\n", "line 3, col 5: unexpected ')'", id="bad-atom"),
+    pytest.param("field q x\n", "line 1, col 9: trailing input after 'field q'", id="field-q-trailing"),
+    pytest.param("field p\n", "line 1: expected 'field p <prime>'", id="field-p-prime"),
+    pytest.param("field p 5 7\n", "line 1, col 11: trailing input after the prime", id="field-p-trailing"),
+    pytest.param("field p 4\n", "line 1, col 9: 4 is not prime", id="field-p-composite"),
+    pytest.param("field r\n", "line 1: expected 'field q' or 'field p <prime>'", id="field-kind"),
+    pytest.param("field p 3\nvars\n", "line 2: expected at least one variable name", id="vars-empty"),
+    pytest.param(
+        "field p 3\nvars x 1\n",
+        "line 2, col 8: variable names must be identifiers",
+        id="vars-identifier",
+    ),
+    pytest.param("field p 3\nvars field\n", "line 2, col 6: 'field' is a keyword", id="vars-keyword"),
+    pytest.param("field p 3\nvars x x\n", "line 2, col 8: duplicate variable 'x'", id="vars-duplicate"),
+    pytest.param("vars x\n", "line 1, col 1: the first line must declare the field", id="no-field"),
+    pytest.param(
+        "field p 3\nx\n", "line 2, col 1: expected a 'vars' line after the field", id="no-vars-line"
+    ),
+    pytest.param(_H3 + "field p 3\n", "line 3, col 1: the field is already declared", id="field-twice"),
+    pytest.param(_H3 + "vars x\n", "line 3, col 1: variables are already declared", id="vars-twice"),
+    pytest.param(
+        _H3 + "query x\nquery x\n", "line 4, col 1: only one query line is allowed", id="query-twice"
+    ),
+    pytest.param(_H3 + "query\n", "line 3, col 1: the query line needs a polynomial", id="query-empty"),
+    pytest.param("# nothing\n", "empty input: no field declaration", id="empty-input"),
+    pytest.param("field p 3\n", "no 'vars' line", id="no-vars"),
+]
+
+
+@pytest.mark.parametrize("text, message", PARSE_ERRORS)
+def test_parse_error_position(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_problem(text)
+    assert str(info.value) == message
+
+
+def test_parse_polynomial_error_position():
+    with pytest.raises(ParseError) as info:
+        parse_polynomial(" # only a comment", F5, ("x",))
+    assert str(info.value) == "line 1: expected a polynomial"
 
 
 class TestRoundTrip:
@@ -319,12 +420,30 @@ class TestCommands:
         head = "field p 32003\nvars x1 x2 x3\n"
         (f,) = parse_problem(head + "(x1+x2+x3)^43\n").gens
         assert len(f.coeffs) == 990 <= MAX_POWER_TERMS
+        # terms that cancel, also modulo p, leave a base of one term
+        (f,) = parse_problem(head + "(x1 + 32002*x1 + x2 - x2 + 2)^5000\n").gens
+        assert f.coeffs == {(0, 0, 0): pow(2, 5000, 32003)}
         nines = "9" * MAX_DIGITS  # refused before any expansion
         for line, col in (("(x1+x2+x3)^44", 12), (f"(x1+1)^{nines}", 8)):
             path = _problem(tmp_path, f"{head}{line}\n")
             code, out, err = _run(capsys, "gb", path)
             assert (code, out) == (2, "")
             assert err == f"error: line 3, col {col}: power may expand to more than 1000 terms\n"
+
+    def test_products_of_sums_are_bounded(self, tmp_path, capsys):
+        # (x1+1)*...*(xn+1) has 2^n terms: 512 for n = 9; the tenth factor
+        # is refused at its '*', as 512 * 2 passes the bound
+        names = [f"x{i}" for i in range(1, 11)]
+        head = f"field p 32003\nvars {' '.join(names)}\n"
+        factors = [f"({x}+1)" for x in names]
+        (f,) = parse_problem(head + "*".join(factors[:9]) + "\n").gens
+        assert len(f.coeffs) == 512 and 512 * 2 > MAX_PRODUCT_TERMS
+        line = "*".join(factors)
+        path = _problem(tmp_path, f"{head}{line}\n")
+        code, out, err = _run(capsys, "gb", path)
+        assert (code, out) == (2, "")
+        col = line.rindex("*") + 1
+        assert err == f"error: line 3, col {col}: product may expand to more than 1000 terms\n"
 
     def test_one_term_rational_powers_are_bounded(self, tmp_path, capsys):
         # c^e for c = a/b counts max(|a|, b).bit_length() - 1 bits per factor
@@ -374,6 +493,14 @@ class TestCommands:
                 f"error: line 3, col {col}: "
                 f"{what} would have a coefficient of more than {MAX_POWER_BITS} bits\n"
             )
+        # each coefficient of (2^1000*x + 1)^999 fits, 999 * 1001 bits, but
+        # 1000 of them could hold about 10^9 bits in all
+        path = _problem(tmp_path, "field q\nvars x\n(2^1000*x + 1)^999\n")
+        code, out, err = _run(capsys, "gb", path)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: line 3, col 16: power may expand to more than {MAX_POWER_BITS} coefficient bits\n"
+        )
 
     def test_long_rational_coefficients_print(self, tmp_path, capsys):
         # x - 1/R^8 for the 600-digit repunit R: a 4793-digit denominator,

@@ -7,13 +7,21 @@ recursion limit by 2000 frames while a test runs, so only this depth makes
 unbounded recursion surface as a RecursionError.  A line gets at most two
 ``^`` and integer literals up to 12, so no power the soup forms has degree
 above 144.
+
+A second property: a parsed line equals the Polynomial that Polynomial
+arithmetic gives for the expression tree it was rendered from, term order
+included.
 """
 
-from hypothesis import given, settings
+import math
+
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gbsolve.errors import ParseError
-from gbsolve.parser import parse_problem
+from gbsolve.fields import GF, QQ
+from gbsolve.parser import MAX_POWER_TERMS, MAX_PRODUCT_TERMS, parse_problem
+from gbsolve.poly import Polynomial
 
 FIELDS = ["field q", "field p 2", "field p 5", "field p 32003"]
 VARS = ["vars x", "vars x y", "vars x y z"]
@@ -49,3 +57,97 @@ def test_parse_problem_raises_only_parse_errors(field, names, lines):
         parse_problem(text)
     except ParseError:
         pass
+
+
+# -- differential test against Polynomial arithmetic ---------------------------
+
+DIFF_FIELDS = [("field p 5", GF(5)), ("field p 32003", GF(32003)), ("field q", QQ)]
+DIFF_NAMES = ("x", "y", "z")
+# binary node -> (operator, precedence of the node and of its left operand);
+# the right operand needs one level more
+BINARY = {"add": ("+", 1), "sub": ("-", 1), "mul": ("*", 2)}
+UNARY, POWER, ATOM = 3, 4, 5
+
+
+def expression_trees(char):
+    denominators = st.sampled_from([b for b in range(1, 51) if not char or b % char])
+    leaves = st.one_of(
+        st.tuples(st.just("var"), st.integers(0, len(DIFF_NAMES) - 1)),
+        st.tuples(st.just("int"), st.one_of(st.integers(0, 9), st.integers(0, 10**6))),
+        st.tuples(st.just("frac"), st.integers(0, 50), denominators),
+    )
+
+    def extend(kids):
+        return st.one_of(
+            *(st.tuples(st.just(kind), kids, kids) for kind in BINARY),
+            st.tuples(st.just("neg"), st.integers(1, 3), kids),
+            st.tuples(st.just("pow"), kids, st.integers(1, 4)),
+            st.tuples(st.just("paren"), kids),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=8)
+
+
+def _operand(tree, level, dom, sp):
+    text, own, p = _render(tree, dom, sp)
+    return (text if own >= level else f"({text})"), p
+
+
+def _render(tree, dom, sp):
+    """(text, precedence, Polynomial) of an expression tree.  Trees whose
+    expansion the parser would refuse as too large are rejected."""
+    kind = tree[0]
+    if kind == "var":
+        return DIFF_NAMES[tree[1]], ATOM, Polynomial.variable(dom, len(DIFF_NAMES), tree[1])
+    if kind in ("int", "frac"):
+        value = dom.from_int(tree[1])
+        if kind == "frac":
+            value = dom.div(value, dom.from_int(tree[2]))
+        text = "/".join(map(str, tree[1:]))
+        return text, ATOM, Polynomial.constant(dom, len(DIFF_NAMES), value)
+    if kind == "paren":
+        text, _, p = _render(tree[1], dom, sp)
+        return f"({text})", ATOM, p
+    if kind == "neg":
+        text, p = _operand(tree[2], POWER, dom, sp)
+        for _ in range(tree[1]):
+            p = -p
+        return "-" * tree[1] + text, UNARY, p
+    if kind == "pow":
+        text, p = _operand(tree[1], ATOM, dom, sp)
+        e, k = tree[2], len(p.coeffs)
+        assume(k < 2 or math.comb(e + k - 1, k - 1) <= MAX_POWER_TERMS)
+        return f"{text}^{e}", POWER, p**e
+    op, level = BINARY[kind]
+    ltext, left = _operand(tree[1], level, dom, sp)
+    rtext, right = _operand(tree[2], level + 1, dom, sp)
+    if kind == "mul":
+        assume(len(left.coeffs) * len(right.coeffs) <= MAX_PRODUCT_TERMS)
+        p = left * right
+    else:
+        p = left + right if kind == "add" else left - right
+    return f"{ltext}{sp}{op}{sp}{rtext}", level, p
+
+
+@st.composite
+def rendered_problems(draw):
+    header, dom = draw(st.sampled_from(DIFF_FIELDS))
+    sp = draw(st.sampled_from(["", " "]))
+    trees = draw(st.lists(expression_trees(dom.char), min_size=1, max_size=3))
+    lines, polys = [], []
+    for tree in trees:
+        text, _, p = _render(tree, dom, sp)
+        lines.append(text)
+        polys.append(p)
+    text = "\n".join([header, "vars " + " ".join(DIFF_NAMES), *lines]) + "\n"
+    return text, tuple(polys)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(rendered_problems())
+def test_parse_matches_polynomial_arithmetic(problem):
+    text, expected = problem
+    gens = parse_problem(text).gens
+    assert gens == expected
+    # later layers iterate a polynomial's terms in insertion order
+    assert [list(g.coeffs) for g in gens] == [list(g.coeffs) for g in expected]
