@@ -130,6 +130,9 @@ class Domain:
 
     is_field = False
     tag = "?"
+    # p when the elements are the ints in [0, p) under arithmetic mod p, as in
+    # ``FieldTower(p)``; None for every other domain
+    modulus = None
 
     def is_one(self, a):
         return a == self.one()
@@ -315,6 +318,7 @@ class FieldTower(Field):
     __slots__ = (
         "p",
         "levels",
+        "modulus",
         "_sub",
         "_order",
         "_hash",
@@ -329,6 +333,7 @@ class FieldTower(Field):
             raise UsageError(f"characteristic {p} is not prime")
         self.p = p
         self.levels = ()
+        self.modulus = p
         self._sub = None
         self._order = p
         self._hash = hash((p, ()))
@@ -339,6 +344,7 @@ class FieldTower(Field):
         with tables when its order is at most ``TABLE_MAX_ORDER``."""
         self.p = sub.p
         self.levels = sub.levels + (top,)
+        self.modulus = None
         self._sub = sub
         self._order = sub.order ** top.degree
         self._hash = hash((self.p, self.levels))

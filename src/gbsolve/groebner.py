@@ -42,6 +42,12 @@ is checked against the guard bits, and the run restarts from its input with
 fields twice as wide, so the width only changes how often a run restarts,
 never what it returns.  Lineage terms are checked the same way: a
 certificate can need higher powers than any basis element.
+
+Over a prime field, whose elements are the ints in [0, p) (``Domain.modulus``,
+set by ``FieldTower(p)`` alone), division runs its own loop of inline int
+arithmetic mod p, with each leading coefficient inverted once per call and
+not at all when it is 1.  The domain alone picks that loop, and it returns
+exactly what the generic loop, which towers, QQ and K[x1] keep, would.
 """
 
 from __future__ import annotations
@@ -143,9 +149,16 @@ def _divide(f, basis, lead, guard, dom, want_cofs):
     Live terms wait in a max-heap of negated packed terms; a term that
     cancelled since it was pushed is skipped when its entry surfaces.  Every
     new term lies below the one being reduced, so the heap yields the terms
-    in strictly descending order.  Returns the packed remainder and, with
-    ``want_cofs``, the packed cofactors.
+    in strictly descending order: each term is reduced once and gives each
+    divisor's cofactor at most one term.  Returns the packed remainder
+    and, with ``want_cofs``, the packed cofactors.
+
+    A domain whose elements are ints mod p (``dom.modulus``, set only by
+    ``FieldTower(p)``) goes to ``_divide_mod``, the same loop in int
+    arithmetic; towers, QQ and K[x1] take the loop below.
     """
+    if dom.modulus:
+        return _divide_mod(f, basis, lead, guard, dom.modulus, want_cofs)
     work = dict(f)
     heap = [-t for t in work]
     heapify(heap)
@@ -178,9 +191,56 @@ def _divide(f, basis, lead, guard, dom, want_cofs):
                     else:
                         work[key] = nv
                 if want_cofs:
-                    cofs[idx][m] = dom.add(cofs[idx].get(m, dom.zero()), u)
+                    cofs[idx][m] = u
             if dom.is_zero(c):
                 break
+        else:
+            remainder[t] = c
+    return remainder, cofs
+
+
+def _divide_mod(f, basis, lead, guard, p, want_cofs):
+    """``_divide`` over GF(p), its elements the ints in [0, p).
+
+    The same steps with the domain calls written out: each leading
+    coefficient is inverted once per call (not at all when it is 1), and the
+    first divisor whose leading term divides t takes all of c.  Remainders
+    and cofactors are the ones the generic loop returns.
+    """
+    work = dict(f)
+    heap = [-t for t in work]
+    heapify(heap)
+    remainder = {}
+    cofs = [{} for _ in basis] if want_cofs else None
+    invs = [1 if lc == 1 else pow(lc, -1, p) for _, lc in lead]
+    while heap:
+        t = -heappop(heap)
+        c = work.pop(t, None)
+        if c is None:
+            continue
+        for idx, (lt, _) in enumerate(lead):
+            m = t - lt
+            if m & guard:
+                continue
+            u = c * invs[idx] % p
+            for s, cs in basis[idx].items():
+                if s == lt:
+                    continue
+                key = s + m
+                old = work.get(key)
+                if old is None:
+                    if key & guard:
+                        raise Overflow
+                    heappush(heap, -key)
+                    old = 0
+                nv = (old - u * cs) % p
+                if nv:
+                    work[key] = nv
+                else:
+                    work.pop(key, None)
+            if want_cofs:
+                cofs[idx][m] = u
+            break
         else:
             remainder[t] = c
     return remainder, cofs

@@ -22,6 +22,9 @@ to at most ``MAX_POWER_TERMS`` terms, and a product p*q is refused when
 len(p) * len(q) passes ``MAX_PRODUCT_TERMS``.  Over the rationals a power or
 a product is refused when one of its coefficients could pass
 ``MAX_POWER_BITS`` bits, and a power also when all of them together could.
+A whole line is refused at the product (or the power whose squaring ladder
+makes it) that takes the line's term products, the sum of len(p) * len(q)
+over every product it makes, past ``MAX_LINE_TERM_PRODUCTS``.
 
 Each generator or query line is worked out as one dict {exponent tuple:
 coefficient}, with integer coefficients over the rationals until ``a/b``
@@ -76,6 +79,14 @@ MAX_POWER_BITS = 10**6
 # len(p) * len(q) passes this bound.
 MAX_PRODUCT_TERMS = 1000
 
+# The bounds above hold for one power or one product, but a line may hold
+# any number of them: the squaring ladder of (x1+1)^999 makes 414,686 term
+# products (0.34 s over GF(32003)), and five copies of it on one 62-byte
+# line took 1.38 s.  A line is refused at the product that takes the sum of
+# len(p) * len(q) over the products it makes, ladders included, past this
+# bound.  (x1+1)^999 is the costliest power a line may hold; two fit.
+MAX_LINE_TERM_PRODUCTS = 10**6
+
 _TOKEN = re.compile(
     r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^()/])"
     r"|(?P<end>#|\Z)|(?P<bad>.))",
@@ -129,18 +140,6 @@ def _negated(p, mod):
     return {e: -c for e, c in p.items()}
 
 
-def _product(p, q, mod):
-    out = {}
-    get = out.get
-    for s, a in p.items():
-        for t, b in q.items():
-            e = exp_add(s, t)
-            out[e] = get(e, 0) + a * b
-    if mod:
-        return {e: r for e, c in out.items() if (r := c % mod)}
-    return {e: c for e, c in out.items() if c}
-
-
 class _PolyParser:
     """Recursive descent over a line's tokens, for one field and variable list.
 
@@ -163,6 +162,7 @@ class _PolyParser:
     def parse(self, tokens, pos, line):
         """The Polynomial of tokens[pos:], which end with the end token."""
         self.tokens, self.pos, self.line, self.depth = tokens, pos, line, 0
+        self.budget = MAX_LINE_TERM_PRODUCTS
         p = self.expr()
         tok = tokens[self.pos]
         if tok[0] != "end":
@@ -172,6 +172,22 @@ class _PolyParser:
 
     def fail(self, message, tok):
         raise ParseError(message, self.line, tok[2])
+
+    def product(self, p, q, tok):
+        """p*q, charged to the line's budget of term products; refused at tok."""
+        self.budget -= len(p) * len(q)
+        if self.budget < 0:
+            self.fail(f"line makes more than {MAX_LINE_TERM_PRODUCTS} term products", tok)
+        out = {}
+        get = out.get
+        for s, a in p.items():
+            for t, b in q.items():
+                e = exp_add(s, t)
+                out[e] = get(e, 0) + a * b
+        mod = self.mod
+        if mod:
+            return {e: r for e, c in out.items() if (r := c % mod)}
+        return {e: c for e, c in out.items() if c}
 
     def expr(self):
         p = self.term()
@@ -195,7 +211,7 @@ class _PolyParser:
                 self.fail(message, tok)
             if len(p) * len(q) > MAX_PRODUCT_TERMS:
                 self.fail(f"product may expand to more than {MAX_PRODUCT_TERMS} terms", tok)
-            p = _product(p, q, self.mod)
+            p = self.product(p, q, tok)
         return p
 
     def unary(self):
@@ -232,8 +248,7 @@ class _PolyParser:
                 self.fail(message, etok)
             if terms * bits > MAX_POWER_BITS:
                 self.fail(f"power may expand to more than {MAX_POWER_BITS} coefficient bits", etok)
-        mod = self.mod
-        return power(p, e, lambda a, b: _product(a, b, mod), {self.zero: 1})
+        return power(p, e, lambda a, b: self.product(a, b, etok), {self.zero: 1})
 
     def atom(self):
         tok = self.tokens[self.pos]

@@ -16,6 +16,7 @@ from gbsolve.fields import GF, QQ
 from gbsolve.groebner import Ideal
 from gbsolve.parser import (
     MAX_DIGITS,
+    MAX_LINE_TERM_PRODUCTS,
     MAX_POWER_BITS,
     MAX_POWER_TERMS,
     MAX_PRODUCT_TERMS,
@@ -444,6 +445,32 @@ class TestCommands:
         assert (code, out) == (2, "")
         col = line.rindex("*") + 1
         assert err == f"error: line 3, col {col}: product may expand to more than 1000 terms\n"
+
+    def test_term_products_of_a_line_are_bounded(self, tmp_path, capsys):
+        # (x1+1)^(2^k) squares k times, from 2^i + 1 terms for i < k, and a
+        # product of one-term factors makes one term product.  The line spends
+        # the budget exactly with at most 513-term factors, and one more '*x2'
+        # passes it and is refused at that '*'.
+        def ladder(k):
+            return sum((2**i + 1) ** 2 for i in range(k))
+
+        left, pieces = MAX_LINE_TERM_PRODUCTS, []
+        for k in range(9, 0, -1):
+            while ladder(k) <= left:
+                pieces.append(f"(x1+1)^{2**k}")
+                left -= ladder(k)
+        pieces.append("*".join(["x2"] * (left + 1)))
+        line = " + ".join(pieces)
+        head = "field p 32003\nvars x1 x2\n"
+        (f,) = parse_problem(f"{head}{line}\n").gens
+        assert len(line) < 400 and len(f.coeffs) == 514
+        path = _problem(tmp_path, f"{head}{line}*x2\n")
+        code, out, err = _run(capsys, "gb", path)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: line 3, col {len(line) + 1}: "
+            f"line makes more than {MAX_LINE_TERM_PRODUCTS} term products\n"
+        )
 
     def test_one_term_rational_powers_are_bounded(self, tmp_path, capsys):
         # c^e for c = a/b counts max(|a|, b).bit_length() - 1 bits per factor

@@ -1,7 +1,7 @@
 """Differential tests for division on seeded random inputs.
 
 ``groebner._divide`` takes terms from a lazily pruned heap and serves both
-fields and K[x1].  Each result must satisfy f = sum(cof * g) + r, leave no
+fields and K[x1]; a prime field (GF5, GF32003) takes its int loop.  Each result must satisfy f = sum(cof * g) + r, leave no
 reducible term in r, and agree exactly with the textbook loops below, which
 rescan the whole remaining polynomial for its leading term at every step.
 Over a field the two textbook loops agree with each other as well.
@@ -17,6 +17,7 @@ from gbsolve.fields import GF, QQ, UnivariatePolyDomain
 from gbsolve.poly import Polynomial, TermOrder
 
 F5 = GF(5)
+F32003 = GF(32003)  # coefficients far above 5, non-monic divisors
 F49 = GF(7).extend((1, 0, 1))  # t^2 + 1 has no root mod 7
 
 ORDERS = [
@@ -100,10 +101,11 @@ FIELD_MAKERS = pytest.mark.parametrize(
     "maker",
     [
         lambda rng, d, t: random_poly(rng, F5, 3, d, t),
+        lambda rng, d, t: random_poly(rng, F32003, 3, d, t),
         lambda rng, d, t: random_poly(rng, F49, 3, d, t),
         lambda rng, d, t: random_poly_q(rng, QQ, 3, d, t),
     ],
-    ids=["GF5", "GF49", "QQ"],
+    ids=["GF5", "GF32003", "GF49", "QQ"],
 )
 
 
