@@ -126,12 +126,18 @@ def _is_strong_lucas_prp(n):
 
 
 class Domain:
-    """Interface shared by all coefficient domains; see the subclasses."""
+    """Interface shared by all coefficient domains; see the subclasses.
+
+    Every element is falsy exactly when it is zero: ``bool(a)`` is
+    ``not self.is_zero(a)``.  The zeros are ``0``, ``()`` and ``Fraction(0)``,
+    and ``groebner._divide`` tests coefficients by truthiness alone.
+    """
 
     is_field = False
     tag = "?"
     # p when the elements are the ints in [0, p) under arithmetic mod p, as in
-    # ``FieldTower(p)``; None for every other domain
+    # ``FieldTower(p)``, so that division does its arithmetic inline mod p;
+    # None for every other domain, whose arithmetic goes through its methods
     modulus = None
 
     def is_one(self, a):

@@ -43,11 +43,11 @@ fields twice as wide, so the width only changes how often a run restarts,
 never what it returns.  Lineage terms are checked the same way: a
 certificate can need higher powers than any basis element.
 
-Over a prime field, whose elements are the ints in [0, p) (``Domain.modulus``,
-set by ``FieldTower(p)`` alone), division runs its own loop of inline int
-arithmetic mod p, with each leading coefficient inverted once per call and
-not at all when it is 1.  The domain alone picks that loop, and it returns
-exactly what the generic loop, which towers, QQ and K[x1] keep, would.
+Division is one loop for every coefficient domain, and the domain picks its
+arithmetic once per call.  Over a prime field, whose elements are the ints in
+[0, p) (``Domain.modulus``, set by ``FieldTower(p)`` alone), it is inline int
+arithmetic mod p with each leading coefficient inverted once; over towers, QQ
+and K[x1] it goes through the domain's methods.
 """
 
 from __future__ import annotations
@@ -153,12 +153,19 @@ def _divide(f, basis, lead, guard, dom, want_cofs):
     divisor's cofactor at most one term.  Returns the packed remainder
     and, with ``want_cofs``, the packed cofactors.
 
-    A domain whose elements are ints mod p (``dom.modulus``, set only by
-    ``FieldTower(p)``) goes to ``_divide_mod``, the same loop in int
-    arithmetic; towers, QQ and K[x1] take the loop below.
+    The arithmetic is chosen once per call.  Over GF(p), whose elements are
+    the ints in [0, p) (``dom.modulus``), it is inline int arithmetic mod p
+    with each leading coefficient inverted once (not at all when it is 1,
+    as in every basis ``buchberger`` builds); over towers, QQ and K[x1]
+    it is the domain's ``euclid_divmod``, ``sub`` and ``mul``.  Every zero
+    test is truthiness, as each domain's zero is falsy.
     """
-    if dom.modulus:
-        return _divide_mod(f, basis, lead, guard, dom.modulus, want_cofs)
+    p = dom.modulus
+    if p:
+        invs = [1 if lc == 1 else pow(lc, -1, p) for _, lc in lead]
+    else:
+        divmod_, sub, mul = dom.euclid_divmod, dom.sub, dom.mul
+    zero = dom.zero()
     work = dict(f)
     heap = [-t for t in work]
     heapify(heap)
@@ -173,8 +180,11 @@ def _divide(f, basis, lead, guard, dom, want_cofs):
             m = t - lt
             if m & guard:
                 continue
-            u, c = dom.euclid_divmod(c, lc)
-            if not dom.is_zero(u):
+            if p:
+                u, c = c * invs[idx] % p, 0
+            else:
+                u, c = divmod_(c, lc)
+            if u:
                 for s, cs in basis[idx].items():
                     if s == lt:
                         continue
@@ -184,63 +194,16 @@ def _divide(f, basis, lead, guard, dom, want_cofs):
                         if key & guard:
                             raise Overflow
                         heappush(heap, -key)
-                        old = dom.zero()
-                    nv = dom.sub(old, dom.mul(u, cs))
-                    if dom.is_zero(nv):
-                        work.pop(key, None)
-                    else:
+                        old = zero
+                    nv = (old - u * cs) % p if p else sub(old, mul(u, cs))
+                    if nv:
                         work[key] = nv
+                    else:
+                        work.pop(key, None)
                 if want_cofs:
                     cofs[idx][m] = u
-            if dom.is_zero(c):
+            if not c:
                 break
-        else:
-            remainder[t] = c
-    return remainder, cofs
-
-
-def _divide_mod(f, basis, lead, guard, p, want_cofs):
-    """``_divide`` over GF(p), its elements the ints in [0, p).
-
-    The same steps with the domain calls written out: each leading
-    coefficient is inverted once per call (not at all when it is 1), and the
-    first divisor whose leading term divides t takes all of c.  Remainders
-    and cofactors are the ones the generic loop returns.
-    """
-    work = dict(f)
-    heap = [-t for t in work]
-    heapify(heap)
-    remainder = {}
-    cofs = [{} for _ in basis] if want_cofs else None
-    invs = [1 if lc == 1 else pow(lc, -1, p) for _, lc in lead]
-    while heap:
-        t = -heappop(heap)
-        c = work.pop(t, None)
-        if c is None:
-            continue
-        for idx, (lt, _) in enumerate(lead):
-            m = t - lt
-            if m & guard:
-                continue
-            u = c * invs[idx] % p
-            for s, cs in basis[idx].items():
-                if s == lt:
-                    continue
-                key = s + m
-                old = work.get(key)
-                if old is None:
-                    if key & guard:
-                        raise Overflow
-                    heappush(heap, -key)
-                    old = 0
-                nv = (old - u * cs) % p
-                if nv:
-                    work[key] = nv
-                else:
-                    work.pop(key, None)
-            if want_cofs:
-                cofs[idx][m] = u
-            break
         else:
             remainder[t] = c
     return remainder, cofs

@@ -22,9 +22,11 @@ to at most ``MAX_POWER_TERMS`` terms, and a product p*q is refused when
 len(p) * len(q) passes ``MAX_PRODUCT_TERMS``.  Over the rationals a power or
 a product is refused when one of its coefficients could pass
 ``MAX_POWER_BITS`` bits, and a power also when all of them together could.
-A whole line is refused at the product (or the power whose squaring ladder
-makes it) that takes the line's term products, the sum of len(p) * len(q)
-over every product it makes, past ``MAX_LINE_TERM_PRODUCTS``.
+A whole problem file is refused at the product (or the power whose squaring
+ladder makes it) that takes the file's term products, the sum of
+len(p) * len(q) over every product its generator and query lines make, past
+``MAX_FILE_TERM_PRODUCTS``; ``parse_polynomial`` gives each expression a
+budget of its own.
 
 Each generator or query line is worked out as one dict {exponent tuple:
 coefficient}, with integer coefficients over the rationals until ``a/b``
@@ -79,13 +81,14 @@ MAX_POWER_BITS = 10**6
 # len(p) * len(q) passes this bound.
 MAX_PRODUCT_TERMS = 1000
 
-# The bounds above hold for one power or one product, but a line may hold
+# The bounds above hold for one power or one product, but a file may hold
 # any number of them: the squaring ladder of (x1+1)^999 makes 414,686 term
 # products (0.34 s over GF(32003)), and five copies of it on one 62-byte
-# line took 1.38 s.  A line is refused at the product that takes the sum of
-# len(p) * len(q) over the products it makes, ladders included, past this
-# bound.  (x1+1)^999 is the costliest power a line may hold; two fit.
-MAX_LINE_TERM_PRODUCTS = 10**6
+# line took 1.38 s.  A problem file is refused at the product that takes the
+# sum of len(p) * len(q) over the products all its lines make, ladders
+# included, past this bound, so two copies of (x1+1)^999 fit in a file,
+# whether on one line or on two.
+MAX_FILE_TERM_PRODUCTS = 10**6
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^()/])"
@@ -147,6 +150,7 @@ class _PolyParser:
     Coefficients are ints in [1, p) over a field of characteristic p, and
     ints or Fractions over the rationals; only a whole line becomes a
     Polynomial, its coefficients mapped into the field by ``from_int``.
+    Every line one parser reads draws on one budget of term products.
     """
 
     def __init__(self, domain, names):
@@ -158,11 +162,11 @@ class _PolyParser:
         self.units = {
             name: tuple(int(j == i) for j in range(n)) for i, name in enumerate(names)
         }
+        self.budget = MAX_FILE_TERM_PRODUCTS
 
     def parse(self, tokens, pos, line):
         """The Polynomial of tokens[pos:], which end with the end token."""
         self.tokens, self.pos, self.line, self.depth = tokens, pos, line, 0
-        self.budget = MAX_LINE_TERM_PRODUCTS
         p = self.expr()
         tok = tokens[self.pos]
         if tok[0] != "end":
@@ -174,10 +178,10 @@ class _PolyParser:
         raise ParseError(message, self.line, tok[2])
 
     def product(self, p, q, tok):
-        """p*q, charged to the line's budget of term products; refused at tok."""
+        """p*q, charged to the parser's budget of term products; refused at tok."""
         self.budget -= len(p) * len(q)
         if self.budget < 0:
-            self.fail(f"line makes more than {MAX_LINE_TERM_PRODUCTS} term products", tok)
+            self.fail(f"problem makes more than {MAX_FILE_TERM_PRODUCTS} term products", tok)
         out = {}
         get = out.get
         for s, a in p.items():

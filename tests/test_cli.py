@@ -16,7 +16,7 @@ from gbsolve.fields import GF, QQ
 from gbsolve.groebner import Ideal
 from gbsolve.parser import (
     MAX_DIGITS,
-    MAX_LINE_TERM_PRODUCTS,
+    MAX_FILE_TERM_PRODUCTS,
     MAX_POWER_BITS,
     MAX_POWER_TERMS,
     MAX_PRODUCT_TERMS,
@@ -454,7 +454,7 @@ class TestCommands:
         def ladder(k):
             return sum((2**i + 1) ** 2 for i in range(k))
 
-        left, pieces = MAX_LINE_TERM_PRODUCTS, []
+        left, pieces = MAX_FILE_TERM_PRODUCTS, []
         for k in range(9, 0, -1):
             while ladder(k) <= left:
                 pieces.append(f"(x1+1)^{2**k}")
@@ -469,7 +469,19 @@ class TestCommands:
         assert (code, out) == (2, "")
         assert err == (
             f"error: line 3, col {len(line) + 1}: "
-            f"line makes more than {MAX_LINE_TERM_PRODUCTS} term products\n"
+            f"problem makes more than {MAX_FILE_TERM_PRODUCTS} term products\n"
+        )
+
+    def test_term_products_of_a_file_are_bounded(self, tmp_path, capsys):
+        # (x1+1)^999 makes 414,686 term products, so two such lines fit in
+        # one file's budget and the third is refused at its exponent
+        assert 2 * 414_686 <= MAX_FILE_TERM_PRODUCTS < 3 * 414_686
+        path = _problem(tmp_path, "field p 32003\nvars x1\n" + 3 * "(x1+1)^999\n")
+        code, out, err = _run(capsys, "gb", path)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: line 5, col 8: "
+            f"problem makes more than {MAX_FILE_TERM_PRODUCTS} term products\n"
         )
 
     def test_one_term_rational_powers_are_bounded(self, tmp_path, capsys):

@@ -1,10 +1,13 @@
 """Differential tests for division on seeded random inputs.
 
-``groebner._divide`` takes terms from a lazily pruned heap and serves both
-fields and K[x1]; a prime field (GF5, GF32003) takes its int loop.  Each result must satisfy f = sum(cof * g) + r, leave no
-reducible term in r, and agree exactly with the textbook loops below, which
-rescan the whole remaining polynomial for its leading term at every step.
-Over a field the two textbook loops agree with each other as well.
+``groebner._divide`` is one loop for every coefficient domain.  It takes
+terms from a lazily pruned heap and picks its arithmetic once per call:
+inline ints mod p over a prime field (GF5, GF32003), the domain's methods
+over a tower (GF49), QQ and K[x1].  Each result must satisfy
+f = sum(cof * g) + r, leave no reducible term in r, and agree exactly with
+the textbook loops below, which rescan the whole remaining polynomial for
+its leading term at every step.  Over a field the two textbook loops agree
+with each other as well.
 """
 
 import random
@@ -13,7 +16,7 @@ import pytest
 
 from corpus import exp_divides, exp_sub, random_poly, random_poly_q
 from gbsolve import euclidean, groebner
-from gbsolve.fields import GF, QQ, UnivariatePolyDomain
+from gbsolve.fields import GF, QQ, FieldTower, UnivariatePolyDomain
 from gbsolve.poly import Polynomial, TermOrder
 
 F5 = GF(5)
@@ -153,3 +156,40 @@ def test_strong_division_matches_the_textbook_loop():
                     assert dom.is_zero(quot)
         assert (r, cofs) == _naive_strong_divide(f, basis, order)
         assert groebner.normal_form(f, basis, order) == r
+
+
+def test_prime_field_division_makes_no_domain_calls(monkeypatch):
+    # over GF(p) division does its coefficient arithmetic inline mod p; the
+    # calls are counted inside _divide only, as building the returned
+    # Polynomials tests each coefficient with is_zero
+    inside, divisions, calls = [False], [], []
+    for name in ("mul", "sub", "is_zero", "euclid_divmod"):
+        method = getattr(FieldTower, name)
+
+        def counting(self, *args, _name=name, _method=method):
+            if inside[0]:
+                calls.append(_name)
+            return _method(self, *args)
+
+        monkeypatch.setattr(FieldTower, name, counting)
+    divide = groebner._divide
+
+    def counted_divide(*args):
+        divisions.append(1)
+        inside[0] = True
+        try:
+            return divide(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(groebner, "_divide", counted_divide)
+
+    def maker(rng, d, t):
+        return random_poly(rng, F32003, 3, d, t)
+
+    rng = random.Random(20242)
+    for trial in range(8):
+        f, basis = _random_problem(rng, maker, 1 + trial % 4)
+        r, cofs = groebner.reduce(f, basis, ORDERS[trial % len(ORDERS)])
+        assert _combination(cofs, basis, r) == f
+    assert len(divisions) == 8 and calls == []

@@ -348,3 +348,49 @@ class TestUnivariatePolyDomain:
         assert dst.lift((1, 2), src) == (F9.lift(F3.one(), F3), F9.lift(F3.from_int(2), F3))
         with pytest.raises(UsageError):
             dst.lift((1,), F3)
+
+
+def _zero_invariant_domains():
+    f25 = F5.extend(unipoly.first_irreducible(2, F5))
+    f625 = f25.extend(unipoly.first_irreducible(2, f25))
+    assert f625.order == 625 and not f625._log  # untabled, over a tabled level
+    f49 = GF(7).extend((1, 0, 1))
+    assert f49._log  # tabled
+
+    def tower(F):
+        return lambda rng: F.element(rng.randrange(F.order))
+
+    def rational(rng):
+        return Fraction(rng.randrange(-4, 5), rng.randrange(1, 4))
+
+    def poly_over(sample, F):
+        return lambda rng: unipoly.trim([sample(rng) for _ in range(rng.randrange(4))], F)
+
+    return [
+        (QQ, rational),
+        (F5, tower(F5)),
+        (GF(32003), tower(GF(32003))),
+        (f49, tower(f49)),
+        (f625, tower(f625)),
+        (UnivariatePolyDomain(F5), poly_over(tower(F5), F5)),
+        (UnivariatePolyDomain(QQ), poly_over(rational, QQ)),
+    ]
+
+
+@pytest.mark.parametrize(
+    "dom, sample",
+    _zero_invariant_domains(),
+    ids=["QQ", "GF5", "GF32003", "GF49", "GF625", "GF5[x1]", "QQ[x1]"],
+)
+def test_an_element_is_falsy_exactly_when_it_is_zero(dom, sample):
+    # groebner._divide tests every coefficient it computes by truthiness
+    assert not dom.zero() and dom.is_zero(dom.zero())
+    rng = random.Random(29)
+    xs = [dom.zero(), dom.one()] + [sample(rng) for _ in range(10)]
+    for a in xs:
+        for b in xs:
+            results = [a, dom.neg(a), dom.add(a, b), dom.sub(a, b), dom.mul(a, b)]
+            if not dom.is_zero(b):
+                results.extend(dom.euclid_divmod(a, b))
+            for r in results:
+                assert bool(r) == (not dom.is_zero(r))
