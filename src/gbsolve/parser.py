@@ -17,16 +17,25 @@ denominator have at most ``MAX_DIGITS`` digits; over a prime field it means
 ``a * b**-1``.  Whitespace never matters inside a line.  Parentheses nest
 at most ``MAX_NESTING`` levels deep; the parser recurses once per level.
 An integer literal (coefficient, denominator, exponent or prime) has at most
-``MAX_DIGITS`` digits.  A power of a base with two or more terms may expand
-to at most ``MAX_POWER_TERMS`` terms, and a product p*q is refused when
-len(p) * len(q) passes ``MAX_PRODUCT_TERMS``.  Over the rationals a power or
-a product is refused when one of its coefficients could pass
-``MAX_POWER_BITS`` bits, and a power also when all of them together could.
-A whole problem file is refused at the product (or the power whose squaring
-ladder makes it) that takes the file's term products, the sum of
-len(p) * len(q) over every product its generator and query lines make, past
-``MAX_FILE_TERM_PRODUCTS``; ``parse_polynomial`` gives each expression a
-budget of its own.
+``MAX_DIGITS`` digits.
+
+Everything a file expands is paid for before it is made, and ``product`` is
+the one place that makes it: every ``*``, every unary minus (a product by
+-1) and every step of a power's squaring ladder.  Two limits are checked
+there, and a refusal names the ``*``, the ``-`` or the exponent:
+
+* ``MAX_FILE_WORDS``, one budget of machine words for the whole file.  A
+  product of an m-term and an n-term factor makes m * n term products, each
+  charged nvars + 8 words, plus (bits(p) + bits(q)) // 64 over ``field q``;
+  each variable atom is charged nvars.  So ``(x1+1)^999`` (414,686 term
+  products) fits twice in a file over one variable and is refused at its
+  exponent the third time, or the first time with 512 variables declared.
+* ``MAX_COEFF_BITS`` over ``field q``, where bits(p) is the largest
+  max(|a|, b).bit_length() - 1 over p's coefficients a/b: a product is
+  refused when bits(p) + bits(q) passes it, so ``2^1000000*x`` parses and
+  ``2^1000001*x`` does not.
+
+``parse_polynomial`` gives each expression a budget of its own.
 
 Each generator or query line is worked out as one dict {exponent tuple:
 coefficient}, with integer coefficients over the rationals until ``a/b``
@@ -54,41 +63,16 @@ MAX_NESTING = 100
 # literals are a parse error, so no limit setting can turn one into a crash.
 MAX_DIGITS = 640
 
-# A power of a sum expands term by term, with no bound of its own: through
-# Polynomial.__pow__, (x1+1)^1000 took 0.88 s over GF(32003) and 2.55 s over
-# QQ, and ^2000 took 3.25 s and 9.51 s, while a 640-digit exponent is a legal
-# literal.  A power of a base with k >= 2 terms is refused when its expansion
-# may have more than this many terms, C(e+k-1, k-1) for the exponent e.
-MAX_POWER_TERMS = 1000
+# One term product takes about 0.45 + 0.048 * nvars us over a prime field,
+# so the budget is spent in about a second: three (x1+1)^999 lines over one
+# variable are refused after 0.9 s.  The + 8 per term product gives a file
+# over one or two variables about 10**6 term products.
+MAX_FILE_WORDS = 10**7
 
-# Over the rationals c^e has about e * log2(c) bits, and printing costs time
-# quadratic in its length: gb on 2^e*x - 1 took 0.10 s for e = 3*10**5, 1.1 s
-# for 10**6 and 4.4 s for 2*10**6.  Over ``field q`` a polynomial's size is
-# the largest max(|a|, b).bit_length() - 1 over its coefficients a/b
-# (``_coeff_bits``).  A product is refused when its factors' sizes sum past
-# this bound, and a power f^e of f with k >= 1 terms when
-# e * (size + (k - 1).bit_length()) does: a coefficient of f^e is a sum of
-# at most k^e products of e coefficients of f.  Such a power is refused as
-# well when its at most C(e+k-1, k-1) coefficients could pass the bound
-# together, so (2^1000*x + 1)^999 cannot ask for 1000 coefficients of about
-# 10^6 bits each.
-MAX_POWER_BITS = 10**6
-
-# A product of sums multiplies every term of one factor by every term of
-# the other: (x1+1)*(x2+1)*...*(xn+1) has 2^n terms, its 16,384 terms for
-# n = 14 took 0.15 s through Polynomial products, and a line of about 250
-# bytes reaches 2^30.  A product p*q is refused at its ``*`` when
-# len(p) * len(q) passes this bound.
-MAX_PRODUCT_TERMS = 1000
-
-# The bounds above hold for one power or one product, but a file may hold
-# any number of them: the squaring ladder of (x1+1)^999 makes 414,686 term
-# products (0.34 s over GF(32003)), and five copies of it on one 62-byte
-# line took 1.38 s.  A problem file is refused at the product that takes the
-# sum of len(p) * len(q) over the products all its lines make, ladders
-# included, past this bound, so two copies of (x1+1)^999 fit in a file,
-# whether on one line or on two.
-MAX_FILE_TERM_PRODUCTS = 10**6
+# Printing costs time quadratic in a coefficient's length: gb on 2^e*x - 1
+# over ``field q`` took 0.10 s for e = 3*10**5, 1.1 s for 10**6 and 4.4 s for
+# 2*10**6.
+MAX_COEFF_BITS = 10**6
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^()/])"
@@ -137,12 +121,6 @@ def _add_to(p, q, negate, mod):
             del p[e]
 
 
-def _negated(p, mod):
-    if mod:
-        return {e: mod - c for e, c in p.items()}
-    return {e: -c for e, c in p.items()}
-
-
 class _PolyParser:
     """Recursive descent over a line's tokens, for one field and variable list.
 
@@ -150,19 +128,17 @@ class _PolyParser:
     Coefficients are ints in [1, p) over a field of characteristic p, and
     ints or Fractions over the rationals; only a whole line becomes a
     Polynomial, its coefficients mapped into the field by ``from_int``.
-    Every line one parser reads draws on one budget of term products.
+    Every line one parser reads draws on one budget of ``MAX_FILE_WORDS``.
     """
 
     def __init__(self, domain, names):
-        n = len(names)
         self.domain = domain
         self.mod = domain.char  # 0 over the rationals, whose coefficients grow
-        self.nvars = n
-        self.zero = (0,) * n
-        self.units = {
-            name: tuple(int(j == i) for j in range(n)) for i, name in enumerate(names)
-        }
-        self.budget = MAX_FILE_TERM_PRODUCTS
+        self.nvars = len(names)
+        self.zero = (0,) * self.nvars
+        self.index = {name: i for i, name in enumerate(names)}
+        self.units = {}  # name -> exponent tuple, built on first use
+        self.words = MAX_FILE_WORDS
 
     def parse(self, tokens, pos, line):
         """The Polynomial of tokens[pos:], which end with the end token."""
@@ -177,11 +153,22 @@ class _PolyParser:
     def fail(self, message, tok):
         raise ParseError(message, self.line, tok[2])
 
+    def charge(self, words, tok):
+        """Spend words of the parser's budget; refused at tok once it is gone."""
+        self.words -= words
+        if self.words < 0:
+            self.fail(f"problem expands to more than {MAX_FILE_WORDS} words", tok)
+
     def product(self, p, q, tok):
-        """p*q, charged to the parser's budget of term products; refused at tok."""
-        self.budget -= len(p) * len(q)
-        if self.budget < 0:
-            self.fail(f"problem makes more than {MAX_FILE_TERM_PRODUCTS} term products", tok)
+        """p*q, charged to the parser's budget before it is made; refused at tok."""
+        words = self.nvars + 8
+        if not self.mod:
+            bits = _coeff_bits(p) + _coeff_bits(q)
+            if bits > MAX_COEFF_BITS:
+                message = f"product would have a coefficient of more than {MAX_COEFF_BITS} bits"
+                self.fail(message, tok)
+            words += bits // 64
+        self.charge(len(p) * len(q) * words, tok)
         out = {}
         get = out.get
         for s, a in p.items():
@@ -209,23 +196,18 @@ class _PolyParser:
         while tokens[self.pos][1] == "*":
             tok = tokens[self.pos]
             self.pos += 1
-            q = self.unary()
-            if not self.mod and _coeff_bits(p) + _coeff_bits(q) > MAX_POWER_BITS:
-                message = f"product would have a coefficient of more than {MAX_POWER_BITS} bits"
-                self.fail(message, tok)
-            if len(p) * len(q) > MAX_PRODUCT_TERMS:
-                self.fail(f"product may expand to more than {MAX_PRODUCT_TERMS} terms", tok)
-            p = self.product(p, q, tok)
+            p = self.product(p, self.unary(), tok)
         return p
 
     def unary(self):
-        negate = False
         tokens = self.tokens
+        tok, negate = tokens[self.pos], False
         while tokens[self.pos][1] == "-":
             self.pos += 1
             negate = not negate
         p = self.power()
-        return _negated(p, self.mod) if negate else p
+        # -p is p * -1 (mod - 1 over GF(mod), -1 over QQ), charged as any product
+        return self.product(p, {self.zero: self.mod - 1}, tok) if negate else p
 
     def power(self):
         p = self.atom()
@@ -238,20 +220,6 @@ class _PolyParser:
         e = int(etok[1])
         if e <= 0:
             self.fail("exponents must be positive", etok)
-        # f^e for f with k terms may have C(e+k-1, k-1) terms; the
-        # product C(e+j, j) over j < k stops once it passes the bound
-        terms, k = 1, len(p)
-        for j in range(1, k):
-            terms = terms * (e + j) // j
-            if terms > MAX_POWER_TERMS:
-                self.fail(f"power may expand to more than {MAX_POWER_TERMS} terms", etok)
-        if not self.mod and k:
-            bits = e * (_coeff_bits(p) + (k - 1).bit_length())
-            if bits > MAX_POWER_BITS:
-                message = f"power would have a coefficient of more than {MAX_POWER_BITS} bits"
-                self.fail(message, etok)
-            if terms * bits > MAX_POWER_BITS:
-                self.fail(f"power may expand to more than {MAX_POWER_BITS} coefficient bits", etok)
         return power(p, e, lambda a, b: self.product(a, b, etok), {self.zero: 1})
 
     def atom(self):
@@ -281,9 +249,13 @@ class _PolyParser:
         if kind == "name":
             exps = self.units.get(word)
             if exps is None:
-                if word in _KEYWORDS:
-                    self.fail(f"{word!r} is a keyword", tok)
-                self.fail(f"undeclared variable {word!r}", tok)
+                i = self.index.get(word)
+                if i is None:
+                    if word in _KEYWORDS:
+                        self.fail(f"{word!r} is a keyword", tok)
+                    self.fail(f"undeclared variable {word!r}", tok)
+                exps = self.units[word] = self.zero[:i] + (1,) + self.zero[i + 1 :]
+            self.charge(self.nvars, tok)
             return {exps: 1}
         if word == "(":
             if self.depth == MAX_NESTING:
@@ -338,7 +310,7 @@ def _parse_vars(tokens, line):
     """The names a 'vars' line declares; tokens exclude the end token."""
     if len(tokens) < 2:
         raise ParseError("expected at least one variable name", line, None)
-    names = []
+    names = {}  # a dict keeps the order and tests membership in O(1)
     for kind, word, col in tokens[1:]:
         if kind != "name":
             raise ParseError("variable names must be identifiers", line, col)
@@ -346,7 +318,7 @@ def _parse_vars(tokens, line):
             raise ParseError(f"{word!r} is a keyword", line, col)
         if word in names:
             raise ParseError(f"duplicate variable {word!r}", line, col)
-        names.append(word)
+        names[word] = None
     return tuple(names)
 
 

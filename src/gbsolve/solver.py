@@ -2,15 +2,15 @@
 
 ``solve`` either certifies that an ideal is trivial (1 as an explicit
 combination of the generators) or produces a common zero in a finite
-extension tower, eliminating one variable per recursion step:
+extension tower, eliminating one variable per step:
 
 * the ideal meets K[x1] in a nonconstant polynomial p: every root of p
   extends to a zero of the ideal (the Closure Theorem), so substitute the
-  root of p's first irreducible factor and recurse (``find_branch_root``);
+  root of p's first irreducible factor and go on (``find_branch_root``);
 * the intersection is zero: compute a strong basis over K[x1] and take x1 = a
   off the roots of its leading-coefficient product (``specialization_locus``);
   there the strong basis specializes to a Groebner basis of I(a) with no
-  constant member, so I(a) is proper.  The recursion substitutes a into the
+  constant member, so I(a) is proper.  The next step substitutes a into the
   generators, as the root step does: they generate the same I(a);
 * one variable left: the same root step, on the gcd of the generators (the
   trace calls it ``base``); every root works, and the zero ideal takes 0.
@@ -135,34 +135,40 @@ def find_branch_root(p, ideal, rng=None):
     return root, Ideal(gens, domain=ext, nvars=ideal.nvars - 1)
 
 
-def _point(ideal, rng, trace, depth):
-    tower = ideal.domain
-    if ideal.nvars == 0:
-        return tower, []
+def _point(ideal, rng, trace):
+    """A common zero of a proper ideal, one variable eliminated per step.
 
-    p = eliminate_to_x1(ideal)
-    locus = None
-    if not p.is_zero():
-        if p.is_constant():
-            raise InvariantViolation("a proper ideal met K[x1] in a constant")
-        branch = "base" if ideal.nvars == 1 else "root"
-        a, evaluated = find_branch_root(p, ideal, rng)
-    elif ideal.nvars == 1:
-        branch, a = "base", FFElement(tower, tower.zero())
-        evaluated = Ideal([], domain=tower, nvars=0)
-    else:
-        views = [to_coeff_view(g) for g in ideal.gens]
-        strong = strong_buchberger(
-            views, domain=UnivariatePolyDomain(tower), nvars=ideal.nvars - 1
-        )
-        branch, locus = "locus", specialization_locus(strong)
-        a = good_specialization_point(locus)
-        gens = [h.evaluate_x1(a.rep, a.tower) for h in ideal.gens]
-        evaluated = Ideal(gens, domain=a.tower, nvars=ideal.nvars - 1)
-    extension = a.tower if a.tower != tower else None
-    trace.append(BranchStep(depth, branch, p, a, extension, locus))
-    final, rest = _point(evaluated, rng, trace, depth + 1)
-    return final, [FFElement(final, final.lift(a.rep, a.tower))] + rest
+    Each step keeps only the value it chose, so the ideal of a level and its
+    cached bases are freed once the next level's ideal is built; the chosen
+    values are lifted into the final tower at the end.
+    """
+    chosen = []
+    while ideal.nvars:
+        tower = ideal.domain
+        p = eliminate_to_x1(ideal)
+        locus = None
+        if not p.is_zero():
+            if p.is_constant():
+                raise InvariantViolation("a proper ideal met K[x1] in a constant")
+            branch = "base" if ideal.nvars == 1 else "root"
+            a, ideal = find_branch_root(p, ideal, rng)
+        elif ideal.nvars == 1:
+            branch, a = "base", FFElement(tower, tower.zero())
+            ideal = Ideal([], domain=tower, nvars=0)
+        else:
+            views = [to_coeff_view(g) for g in ideal.gens]
+            strong = strong_buchberger(
+                views, domain=UnivariatePolyDomain(tower), nvars=ideal.nvars - 1
+            )
+            branch, locus = "locus", specialization_locus(strong)
+            a = good_specialization_point(locus)
+            gens = [h.evaluate_x1(a.rep, a.tower) for h in ideal.gens]
+            ideal = Ideal(gens, domain=a.tower, nvars=ideal.nvars - 1)
+        extension = a.tower if a.tower != tower else None
+        trace.append(BranchStep(len(chosen), branch, p, a, extension, locus))
+        chosen.append(a)
+    final = ideal.domain
+    return final, [FFElement(final, final.lift(a.rep, a.tower)) for a in chosen]
 
 
 def solve(ideal, *, seed=0):
@@ -176,7 +182,7 @@ def solve(ideal, *, seed=0):
     if verdict:
         return Trivial(verdict.certificate), []
     trace = []
-    tower, coords = _point(ideal, rng, trace, 0)
+    tower, coords = _point(ideal, rng, trace)
     reps = [c.rep for c in coords]
     for g in ideal.gens:
         if not tower.is_zero(g.evaluate(reps, tower)):

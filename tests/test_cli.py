@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -15,11 +16,9 @@ from gbsolve.errors import ParseError
 from gbsolve.fields import GF, QQ
 from gbsolve.groebner import Ideal
 from gbsolve.parser import (
+    MAX_COEFF_BITS,
     MAX_DIGITS,
-    MAX_FILE_TERM_PRODUCTS,
-    MAX_POWER_BITS,
-    MAX_POWER_TERMS,
-    MAX_PRODUCT_TERMS,
+    MAX_FILE_WORDS,
     parse_polynomial,
     parse_problem,
 )
@@ -109,6 +108,16 @@ class TestParseProblem:
         with pytest.raises(ParseError, match="identifiers"):
             parse_problem("field p 3\nvars x 1\n")
 
+    def test_long_vars_line_parses_in_linear_time(self):
+        # linear in the names: duplicates are found by hashing, and a unit
+        # exponent tuple is built only for a variable the generators use
+        names = [f"v{i}" for i in range(20_000)]
+        start = time.perf_counter()
+        problem = parse_problem(f"field p 5\nvars {' '.join(names)}\nv0\n")
+        assert time.perf_counter() - start < 0.5
+        assert problem.names == tuple(names)
+        assert problem.gens[0].coeffs == {(1,) + (0,) * 19_999: 1}
+
     def test_expression_errors_carry_positions(self):
         with pytest.raises(ParseError, match="line 3, col 7"):
             parse_problem("field p 3\nvars x\nx*x + y\n")
@@ -163,14 +172,9 @@ PARSE_ERRORS = [
     pytest.param(_H3 + "x^\n", "line 3, col 3: expected an integer exponent", id="exponent-at-end"),
     pytest.param(_H3 + "x^0\n", "line 3, col 3: exponents must be positive", id="exponent-zero"),
     pytest.param(
-        "field p 5\nvars x\n(x+1)^1000\n",
-        "line 3, col 7: power may expand to more than 1000 terms",
-        id="power-terms",
-    ),
-    pytest.param(
-        _HQ + "(2*x)^1000001\n",
-        "line 3, col 7: power would have a coefficient of more than 1000000 bits",
-        id="power-bits",
+        "field p 32003\nvars x\n(x+1)^4000\n",
+        "line 3, col 7: problem expands to more than 10000000 words",
+        id="file-words",
     ),
     pytest.param(_H3 + "x +\n", "line 3, col 4: unexpected end of line", id="end-of-line"),
     pytest.param(_H3 + "1/x\n", "line 3, col 3: expected an integer denominator", id="denominator"),
@@ -417,80 +421,111 @@ class TestCommands:
         assert (code, out, err) == (0, f"x^{n} + 1\n", "")
 
     def test_powers_of_sums_are_bounded(self, tmp_path, capsys):
-        # (x1+x2+x3)^e has C(e+2, 2) terms: 990 for e = 43, 1035 for e = 44
+        # (x1+x2+x3)^44 has C(46, 2) = 1035 terms
         head = "field p 32003\nvars x1 x2 x3\n"
-        (f,) = parse_problem(head + "(x1+x2+x3)^43\n").gens
-        assert len(f.coeffs) == 990 <= MAX_POWER_TERMS
+        (f,) = parse_problem(head + "(x1+x2+x3)^44\n").gens
+        assert len(f.coeffs) == 1035
         # terms that cancel, also modulo p, leave a base of one term
         (f,) = parse_problem(head + "(x1 + 32002*x1 + x2 - x2 + 2)^5000\n").gens
         assert f.coeffs == {(0, 0, 0): pow(2, 5000, 32003)}
-        nines = "9" * MAX_DIGITS  # refused before any expansion
-        for line, col in (("(x1+x2+x3)^44", 12), (f"(x1+1)^{nines}", 8)):
+        # each term product costs nvars + 8 words: with 512 variables the
+        # squaring ladder of (x1+1)^999 runs out at its exponent, and with
+        # one, so does (x1+1)^(640 nines)
+        nines = "9" * MAX_DIGITS
+        names = " ".join(f"x{i}" for i in range(1, 513))
+        for head, line in (
+            (f"field p 32003\nvars {names}\n", "(x1+1)^999"),
+            ("field p 32003\nvars x1\n", f"(x1+1)^{nines}"),
+        ):
             path = _problem(tmp_path, f"{head}{line}\n")
             code, out, err = _run(capsys, "gb", path)
             assert (code, out) == (2, "")
-            assert err == f"error: line 3, col {col}: power may expand to more than 1000 terms\n"
+            assert err == f"error: line 3, col 8: problem expands to more than {MAX_FILE_WORDS} words\n"
 
     def test_products_of_sums_are_bounded(self, tmp_path, capsys):
-        # (x1+1)*...*(xn+1) has 2^n terms: 512 for n = 9; the tenth factor
-        # is refused at its '*', as 512 * 2 passes the bound
-        names = [f"x{i}" for i in range(1, 11)]
-        head = f"field p 32003\nvars {' '.join(names)}\n"
+        # (x1+1)*...*(xn+1) has 2^n terms: 1024 for ten factors
+        names = [f"x{i}" for i in range(1, 21)]
         factors = [f"({x}+1)" for x in names]
-        (f,) = parse_problem(head + "*".join(factors[:9]) + "\n").gens
-        assert len(f.coeffs) == 512 and 512 * 2 > MAX_PRODUCT_TERMS
+        head = f"field p 32003\nvars {' '.join(names[:10])}\n"
+        (f,) = parse_problem(head + "*".join(factors[:10]) + "\n").gens
+        assert len(f.coeffs) == 1024
+        # with twenty factors over twenty variables, each atom costs 20 words
+        # and the k-th product 2^k * 2 term products of 28 words: the product
+        # that passes the budget is refused at its '*'
         line = "*".join(factors)
-        path = _problem(tmp_path, f"{head}{line}\n")
+        spent, k = 2 * 20, 1
+        while spent + 20 + 2**k * 2 * 28 <= MAX_FILE_WORDS:
+            spent += 20 + 2**k * 2 * 28
+            k += 1
+        col = len("*".join(factors[: k + 1])) - len(factors[k])
+        path = _problem(tmp_path, f"field p 32003\nvars {' '.join(names)}\n{line}\n")
         code, out, err = _run(capsys, "gb", path)
         assert (code, out) == (2, "")
-        col = line.rindex("*") + 1
-        assert err == f"error: line 3, col {col}: product may expand to more than 1000 terms\n"
+        assert err == f"error: line 3, col {col}: problem expands to more than {MAX_FILE_WORDS} words\n"
 
     def test_term_products_of_a_line_are_bounded(self, tmp_path, capsys):
-        # (x1+1)^(2^k) squares k times, from 2^i + 1 terms for i < k, and a
-        # product of one-term factors makes one term product.  The line spends
-        # the budget exactly with at most 513-term factors, and one more '*x2'
-        # passes it and is refused at that '*'.
-        def ladder(k):
-            return sum((2**i + 1) ** 2 for i in range(k))
+        # Over GF(p) a term product costs nvars + 8 words and a variable atom
+        # nvars.  (x1+1)^(2^k) is one atom and k squarings, from 2^i + 1 terms
+        # for i < k; a chain y*...*y of m atoms makes m - 1 one-term products.
+        # Each line spends the budget exactly, and one more '*y' is refused at
+        # its atom.
+        for nvars in (1, 2):
+            w, y = nvars + 8, f"x{nvars}"
 
-        left, pieces = MAX_FILE_TERM_PRODUCTS, []
-        for k in range(9, 0, -1):
-            while ladder(k) <= left:
-                pieces.append(f"(x1+1)^{2**k}")
-                left -= ladder(k)
-        pieces.append("*".join(["x2"] * (left + 1)))
-        line = " + ".join(pieces)
-        head = "field p 32003\nvars x1 x2\n"
-        (f,) = parse_problem(f"{head}{line}\n").gens
-        assert len(line) < 400 and len(f.coeffs) == 514
-        path = _problem(tmp_path, f"{head}{line}*x2\n")
-        code, out, err = _run(capsys, "gb", path)
-        assert (code, out) == (2, "")
-        assert err == (
-            f"error: line 3, col {len(line) + 1}: "
-            f"problem makes more than {MAX_FILE_TERM_PRODUCTS} term products\n"
-        )
+            def ladder(k):
+                return nvars + w * sum((2**i + 1) ** 2 for i in range(k))
+
+            left, pieces = MAX_FILE_WORDS, []
+            for k in range(9, 0, -1):
+                while ladder(k) <= left:
+                    pieces.append(f"(x1+1)^{2**k}")
+                    left -= ladder(k)
+            m = (left + w) // (nvars + w)
+            pieces.append("*".join([y] * m))
+            left -= m * (nvars + w) - w
+            assert left % nvars == 0 and left // nvars < nvars + w
+            pieces += [y] * (left // nvars)
+            line = " + ".join(pieces)
+            names = " ".join(f"x{i}" for i in range(1, nvars + 1))
+            head = f"field p 32003\nvars {names}\n"
+            (f,) = parse_problem(f"{head}{line}\n").gens
+            assert len(line) < 400 and len(f.coeffs) >= 513
+            path = _problem(tmp_path, f"{head}{line}*{y}\n")
+            code, out, err = _run(capsys, "gb", path)
+            assert (code, out) == (2, "")
+            assert err == (
+                f"error: line 3, col {len(line) + 2}: "
+                f"problem expands to more than {MAX_FILE_WORDS} words\n"
+            )
 
     def test_term_products_of_a_file_are_bounded(self, tmp_path, capsys):
-        # (x1+1)^999 makes 414,686 term products, so two such lines fit in
-        # one file's budget and the third is refused at its exponent
-        assert 2 * 414_686 <= MAX_FILE_TERM_PRODUCTS < 3 * 414_686
+        # (x1+1)^999 makes 414,686 term products of 9 words and one 1-word
+        # atom, so two such lines fit in one file's budget and the third is
+        # refused at its exponent
+        assert 2 * (414_686 * 9 + 1) <= MAX_FILE_WORDS < 3 * (414_686 * 9 + 1)
         path = _problem(tmp_path, "field p 32003\nvars x1\n" + 3 * "(x1+1)^999\n")
         code, out, err = _run(capsys, "gb", path)
         assert (code, out) == (2, "")
-        assert err == (
-            f"error: line 5, col 8: "
-            f"problem makes more than {MAX_FILE_TERM_PRODUCTS} term products\n"
-        )
+        assert err == f"error: line 5, col 8: problem expands to more than {MAX_FILE_WORDS} words\n"
+
+    def test_coefficient_words_of_a_file_are_bounded(self, tmp_path, capsys):
+        # over field q a term product also costs (bits(p) + bits(q)) // 64
+        # words, so lines that each stay under the coefficient cap add up:
+        # 2^1000000*x - 1 costs about 60,000 words, and the 167th such line
+        # is refused at the exponent
+        path = _problem(tmp_path, "field q\nvars x\n" + 170 * "2^1000000*x - 1\n")
+        code, out, err = _run(capsys, "gb", path)
+        assert (code, out) == (2, "")
+        assert err == f"error: line 169, col 3: problem expands to more than {MAX_FILE_WORDS} words\n"
 
     def test_one_term_rational_powers_are_bounded(self, tmp_path, capsys):
-        # c^e for c = a/b counts max(|a|, b).bit_length() - 1 bits per factor
+        # c^e for c = a/b counts max(|a|, b).bit_length() - 1 bits per factor,
+        # and the squaring ladder's product that passes the cap is refused
         head = "field q\nvars x\n"
-        (f,) = parse_problem(f"{head}2^{MAX_POWER_BITS}*x - 1\n").gens
-        assert f.coeffs[(1,)] == 2**MAX_POWER_BITS
-        nines = "9" * MAX_DIGITS  # refused before any power is taken
-        over = MAX_POWER_BITS + 1
+        (f,) = parse_problem(f"{head}2^{MAX_COEFF_BITS}*x - 1\n").gens
+        assert f.coeffs[(1,)] == 2**MAX_COEFF_BITS
+        nines = "9" * MAX_DIGITS
+        over = MAX_COEFF_BITS + 1
         for line, col in (
             (f"2^{over}*x - 1", 3),
             (f"(2*x)^{over}", 7),
@@ -502,7 +537,7 @@ class TestCommands:
             assert (code, out) == (2, "")
             assert err == (
                 f"error: line 3, col {col}: "
-                f"power would have a coefficient of more than {MAX_POWER_BITS} bits\n"
+                f"product would have a coefficient of more than {MAX_COEFF_BITS} bits\n"
             )
         # coefficients that do not grow: +-1, a bare monomial, a prime field
         (f,) = parse_problem(f"{head}(-1)^{nines}*x - x^{nines} + 1\n").gens
@@ -511,35 +546,27 @@ class TestCommands:
         assert f.coeffs == {(1,): pow(2, int(nines), 5), (0,): 4}
 
     def test_rational_products_and_powers_of_sums_are_bounded(self, tmp_path, capsys):
-        # a product sums its factors' bits; f^e with k terms counts
-        # e * (bits + (k - 1).bit_length())
-        half = MAX_POWER_BITS // 2
+        # a product sums its factors' bits against the cap; the words of a
+        # power of a sum grow with its coefficients' bits too
+        half = MAX_COEFF_BITS // 2
         (f,) = parse_problem(f"field q\nvars x\n2^{half}*2^{half}*x\n").gens
-        assert f.coeffs == {(1,): 2**MAX_POWER_BITS}
+        assert f.coeffs == {(1,): 2**MAX_COEFF_BITS}
         (f,) = parse_problem("field q\nvars x1\n(x1+1)^999\n").gens
         assert len(f.coeffs) == 1000 and f.coeffs[(499,)] == math.comb(999, 499)
         big = "9" * MAX_DIGITS
-        for line, col, what in (
-            ("2^1000000*2^1000000*2^1000000*2^1000000*x - 1", 10, "product"),
-            (f"2^{half}*2^{half + 1}*x", 9, "product"),
-            (f"({big}*x + 1)^999", MAX_DIGITS + 10, "power"),
-            ("(2^1001*x + 1)^999", 16, "power"),
+        coeff = f"product would have a coefficient of more than {MAX_COEFF_BITS} bits"
+        words = f"problem expands to more than {MAX_FILE_WORDS} words"
+        for line, col, message in (
+            ("2^1000000*2^1000000*2^1000000*2^1000000*x - 1", 10, coeff),
+            (f"2^{half}*2^{half + 1}*x", 9, coeff),
+            (f"({big}*x + 1)^999", MAX_DIGITS + 10, words),
+            ("(2^1001*x + 1)^999", 16, words),
+            ("(2^1000*x + 1)^999", 16, words),
         ):
             path = _problem(tmp_path, f"field q\nvars x\n{line}\n")
             code, out, err = _run(capsys, "gb", path)
             assert (code, out) == (2, "")
-            assert err == (
-                f"error: line 3, col {col}: "
-                f"{what} would have a coefficient of more than {MAX_POWER_BITS} bits\n"
-            )
-        # each coefficient of (2^1000*x + 1)^999 fits, 999 * 1001 bits, but
-        # 1000 of them could hold about 10^9 bits in all
-        path = _problem(tmp_path, "field q\nvars x\n(2^1000*x + 1)^999\n")
-        code, out, err = _run(capsys, "gb", path)
-        assert (code, out) == (2, "")
-        assert err == (
-            f"error: line 3, col 16: power may expand to more than {MAX_POWER_BITS} coefficient bits\n"
-        )
+            assert err == f"error: line 3, col {col}: {message}\n"
 
     def test_long_rational_coefficients_print(self, tmp_path, capsys):
         # x - 1/R^8 for the 600-digit repunit R: a 4793-digit denominator,

@@ -13,14 +13,12 @@ arithmetic gives for the expression tree it was rendered from, term order
 included.
 """
 
-import math
-
-from hypothesis import assume, given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from gbsolve.errors import ParseError
 from gbsolve.fields import GF, QQ
-from gbsolve.parser import MAX_POWER_TERMS, MAX_PRODUCT_TERMS, parse_problem
+from gbsolve.parser import parse_polynomial, parse_problem
 from gbsolve.poly import Polynomial
 
 FIELDS = ["field q", "field p 2", "field p 5", "field p 32003"]
@@ -88,14 +86,26 @@ def expression_trees(char):
     return st.recursive(leaves, extend, max_leaves=8)
 
 
+def _assume_in_bounds(parse, text, *args):
+    """Reject an example the parser refuses as too large; any other parse
+    error is a rendering bug and fails the test."""
+    try:
+        parse(text, *args)
+    except ParseError as err:
+        if "more than" not in str(err):
+            raise
+        reject()
+
+
 def _operand(tree, level, dom, sp):
     text, own, p = _render(tree, dom, sp)
     return (text if own >= level else f"({text})"), p
 
 
 def _render(tree, dom, sp):
-    """(text, precedence, Polynomial) of an expression tree.  Trees whose
-    expansion the parser would refuse as too large are rejected."""
+    """(text, precedence, Polynomial) of an expression tree.  A power or a
+    product the parser refuses as too large is rejected before Polynomial
+    arithmetic computes it."""
     kind = tree[0]
     if kind == "var":
         return DIFF_NAMES[tree[1]], ATOM, Polynomial.variable(dom, len(DIFF_NAMES), tree[1])
@@ -115,18 +125,19 @@ def _render(tree, dom, sp):
         return "-" * tree[1] + text, UNARY, p
     if kind == "pow":
         text, p = _operand(tree[1], ATOM, dom, sp)
-        e, k = tree[2], len(p.coeffs)
-        assume(k < 2 or math.comb(e + k - 1, k - 1) <= MAX_POWER_TERMS)
-        return f"{text}^{e}", POWER, p**e
+        text = f"{text}^{tree[2]}"
+        _assume_in_bounds(parse_polynomial, text, dom, DIFF_NAMES)
+        return text, POWER, p ** tree[2]
     op, level = BINARY[kind]
     ltext, left = _operand(tree[1], level, dom, sp)
     rtext, right = _operand(tree[2], level + 1, dom, sp)
+    text = f"{ltext}{sp}{op}{sp}{rtext}"
     if kind == "mul":
-        assume(len(left.coeffs) * len(right.coeffs) <= MAX_PRODUCT_TERMS)
+        _assume_in_bounds(parse_polynomial, text, dom, DIFF_NAMES)
         p = left * right
     else:
         p = left + right if kind == "add" else left - right
-    return f"{ltext}{sp}{op}{sp}{rtext}", level, p
+    return text, level, p
 
 
 @st.composite
@@ -140,6 +151,7 @@ def rendered_problems(draw):
         lines.append(text)
         polys.append(p)
     text = "\n".join([header, "vars " + " ".join(DIFF_NAMES), *lines]) + "\n"
+    _assume_in_bounds(parse_problem, text)  # its lines share one budget
     return text, tuple(polys)
 
 

@@ -1,7 +1,8 @@
-"""The recursive point-finder and the ideal operations built around it."""
+"""The point-finder and the ideal operations built around it."""
 
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -339,6 +340,22 @@ class TestSolve:
             first = solve(Ideal(gens, domain=F3, nvars=2), seed=5)
             second = solve(Ideal(gens, domain=F3, nvars=2), seed=5)
             assert first == second
+
+    def test_memory_does_not_grow_with_the_levels_left(self):
+        # v0 + ... + v79 takes 80 steps; each step's ideal and cached bases
+        # are freed once the next one is built, so the peak stays near one
+        # level's size (about 0.4 MB; all 80 levels together hold about 7 MB)
+        names = [f"v{i}" for i in range(80)]
+        problem = parse_problem(f"field p 5\nvars {' '.join(names)}\n{' + '.join(names)}\n")
+        ideal = Ideal(list(problem.gens), domain=F5, nvars=80)
+        tracemalloc.start()
+        try:
+            outcome, trace = solve(ideal)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(outcome, Point) and len(trace) == 80
+        assert peak < 2 * 10**6
 
 
 class TestIntersect:
