@@ -54,8 +54,7 @@ def from_coeff_view(p):
     out = {}
     for rest, cs in p.coeffs.items():
         for e, c in enumerate(cs):
-            if not field.is_zero(c):
-                out[(e,) + rest] = c
+            out[(e,) + rest] = c  # the constructor drops zeros
     return Polynomial(field, p.nvars + 1, out)
 
 

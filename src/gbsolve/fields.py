@@ -18,8 +18,8 @@ arithmetic, in one walk of a candidate's powers: g is accepted when its
 powers first return to 1 at g^(q-1).  A reducible level (only a test that
 bypasses the irreducibility check can build one) has no such g and keeps
 polynomial arithmetic.  The tables hold the same canonical tuples the
-polynomial arithmetic makes, so no result changes.  A larger tower keeps
-polynomial arithmetic, over its tabled sub-levels.
+polynomial arithmetic makes, so no result changes.  A larger tower multiplies
+over its tabled sub-levels, reducing in the same pass (``_poly_mul``).
 """
 
 from __future__ import annotations
@@ -436,9 +436,25 @@ class FieldTower(Field):
         return self._poly_mul(a, b)
 
     def _poly_mul(self, a, b):
-        """The product as polynomials over the level below, reduced."""
-        prod = unipoly.mul(a, b, self._sub)
-        return unipoly.rem(prod, self.levels[-1].minpoly, self._sub)
+        """The product over the level below reduced by the monic minimal
+        polynomial g in one call: over a prime sub-level in inline ints."""
+        below, g = self._sub, self.levels[-1].minpoly
+        p, n = below.modulus, len(g) - 1
+        add, sub, mul = below.add, below.sub, below.mul
+        out = [below.zero()] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] = out[i + j] + x * y if p else add(out[i + j], mul(x, y))
+        for top in range(len(out) - 1, n - 1, -1):
+            c = out[top] % p if p else out[top]
+            if c:
+                for k, d in zip(range(top - n, top), g):
+                    out[k] = out[k] - c * d if p else sub(out[k], mul(c, d))
+        out = [c % p for c in out[:n]] if p else out[:n]
+        while out and not out[-1]:
+            out.pop()
+        return tuple(out)
 
     def neg(self, a):
         if not self.levels:

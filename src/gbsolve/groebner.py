@@ -1,17 +1,17 @@
 """Division, S- and G-polynomials and one completion engine for every ring.
 
-Division, the pair polynomials, completion and ``certify_basis`` work over
-any Euclidean coefficient domain: a field (where every Euclidean remainder
-is zero) or K[x1] (see ``euclidean``).  ``buchberger`` and
+Division, the pair polynomials, completion and ``certify_basis`` work over any
+Euclidean coefficient domain: a field (where every Euclidean remainder is
+zero) or K[x1] (see ``euclidean``).  ``buchberger`` and
 ``euclidean.strong_buchberger`` are the same engine behind different domain
-checks.  With every leading coefficient 1, the criteria for strong bases
-over a Euclidean domain are the usual field criteria and no G-pair arises,
-so over a field the engine is plain Buchberger.  Division tracks cofactors so
-every reduction yields an exact combination identity; completion can
-additionally track how each basis element was assembled from the input
-generators, which is how triviality certificates are produced.  Reduced
-bases over a field are monic, inter-reduced and sorted with the largest
-leading term first, so equal ideals print identically.
+checks.  With every leading coefficient 1 the strong criteria are the field
+criteria and no G-pair arises, so over a field (``is_field``, read once per
+completion) the engine is plain Buchberger, with no coefficient gcd, lcm or
+divisibility test.  Division tracks cofactors so every reduction yields an
+exact combination identity; completion can also track how each basis element
+was assembled from the input generators, which is how triviality certificates
+are produced.  Reduced bases over a field are monic, inter-reduced and sorted
+with the largest leading term first, so equal ideals print identically.
 
 1 lies in an ideal exactly when its reduced basis is {1}, under any term
 order, so ``is_trivial`` reads the verdict from whichever basis an ``Ideal``
@@ -292,9 +292,10 @@ def _pair(kind, f, f_lead, g, g_lead, pk, dom):
 
 
 def _strongly_divides(dom, guard, lead_a, lead_b):
-    """Whether leading monomial a divides b, term and coefficient both."""
+    """Whether leading monomial a divides b, term and coefficient (not over
+    a field, where ``dom`` is None)."""
     (ta, ca), (tb, cb) = lead_a, lead_b
-    return not (tb - ta) & guard and dom.divides(ca, cb)
+    return not (tb - ta) & guard and (dom is None or dom.divides(ca, cb))
 
 
 def _submul(vec, cofs, vecs, dom, guard):
@@ -352,6 +353,8 @@ def _complete(gens, order, domain, nvars, track):
 def _completion(pk, gens, domain, nvars, track):
     """``_complete`` on the generators packed by ``pk``."""
     guard = pk.guard
+    field = domain.is_field  # leading coefficients 1: no G-pair, gcd or lcm
+    cdom = None if field else domain  # coefficient test of _strongly_divides
     basis = []  # packed elements
     lead = []  # (packed leading term, canonical leading coefficient)
     lineage = []  # with track: packed cofactors over the generators
@@ -368,7 +371,7 @@ def _completion(pk, gens, domain, nvars, track):
             t = pk.lcm(e, lt)
             heappush(queue, (t, _S, i, j))
             pending.add((i, j))
-            if not (domain.divides(c, lc) or domain.divides(lc, c)):
+            if not (field or domain.divides(c, lc) or domain.divides(lc, c)):
                 heappush(queue, (t, _G, i, j))
         basis.append(f)
         lead.append((lt, lc))
@@ -388,13 +391,13 @@ def _completion(pk, gens, domain, nvars, track):
         if kind == _S:
             pending.discard((i, j))
             (ei, ci), (ej, cj) = lead[i], lead[j]
-            if t == ei + ej and domain.is_unit(domain.gcd(ci, cj)):
+            if t == ei + ej and (field or domain.is_unit(domain.gcd(ci, cj))):
                 continue  # coprime leading monomials: reduces to zero
-            lcm_lead = (t, domain.lcm(ci, cj))
+            lcm_lead = (t, None if field else domain.lcm(ci, cj))
             if any(
                 k != i
                 and k != j
-                and _strongly_divides(domain, guard, lead[k], lcm_lead)
+                and _strongly_divides(cdom, guard, lead[k], lcm_lead)
                 and (min(i, k), max(i, k)) not in pending
                 and (min(j, k), max(j, k)) not in pending
                 for k in range(len(basis))
@@ -418,14 +421,13 @@ def _completion(pk, gens, domain, nvars, track):
     # monomials the earliest element survives over a field (printed
     # certificates depend on it) and the latest over K[x1] (printed strong
     # bases depend on it).
-    tie = 1 if domain.is_field else -1
     keep = []
     ranked = sorted(
         range(len(basis)),
-        key=lambda k: (lead[k][0], domain.sort_key(lead[k][1]), tie * k),
+        key=lambda k: (lead[k][0], domain.sort_key(lead[k][1]), k if field else -k),
     )
     for k in ranked:
-        if not any(_strongly_divides(domain, guard, lead[m], lead[k]) for m in keep):
+        if not any(_strongly_divides(cdom, guard, lead[m], lead[k]) for m in keep):
             keep.append(k)
 
     # Inter-reduce in the same order against unit-led elements only.  Such an

@@ -26,10 +26,12 @@ there, and a refusal names the ``*``, the ``-`` or the exponent:
 
 * ``MAX_FILE_WORDS``, one budget of machine words for the whole file.  A
   product of an m-term and an n-term factor makes m * n term products, each
-  charged nvars + 8 words, plus (bits(p) + bits(q)) // 64 over ``field q``;
-  each variable atom is charged nvars.  So ``(x1+1)^999`` (414,686 term
-  products) fits twice in a file over one variable and is refused at its
-  exponent the third time, or the first time with 512 variables declared.
+  charged nvars + 8 words, plus the words of a coefficient product,
+  (bits(p) + bits(q)) // 64 over ``field q`` and 2 * bits(p) // 64 over
+  ``field p`` (0 for p < 2^32); each variable atom is charged nvars.  So
+  ``(x1+1)^999`` (414,686 term products) fits twice in a file over one
+  variable and is refused at its exponent the third time, or the first
+  time with 512 variables declared or over a prime of 512 bits or more.
 * ``MAX_COEFF_BITS`` over ``field q``, where bits(p) is the largest
   max(|a|, b).bit_length() - 1 over p's coefficients a/b: a product is
   refused when bits(p) + bits(q) passes it, so ``2^1000000*x`` parses and
@@ -47,8 +49,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import ParseError
-from .fields import GF, QQ, is_probable_prime
+from .errors import ParseError, UsageError
+from .fields import GF, QQ
 from .poly import Polynomial, exp_add
 from .unipoly import power
 
@@ -66,7 +68,8 @@ MAX_DIGITS = 640
 # One term product takes about 0.45 + 0.048 * nvars us over a prime field,
 # so the budget is spent in about a second: three (x1+1)^999 lines over one
 # variable are refused after 0.9 s.  The + 8 per term product gives a file
-# over one or two variables about 10**6 term products.
+# over one or two variables about 10**6 term products.  A file that fills
+# it over a 640-digit prime (75 words per term product) also takes 1 s.
 MAX_FILE_WORDS = 10**7
 
 # Printing costs time quadratic in a coefficient's length: gb on 2^e*x - 1
@@ -161,7 +164,7 @@ class _PolyParser:
 
     def product(self, p, q, tok):
         """p*q, charged to the parser's budget before it is made; refused at tok."""
-        words = self.nvars + 8
+        words = self.nvars + 8 + 2 * self.mod.bit_length() // 64  # 0 over QQ
         if not self.mod:
             bits = _coeff_bits(p) + _coeff_bits(q)
             if bits > MAX_COEFF_BITS:
@@ -300,9 +303,10 @@ def _parse_field(tokens, line):
         if len(tokens) > 3:
             raise ParseError("trailing input after the prime", line, tokens[3][2])
         p = int(words[2])
-        if not is_probable_prime(p):
-            raise ParseError(f"{p} is not prime", line, tokens[2][2])
-        return GF(p)
+        try:
+            return GF(p)  # tests p once: 0.3 s for a 640-digit prime
+        except UsageError:
+            raise ParseError(f"{p} is not prime", line, tokens[2][2]) from None
     raise ParseError("expected 'field q' or 'field p <prime>'", line, None)
 
 

@@ -5,7 +5,7 @@ with its coefficient domain and variable count.  Term orders are total orders
 on exponent tuples; both plain and weighted lexicographic orders support an
 arbitrary variable priority so the same machinery serves elimination.
 ``Packing`` turns exponent tuples into ints whose integer order is a term
-order, the representation the division and completion loops work on.
+order, for division and completion.  Evaluation takes one power per exponent.
 """
 
 from __future__ import annotations
@@ -134,13 +134,13 @@ class Packing:
         for rank, var in enumerate(order.priority):
             shifts[var] = stride * (n - 1 - rank)
         self._shifts = tuple(shifts)
-        self._deg_shift = stride * n
+        self._deg_shift = None if order.weights is None else stride * n
 
     def pack(self, exps):
         """The packed int of an exponent tuple; Overflow when a field is too big."""
         fields = list(exps)
         packed = sum(e << s for e, s in zip(fields, self._shifts))
-        if self.order.weights is not None:
+        if self._deg_shift is not None:
             deg = sum(map(mul, self.order.weights, fields))
             packed += deg << self._deg_shift
             fields.append(deg)
@@ -153,7 +153,26 @@ class Packing:
         return tuple((packed >> s) & field for s in self._shifts)
 
     def lcm(self, s, t):
-        return self.pack(tuple(map(max, self.unpack(s), self.unpack(t))))
+        """Fieldwise max: g marks where t >= s, g - (g >> bits) fills those."""
+        if self._deg_shift is not None:
+            return self.pack(tuple(map(max, self.unpack(s), self.unpack(t))))
+        g = ((t | self.guard) - s) & self.guard
+        mask = g - (g >> self.bits)
+        return (t & mask) | (s & ~mask)
+
+
+def _powers(a, exps, dom):
+    """{e: a^e}, ascending: the previous power times a^gap, or a^e where
+    that is fewer products, so never more than one ``elem_pow`` each."""
+    ladder = lambda e: e.bit_length() + e.bit_count()  # its products + 2
+    out, prev = {0: dom.one()}, 0
+    for e in sorted(set(exps) - {0}):
+        if prev and ladder(e - prev) + 1 < ladder(e):
+            out[e] = dom.mul(out[prev], elem_pow(a, e - prev, dom))
+        else:
+            out[e] = elem_pow(a, e, dom)
+        prev = e
+    return out
 
 
 @dataclass(frozen=True)
@@ -173,9 +192,9 @@ class Polynomial:
             exps = tuple(exps)
             if len(exps) != nvars:
                 raise UsageError("exponent tuple does not match the variable count")
-            if any(e < 0 for e in exps):
+            if exps and min(exps) < 0:
                 raise UsageError("negative exponent")
-            if not domain.is_zero(c):
+            if c:  # every domain's zero is falsy (``fields.Domain``)
                 clean[exps] = c
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "nvars", nvars)
@@ -229,10 +248,7 @@ class Polynomial:
 
     def univariate_in(self, var):
         """True when no variable other than var appears (constants qualify)."""
-        return all(
-            all(e == 0 for j, e in enumerate(exps) if j != var)
-            for exps in self.coeffs
-        )
+        return not any(any(exps[:var] + exps[var + 1 :]) for exps in self.coeffs)
 
     def dense_in(self, var):
         """Ascending coefficient tuple of a polynomial univariate in var."""
@@ -337,9 +353,10 @@ class Polynomial:
         if dom is None:
             dom = self.domain
         out = {}
+        powers = _powers(a, [exps[0] for exps in self.coeffs], dom)
         for exps, c in self.coeffs.items():
-            rest = exps[1:]
-            val = dom.mul(dom.lift(c, self.domain), elem_pow(a, exps[0], dom))
+            rest, c = exps[1:], dom.lift(c, self.domain)
+            val = dom.mul(c, powers[exps[0]]) if exps[0] else c
             if rest in out:
                 out[rest] = dom.add(out[rest], val)
             else:
@@ -353,11 +370,12 @@ class Polynomial:
         if len(point) != self.nvars:
             raise UsageError("point length does not match the variable count")
         total = dom.zero()
+        powers = [_powers(a, col, dom) for a, col in zip(point, zip(*self.coeffs))]
         for exps, c in self.coeffs.items():
             val = dom.lift(c, self.domain)
-            for a, e in zip(point, exps):
+            for pw, e in zip(powers, exps):
                 if e:
-                    val = dom.mul(val, elem_pow(a, e, dom))
+                    val = dom.mul(val, pw[e])
             total = dom.add(total, val)
         return total
 

@@ -5,11 +5,11 @@ trailing zeros; the zero polynomial is the empty tuple.  Every function takes
 the field object last.  The factorization routines additionally require a
 finite field exposing ``char``, ``order`` and index-based element access.
 
-``factor`` splits f into squarefree parts (``sqf_list``).  In odd
-characteristic a part of degree 2 splits by one square root in the field
-(``_split_quadratic``, ``_sqrt``); every other part goes through
-distinct-degree (``ddf``) and randomized equal-degree (``edf``, Cantor and
-Zassenhaus 1981) factorization.  The result is unique and sorted, so the
+``factor`` splits f into squarefree parts (``sqf_list``; a quadratic by its
+discriminant, with no gcd).  In odd characteristic a part of degree 2 splits
+by one square root (``_split_quadratic``, ``_sqrt``); every other part goes
+through distinct-degree (``ddf``) and randomized equal-degree (``edf``, Cantor
+and Zassenhaus 1981) factorization.  The result is unique and sorted, so the
 random source never reaches it.
 """
 
@@ -250,6 +250,9 @@ def sqf_list(f, F):
     if deg(f) < 1:
         return []
     while True:
+        if deg(f) == 2 and F.char != 2:  # x^2 + 2hx + c is (x + h)^2 iff h^2 = c
+            h = F.mul(f[1], F.from_int((F.char + 1) // 2))  # (p+1)/2 is 1/2
+            return factors + [((h, F.one()), 2 * n) if F.mul(h, h) == f[0] else (f, n)]
         df = derivative(f, F)
         if df:
             g = gcd(f, df, F)
@@ -337,30 +340,30 @@ def edf(f, d, F, rng):
 def _sqrt(a, F):
     """A square root of a in the finite field F of odd order q, or None.
 
-    Euler's criterion decides: a nonzero a is a square exactly when
-    a^((q-1)/2) = 1.  A square is then rooted by Tonelli-Shanks (Shanks 1973;
-    Cohen, GTM 138, Alg. 1.5.1) with q - 1 = 2^s * t, t odd.  It needs a
-    non-square only when a^t != 1, and takes the last one in ``element``
-    order, searching down from element(q - 1); going downwards skips the
+    Tonelli-Shanks (Shanks 1973; Cohen, GTM 138, Alg. 1.5.1) with
+    q - 1 = 2^s * t, t odd.  Euler's criterion, a^((q-1)/2) = 1 exactly for
+    a nonzero square a, is b^(2^(s-1)) = 1 for b = a^t: s - 1 squarings.  A
+    non-square is needed only when b != 1; the search takes the last one in
+    ``element`` order, going down from element(q - 1), which skips the
     sub-level, whose elements are all squares when the top level has even
     degree.
     """
     if F.is_zero(a):
         return a
     q = F.order
-    if not F.is_one(elem_pow(a, (q - 1) // 2, F)):
-        return None
     s = ((q - 1) & (1 - q)).bit_length() - 1
     t = (q - 1) >> s
     x = elem_pow(a, (t - 1) // 2, F)
     x, b = F.mul(a, x), F.mul(a, F.mul(x, x))  # x^2 = a*b, b = a^t
+    if not F.is_one(elem_pow(b, 1 << (s - 1), F)):
+        return None
     if F.is_one(b):
         return x
     for i in range(q - 1, 0, -1):
-        c = F.element(i)
-        if not F.is_one(elem_pow(c, (q - 1) // 2, F)):
+        y = elem_pow(F.element(i), t, F)  # a non-square's y has order 2^s
+        if not F.is_one(elem_pow(y, 1 << (s - 1), F)):
             break
-    y, r = elem_pow(c, t, F), s  # y has order 2^r, b order 2^m with m < r
+    r = s  # y has order 2^r, b order 2^m with m < r
     for _ in range(s):  # r falls at every step
         if F.is_one(b):
             return x
@@ -369,9 +372,7 @@ def _sqrt(a, F):
             if F.is_one(b2):
                 break
             m, b2 = m + 1, F.mul(b2, b2)
-        z = y
-        for _ in range(r - m - 1):
-            z = F.mul(z, z)
+        z = elem_pow(y, 1 << (r - m - 1), F)
         y, r = F.mul(z, z), m
         x, b = F.mul(x, z), F.mul(b, y)
     raise InvariantViolation(f"{F.tag}: Tonelli-Shanks did not reach a root")

@@ -508,6 +508,23 @@ class TestCommands:
         assert (code, out) == (2, "")
         assert err == f"error: line 5, col 8: problem expands to more than {MAX_FILE_WORDS} words\n"
 
+    def test_coefficient_words_over_a_large_prime(self, tmp_path, capsys):
+        # over field p a term product also costs 2 * bits(p) // 64 words: 47
+        # for a 1535-bit prime and 48 for a 1536-bit one.  (x1+1)^512 makes
+        # 88,412 term products and one 1-word atom, so it fits twice over the
+        # first prime and is refused at its exponent the second time over
+        # the second
+        below, above = 2**1534 + 265, 2**1535 + 699
+        assert (below.bit_length(), above.bit_length()) == (1535, 1536)
+        assert 2 * (88_412 * 56 + 1) <= MAX_FILE_WORDS < 2 * (88_412 * 57 + 1)
+        lines = "vars x1\n" + 2 * "(x1+1)^512\n"
+        f, g = parse_problem(f"field p {below}\n{lines}").gens
+        assert f == g and f.coeffs[(256,)] == math.comb(512, 256) % below
+        path = _problem(tmp_path, f"field p {above}\n{lines}")
+        code, out, err = _run(capsys, "gb", path)
+        assert (code, out) == (2, "")
+        assert err == f"error: line 4, col 8: problem expands to more than {MAX_FILE_WORDS} words\n"
+
     def test_coefficient_words_of_a_file_are_bounded(self, tmp_path, capsys):
         # over field q a term product also costs (bits(p) + bits(q)) // 64
         # words, so lines that each stay under the coefficient cap add up:

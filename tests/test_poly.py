@@ -1,10 +1,14 @@
 """Sparse polynomials and term orders."""
 
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpus import exp_divides, random_poly, random_poly_q, total_degree
+from gbsolve import unipoly
 from gbsolve.errors import UsageError, ZeroPolynomialError
 from gbsolve.fields import GF, QQ
 from gbsolve.poly import (
@@ -15,9 +19,13 @@ from gbsolve.poly import (
     exp_add,
     to_text,
 )
+from gbsolve.unipoly import elem_pow
 
 F5 = GF(5)
 F3 = GF(3)
+F9 = F3.extend((1, 0, 1))
+F625 = F5.extend(unipoly.first_irreducible(2, F5))
+F625 = F625.extend(unipoly.first_irreducible(2, F625))  # untabled over GF(25)
 
 
 def _xyz(domain, nvars=2):
@@ -135,6 +143,118 @@ class TestTermOrder:
                     TermOrder.weighted((1,) * nvars, priority),
                 ):
                     _check_packing(order, rng)
+
+
+class TestPackedLcm:
+    """Without weights ``Packing.lcm`` is bitwise; it must equal the packed
+    fieldwise max, which a weighted order computes by unpacking."""
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(st.data())
+    def test_lcm_is_the_packed_fieldwise_max(self, data):
+        nvars = data.draw(st.integers(1, 4))
+        bits = data.draw(st.integers(1, 6))
+        kind = data.draw(st.sampled_from(["lex", "elimination", "priority", "weighted"]))
+        priority = data.draw(st.permutations(range(nvars)))
+        if kind == "lex":
+            order = TermOrder.lex(nvars)
+        elif kind == "elimination":
+            order = TermOrder.elimination(nvars)
+        elif kind == "priority":
+            order = TermOrder.lex(nvars, priority)
+        else:
+            weights = data.draw(st.lists(st.integers(1, 3), min_size=nvars, max_size=nvars))
+            order = TermOrder.weighted(weights, priority)
+        pk, top = Packing(order, bits), (1 << bits) - 1
+        field = st.one_of(st.just(0), st.just(top), st.integers(0, top))
+        terms = []
+        for _ in range(2):
+            exps = [data.draw(field) for _ in range(nvars)]
+            while max(order.key(tuple(exps))) > top:  # the weighted degree fits
+                exps[exps.index(max(exps))] -= 1
+            terms.append(pk.pack(tuple(exps)))
+        s, t = terms
+        lcm = tuple(map(max, pk.unpack(s), pk.unpack(t)))
+        if max(order.key(lcm)) > top:
+            with pytest.raises(Overflow):
+                pk.lcm(s, t)
+            return
+        assert pk.lcm(s, t) == pk.lcm(t, s) == pk.pack(lcm)
+
+
+class _Counting:
+    """A tower's arithmetic that counts its products."""
+
+    def __init__(self, tower):
+        self.tower, self.products = tower, 0
+
+    def mul(self, a, b):
+        self.products += 1
+        return self.tower.mul(a, b)
+
+    def __getattr__(self, name):
+        return getattr(self.tower, name)
+
+
+def _per_term_evaluate_x1(f, a, dom):
+    """evaluate_x1 with one ``elem_pow`` per term, the reference."""
+    out = {}
+    for exps, c in f.coeffs.items():
+        val = dom.mul(dom.lift(c, f.domain), elem_pow(a, exps[0], dom))
+        rest = exps[1:]
+        out[rest] = dom.add(out[rest], val) if rest in out else val
+    return {e: c for e, c in out.items() if c}
+
+
+def _per_term_evaluate(f, point, dom):
+    """evaluate with one ``elem_pow`` per variable of each term, the reference."""
+    total = dom.zero()
+    for exps, c in f.coeffs.items():
+        val = dom.lift(c, f.domain)
+        for a, e in zip(point, exps):
+            if e:
+                val = dom.mul(val, elem_pow(a, e, dom))
+        total = dom.add(total, val)
+    return total
+
+
+class TestEvaluationPowers:
+    """Evaluation takes one power per distinct exponent of each variable,
+    with the same values and never more products than per-term powers."""
+
+    @settings(max_examples=80, derandomize=True, database=None, deadline=None)
+    @given(st.sampled_from([F9, F625]), st.data())
+    def test_evaluation_matches_per_term_powers(self, tower, data):
+        exponent = st.one_of(st.integers(0, 6), st.integers(0, 70), st.just(2**40 + 3))
+        nterms = data.draw(st.integers(1, 8))
+        coeffs = {
+            (data.draw(exponent), data.draw(exponent)): data.draw(st.integers(1, 2))
+            for _ in range(nterms)
+        }
+        f = Polynomial(F3 if tower is F9 else F5, 2, coeffs)
+        index = st.integers(0, tower.order - 1)
+        point = [tower.element(data.draw(index)) for _ in range(2)]
+        for method, reference, args in (
+            ("evaluate_x1", _per_term_evaluate_x1, (point[0],)),
+            ("evaluate", _per_term_evaluate, (point,)),
+        ):
+            fast, slow = _Counting(tower), _Counting(tower)
+            got = getattr(f, method)(*args, fast)
+            want = reference(f, *args, slow)
+            assert (got.coeffs if method == "evaluate_x1" else got) == want
+            assert fast.products <= slow.products
+
+    def test_a_huge_exponent_costs_its_ladder(self):
+        x1, x2 = _xyz(F5)
+        f = x1 ** 3 * x2 + x1 + Polynomial.term(F5, 2, 1, (2**200, 1))
+        a, b = F625.generator(), F625.add(F625.generator(), F625.one())
+        fast, slow = _Counting(F625), _Counting(F625)
+        start = time.perf_counter()
+        got = f.evaluate_x1(a, fast)
+        assert time.perf_counter() - start < 0.5
+        assert got.coeffs == _per_term_evaluate_x1(f, a, slow)
+        assert fast.products <= slow.products
+        assert f.evaluate([a, b], F625) == _per_term_evaluate(f, [a, b], F625)
 
 
 class TestConstruction:

@@ -93,8 +93,9 @@ def _check(tower, ref, a, b, c):
     assert tower.mul(a, tower.add(b, c)) == tower.add(tower.mul(a, b), tower.mul(a, c))
 
 
-# (p, degrees of the levels); the last tower has an untabled top of order 625
-# over a tabled GF(25)
+# (p, degrees of the levels).  Untabled tops multiply through _poly_mul: over
+# the prime GF(32003), over an untabled GF(625), and, in the last tower, of
+# order 625 over a tabled GF(25)
 TOWERS = [
     (2, (2,)),
     (2, (3,)),
@@ -103,6 +104,8 @@ TOWERS = [
     (7, (2,)),
     (5, (3,)),
     (2, (8,)),
+    (32003, (2,)),
+    (5, (2, 2, 2)),
     (5, (2, 2)),
 ]
 BUILT = [_stack(p, degrees) for p, degrees in TOWERS]

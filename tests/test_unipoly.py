@@ -27,6 +27,7 @@ F25 = F5.extend(unipoly.first_irreducible(2, F5))
 F27 = F3.extend(unipoly.first_irreducible(3, F3))
 F49 = F7.extend(unipoly.first_irreducible(2, F7))
 F625 = F25.extend(unipoly.first_irreducible(2, F25))  # above TABLE_MAX_ORDER
+F125 = F5.extend(unipoly.first_irreducible(3, F5))
 
 
 def _random_tuple(rng, field, max_deg):
@@ -234,11 +235,16 @@ class TestFactor:
             unipoly.factor((), F5)
 
 
+def _euler_square(a, field):
+    """Euler's criterion: a is 0 or a^((q-1)/2) = 1."""
+    return field.is_zero(a) or field.is_one(unipoly.elem_pow(a, (field.order - 1) // 2, field))
+
+
 class TestQuadraticSplit:
     """Squarefree quadratics in odd characteristic split by one square root."""
 
     @pytest.mark.parametrize(
-        "field", [F3, F5, F7, F9, F25, F27, F49, F81], ids=lambda F: f"GF{F.order}"
+        "field", [F3, F5, F7, F9, F25, F27, F49, F81, F125], ids=lambda F: f"GF{F.order}"
     )
     def test_sqrt_of_every_element(self, field):
         roots = {a: unipoly._sqrt(a, field) for a in field.elements()}
@@ -246,6 +252,7 @@ class TestQuadraticSplit:
         assert all(field.mul(r, r) == a for a, r in roots.items() if r is not None)
         assert len(squares) == (field.order + 1) // 2
         assert squares == {field.mul(b, b) for b in field.elements()}
+        assert squares == {a for a in field.elements() if _euler_square(a, field)}
 
     @pytest.mark.parametrize("field", [F625, GF(32003)], ids=["GF625", "GF32003"])
     def test_sqrt_on_a_fixed_sample(self, field):
@@ -253,7 +260,7 @@ class TestQuadraticSplit:
         for i in random.Random(3).sample(range(field.order), 60):
             a = field.element(i)
             r = unipoly._sqrt(a, field)
-            assert (r is not None) == (a in squares), i
+            assert (r is not None) == (a in squares) == _euler_square(a, field), i
             assert r is None or field.mul(r, r) == a, i
 
     @settings(max_examples=120, derandomize=True, database=None, deadline=None)
@@ -289,7 +296,43 @@ class TestQuadraticSplit:
         if shape in ("split", "irreducible"):
             assert len(want) == (2 if shape == "split" else 1)
 
-    def test_squarefree_quadratic_takes_one_gcd_and_no_ddf(self, monkeypatch):
+    @staticmethod
+    def _generic_factor(f, field):
+        """factor's answer for a monic quadratic by derivative and gcd, then
+        ddf and edf: no discriminant and no square root."""
+        g = unipoly.gcd(f, unipoly.derivative(f, field), field)
+        parts = [(f, 1)] if unipoly.deg(g) == 0 else [(g, 2)]
+        assert parts == unipoly.sqf_list(f, field)
+        out = [
+            (unipoly.monic(irr, field), e)
+            for h, e in parts
+            for part, d in unipoly.ddf(h, field)
+            for irr in unipoly.edf(part, d, field, random.Random(0))
+        ]
+        return sorted(out, key=lambda ge: unipoly.factor_key(ge[0], field))
+
+    @pytest.mark.parametrize("field", [F5, F9, F25], ids=lambda F: f"GF{F.order}")
+    def test_every_monic_quadratic_factors_as_the_generic_way(self, field):
+        elements = list(field.elements())
+        for b in elements:
+            for c in elements:
+                f = unipoly.trim((c, b, field.one()), field)
+                assert unipoly.factor(f, field) == self._generic_factor(f, field), f
+
+    def test_sampled_quadratics_over_gf625_factor_as_the_generic_way(self):
+        rng, one = random.Random(6), F625.one()
+        double_roots = [F625.element(rng.randrange(F625.order)) for _ in range(10)]
+        squares = [unipoly.mul((h, one), (h, one), F625) for h in double_roots]
+        for f in squares + [
+            (F625.element(rng.randrange(F625.order)), F625.element(rng.randrange(F625.order)), one)
+            for _ in range(40)
+        ]:
+            f = unipoly.trim(f, F625)
+            assert unipoly.factor(f, F625) == self._generic_factor(f, F625), f
+
+    def test_quadratic_takes_no_gcd_and_no_ddf(self, monkeypatch):
+        """A quadratic over GF(625), split or irreducible, is found squarefree
+        by its discriminant and split by one square root: no gcd, ddf or edf."""
         calls = []
         for name in ("ddf", "edf", "gcd"):
             real = getattr(unipoly, name)
@@ -302,7 +345,7 @@ class TestQuadraticSplit:
         for f, n in ((split, 2), (irreducible, 1)):
             calls.clear()
             assert len(unipoly.factor(f, F625)) == n
-            assert calls == ["gcd"]
+            assert calls == []
 
 
 def F_is_monic(g, field):
