@@ -26,9 +26,11 @@ from .solver import Point, Trivial, ideal_intersect, radical_member, solve
 
 def _load(path):
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise UsageError(f"cannot read {path}: {e.strerror or e}") from None
+    except UnicodeDecodeError as e:
+        raise UsageError(f"cannot read {path}: not UTF-8 at byte {e.start}") from None
     return parse_problem(text)
 
 

@@ -98,7 +98,7 @@ def specialize_basis(basis, a):
         for exps, cs in g.coeffs.items():
             lifted = tuple(target.lift(c, field) for c in cs)
             val = unipoly.evaluate(lifted, a, target)
-            if not target.is_zero(val):
+            if val:
                 terms[exps] = val
         if g.leading(basis.order).exponents not in terms:
             raise SpecializationError(

@@ -1,4 +1,5 @@
-"""Coefficient domains: exact rationals, prime fields and their extension towers.
+"""Coefficient domains: exact rationals, prime fields, their extension towers
+and the Euclidean ring K[x1], all under the two contracts of ``Domain``.
 
 Tower elements are plain nested tuples (ints at the prime-field floor), so they
 hash and compare structurally; the tower object itself carries the arithmetic,
@@ -128,9 +129,10 @@ def _is_strong_lucas_prp(n):
 class Domain:
     """Interface shared by all coefficient domains; see the subclasses.
 
-    Every element is falsy exactly when it is zero: ``bool(a)`` is
-    ``not self.is_zero(a)``.  The zeros are ``0``, ``()`` and ``Fraction(0)``,
-    and ``groebner._divide`` tests coefficients by truthiness alone.
+    An element is falsy exactly when it is zero (``0``, ``()`` or
+    ``Fraction(0)``), so the kernel tests zero by truthiness alone.  Every
+    domain is a field (``is_field``) except K[x1] (``UnivariatePolyDomain``),
+    the one Euclidean ring, and only it has units, gcds, lcms and divisibility.
     """
 
     is_field = False
@@ -158,7 +160,7 @@ class Domain:
 
 
 class Field(Domain):
-    """A field, with the trivial Euclidean structure every field carries."""
+    """A field: every nonzero element is a unit, so division is exact."""
 
     is_field = True
 
@@ -167,38 +169,9 @@ class Field(Domain):
             return a
         return self.mul(a, self.inv(b))
 
-    # Euclidean interface: nonzero elements are units, so remainders vanish.
     def euclid_divmod(self, a, b):
+        """The Euclidean step ``groebner._divide`` takes: remainder zero."""
         return self.div(a, b), self.zero()
-
-    def is_unit(self, a):
-        return not self.is_zero(a)
-
-    def canonical_unit(self, a):
-        return a
-
-    def gcd(self, a, b):
-        if self.is_zero(a) and self.is_zero(b):
-            return self.zero()
-        return self.one()
-
-    def divides(self, d, a):
-        return not self.is_zero(d) or self.is_zero(a)
-
-    def xgcd(self, a, b):
-        if not self.is_zero(a):
-            return self.one(), self.inv(a), self.zero()
-        if not self.is_zero(b):
-            return self.one(), self.zero(), self.inv(b)
-        return self.zero(), self.zero(), self.zero()
-
-    def lcm(self, a, b):
-        if self.is_zero(a) or self.is_zero(b):
-            return self.zero()
-        return self.one()
-
-    def exact_div(self, a, b):
-        return self.div(a, b)
 
 
 # Python's str(int) refuses more digits than its int-string limit (4300 by
@@ -246,12 +219,9 @@ class RationalField(Field):
         return -a
 
     def inv(self, a):
-        if a == 0:
+        if not a:
             raise UsageError("inverse of zero")
         return 1 / a
-
-    def is_zero(self, a):
-        return a == 0
 
     def is_one(self, a):
         return a == 1
@@ -395,9 +365,6 @@ class FieldTower(Field):
             return n % self.p
         return unipoly.constant(self._sub.from_int(n), self._sub)
 
-    def is_zero(self, a):
-        return a == 0 or a == ()
-
     def add(self, a, b):
         if not self.levels:
             return (a + b) % self.p
@@ -465,7 +432,7 @@ class FieldTower(Field):
         return unipoly.neg(a, self._sub)
 
     def inv(self, a):
-        if self.is_zero(a):
+        if not a:
             raise UsageError("inverse of zero")
         if not self.levels:
             return pow(a, -1, self.p)
@@ -547,7 +514,7 @@ class FieldTower(Field):
         if self.levels[:k] != src.levels:
             raise UsageError(f"{src.tag} is not a prefix of {self.tag}")
         for _ in range(k, len(self.levels)):
-            a = () if (a == 0 or a == ()) else (a,)
+            a = (a,) if a else ()
         return a
 
     # -- enumeration ---------------------------------------------------------
@@ -695,9 +662,6 @@ class UnivariatePolyDomain(Domain):
     def neg(self, a):
         return unipoly.neg(a, self.field)
 
-    def is_zero(self, a):
-        return a == ()
-
     def is_one(self, a):
         return len(a) == 1 and self.field.is_one(a[0])
 
@@ -732,8 +696,8 @@ class UnivariatePolyDomain(Domain):
         return q
 
     def divides(self, d, a):
-        if self.is_zero(d):
-            return self.is_zero(a)
+        if not d:
+            return not a
         return unipoly.divides(d, a, self.field)
 
     def lift(self, a, src):

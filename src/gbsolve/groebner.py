@@ -1,17 +1,17 @@
 """Division, S- and G-polynomials and one completion engine for every ring.
 
-Division, the pair polynomials, completion and ``certify_basis`` work over any
-Euclidean coefficient domain: a field (where every Euclidean remainder is
-zero) or K[x1] (see ``euclidean``).  ``buchberger`` and
-``euclidean.strong_buchberger`` are the same engine behind different domain
-checks.  With every leading coefficient 1 the strong criteria are the field
-criteria and no G-pair arises, so over a field (``is_field``, read once per
-completion) the engine is plain Buchberger, with no coefficient gcd, lcm or
-divisibility test.  Division tracks cofactors so every reduction yields an
-exact combination identity; completion can also track how each basis element
-was assembled from the input generators, which is how triviality certificates
-are produced.  Reduced bases over a field are monic, inter-reduced and sorted
-with the largest leading term first, so equal ideals print identically.
+Division, the pair polynomials, completion and ``certify_basis`` work over a
+field or over K[x1] (see ``euclidean``), the one domain that is not a field
+and the only one asked for units, gcds, lcms or divisibility.  ``buchberger``
+and ``euclidean.strong_buchberger`` are the same engine behind different
+domain checks.  Over a field (``is_field``) every leading coefficient is 1,
+the strong criteria are the field criteria and no G-pair arises, so the
+engine is plain Buchberger.  Division tracks cofactors so every reduction
+yields an exact combination identity; completion can also track how each
+basis element was assembled from the input generators, which is how
+triviality certificates are produced.  Reduced bases over a field are monic,
+inter-reduced and sorted with the largest leading term first, so equal
+ideals print identically.
 
 1 lies in an ideal exactly when its reduced basis is {1}, under any term
 order, so ``is_trivial`` reads the verdict from whichever basis an ``Ideal``
@@ -262,9 +262,15 @@ def _multipliers(kind, f_lead, g_lead, t, dom):
     x^m and x^n lift both leading terms to their lcm t (all packed).  An
     S-polynomial scales both leading coefficients to their lcm, a
     G-polynomial combines them into their gcd through Bezout cofactors.
+    Over a field both are 1: the S-polynomial is f/lc(f) - g/lc(g) and the
+    G-polynomial f/lc(f), lifted to t, and ``div`` inverts no 1.
     """
     (fe, fc), (ge, gc) = f_lead, g_lead
-    if kind == _S:
+    if dom.is_field:
+        one = dom.one()
+        a = dom.div(one, fc)
+        b = dom.div(one, gc) if kind == _S else dom.zero()
+    elif kind == _S:
         l = dom.lcm(fc, gc)
         a, b = dom.exact_div(l, fc), dom.exact_div(l, gc)
     else:
@@ -283,7 +289,7 @@ def _combine(f, g, a, m, b, n, dom, guard):
                 raise Overflow
             c = dom.mul(c, u)
             out[t] = dom.add(out[t], c) if t in out else c
-    return {t: c for t, c in out.items() if not dom.is_zero(c)}
+    return {t: c for t, c in out.items() if c}
 
 
 def _pair(kind, f, f_lead, g, g_lead, pk, dom):
@@ -310,13 +316,13 @@ def _submul(vec, cofs, vecs, dom, guard):
                     if key & guard:
                         raise Overflow
                     acc[key] = dom.sub(acc.get(key, zero), dom.mul(c, d))
-    return [{t: c for t, c in acc.items() if not dom.is_zero(c)} for acc in out]
+    return [{t: c for t, c in acc.items() if c} for acc in out]
 
 
 def _unit_normalizer(dom, lc):
-    """The unit that turns the leading coefficient lc canonical: 1/lc over a
-    field, over K[x1] the inverse of lc's top coefficient."""
-    return dom.inv(dom.canonical_unit(lc))
+    """The unit that turns the leading coefficient lc canonical (monic):
+    1/lc over a field, over K[x1] the inverse of lc's top coefficient."""
+    return dom.inv(lc if dom.is_field else dom.canonical_unit(lc))
 
 
 def buchberger(gens, order=None, *, track=False, domain=None, nvars=None):
@@ -439,7 +445,7 @@ def _completion(pk, gens, domain, nvars, track):
     elems = [basis[k] for k in keep]
     leads = [lead[k] for k in keep]
     lins = [lineage[k] for k in keep] if track else None
-    units = [m for m in range(len(elems)) if domain.is_unit(leads[m][1])]
+    units = [m for m in range(len(elems)) if field or domain.is_unit(leads[m][1])]
     for idx in range(len(elems)):
         others = [m for m in units if m != idx]
         if not others:
@@ -470,9 +476,9 @@ def _completion(pk, gens, domain, nvars, track):
 def certify_basis(elements, order):
     """Re-reduce every S- and G-polynomial from scratch; all must vanish.
 
-    Over a field a G-polynomial is a monomial multiple of one element, so
-    only the S-polynomials can fail; over K[x1] both kinds are needed for a
-    strong basis.
+    Over a field a G-polynomial is f/lc(f) times a monomial, which f
+    reduces to zero, so only the S-polynomials can fail; over K[x1] both
+    kinds are needed for a strong basis.
     """
     elements = list(elements)
 

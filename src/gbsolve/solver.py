@@ -98,7 +98,7 @@ def good_specialization_point(q):
     lifted = tuple(tower.lift(c, q.domain) for c in dense)
     for i in range(tower.order):
         a = tower.element(i)
-        if not tower.is_zero(unipoly.evaluate(lifted, a, tower)):
+        if unipoly.evaluate(lifted, a, tower):
             return FFElement(tower, a)
     raise InvariantViolation("a polynomial cannot vanish on a larger field")
 
@@ -185,7 +185,7 @@ def solve(ideal, *, seed=0):
     tower, coords = _point(ideal, rng, trace)
     reps = [c.rep for c in coords]
     for g in ideal.gens:
-        if not tower.is_zero(g.evaluate(reps, tower)):
+        if g.evaluate(reps, tower):
             raise InvariantViolation("the computed point misses a generator")
     return Point(tower, tuple(coords), True), trace
 

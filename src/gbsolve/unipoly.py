@@ -24,13 +24,9 @@ def trim(f, F):
     """Drop trailing zero coefficients, returning the canonical tuple."""
     f = tuple(f)
     n = len(f)
-    while n and F.is_zero(f[n - 1]):
+    while n and not f[n - 1]:
         n -= 1
     return f[:n]
-
-
-def is_zero(f):
-    return len(f) == 0
 
 
 def deg(f):
@@ -39,7 +35,7 @@ def deg(f):
 
 
 def constant(c, F):
-    return () if F.is_zero(c) else (c,)
+    return (c,) if c else ()
 
 
 def one(F):
@@ -75,7 +71,7 @@ def sub(f, g, F):
 
 
 def scale(f, c, F):
-    if F.is_zero(c):
+    if not c:
         return ()
     return trim([F.mul(a, c) for a in f], F)
 
@@ -85,7 +81,7 @@ def mul(f, g, F):
         return ()
     out = [F.zero()] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
-        if F.is_zero(a):
+        if not a:
             continue
         for j, b in enumerate(g):
             out[i + j] = F.add(out[i + j], F.mul(a, b))
@@ -123,7 +119,7 @@ def divmod_(f, g, F):
     quo = [F.zero()] * (dq + 1)
     for i in range(dq, -1, -1):
         c = rem[i + len(g) - 1]
-        if F.is_zero(c):
+        if not c:
             continue
         q = c if lead_inv is None else F.mul(c, lead_inv)
         quo[i] = q
@@ -152,7 +148,7 @@ def rem(f, g, F):
     out = list(f)
     for top in range(len(f) - 1, n - 1, -1):
         c = out[top]
-        if F.is_zero(c):
+        if not c:
             continue
         if lead_inv is not None:
             c = F.mul(c, lead_inv)
@@ -348,7 +344,7 @@ def _sqrt(a, F):
     sub-level, whose elements are all squares when the top level has even
     degree.
     """
-    if F.is_zero(a):
+    if not a:
         return a
     q = F.order
     s = ((q - 1) & (1 - q)).bit_length() - 1

@@ -72,7 +72,7 @@ def random_poly(rng, field, nvars, max_total=2, max_terms=3):
     for _ in range(rng.randrange(1, max_terms + 1)):
         exps = candidates[rng.randrange(len(candidates))]
         c = field.element(rng.randrange(field.order))
-        if field.is_zero(c):
+        if not c:
             terms.pop(exps, None)
         else:
             terms[exps] = c
@@ -104,7 +104,7 @@ def random_unipoly(rng, field, max_deg=3, monic=False, nonzero=True):
             else field.element(rng.randrange(1, field.order))
         )
         f = tuple(coeffs) + (top,)
-        if len(f) == 1 and field.is_zero(f[0]):
+        if len(f) == 1 and not f[0]:
             f = ()
         if f or not nonzero:
             return f
@@ -128,7 +128,7 @@ def common_zeros(gens, tower, nvars):
     """Every point of tower**nvars where all generators vanish; exhaustive."""
     hits = []
     for point in itertools.product(list(tower.elements()), repeat=nvars):
-        if all(tower.is_zero(g.evaluate(list(point), tower)) for g in gens):
+        if not any(g.evaluate(list(point), tower) for g in gens):
             hits.append(point)
     return hits
 

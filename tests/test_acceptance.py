@@ -89,7 +89,7 @@ def test_criterion_1_solver_soundness():
                 assert isinstance(outcome, Point) and outcome.verified
                 reps = outcome.reps()
                 for g in gens:
-                    assert outcome.tower.is_zero(g.evaluate(reps, outcome.tower))
+                    assert not g.evaluate(reps, outcome.tower)
 
     _report(
         1,
@@ -283,7 +283,7 @@ def test_criterion_7_radical_membership_oracle():
             ideal = Ideal(gens, domain=F3, nvars=n)
             f = random_poly(rng, F3, n, max_total=2)
             zeros = common_zeros(gens, ext, n)
-            vanishes = all(ext.is_zero(f.evaluate(list(z), ext)) for z in zeros)
+            vanishes = not any(f.evaluate(list(z), ext) for z in zeros)
             assert bool(radical_member(f, ideal)) == vanishes
 
     _report(

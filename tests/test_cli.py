@@ -635,6 +635,15 @@ class TestCommands:
         code, _, err = _run(capsys, "gb", "/nonexistent/nowhere.gb")
         assert code == 2 and err.startswith("error: cannot read")
 
+    def test_a_file_that_is_not_utf8_exits_two(self, tmp_path, capsys):
+        bad = tmp_path / "bad.gb"
+        bad.write_bytes(b"field p 5\nvars x\nx - 1\xff\n")
+        good = _problem(tmp_path, "field p 5\nvars x\nx - 1\n")
+        for argv in (("gb", str(bad)), ("intersect", good, str(bad))):
+            code, out, err = _run(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err == f"error: cannot read {bad}: not UTF-8 at byte 22\n"
+
     def test_parse_error_exits_two(self, tmp_path, capsys):
         path = _problem(tmp_path, "field p 4\nvars x\n")
         code, _, err = _run(capsys, "gb", path)

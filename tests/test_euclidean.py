@@ -86,7 +86,7 @@ class TestStrongReduction:
                     m = g.leading(order)
                     if exp_divides(m.exponents, t):
                         q, _ = D5.euclid_divmod(c, m.coefficient)
-                        assert D5.is_zero(q)
+                        assert not q
 
     def test_zero_divisor_in_basis_rejected(self):
         f = _cpoly(D5, {(1,): (1,)})
@@ -273,7 +273,7 @@ class TestSpecialization:
                 (
                     a
                     for a in range(3)
-                    if not F3.is_zero(locus.evaluate([F3.element(a)], F3))
+                    if locus.evaluate([F3.element(a)], F3)
                 ),
                 None,
             )

@@ -92,7 +92,7 @@ class TestTowers:
                 assert tower.add(a, b) == tower.add(b, a)
                 assert tower.mul(a, b) == tower.mul(b, a)
                 assert tower.sub(a, b) == tower.add(a, tower.neg(b))
-                if not tower.is_zero(b):
+                if b:
                     assert tower.mul(tower.div(a, b), b) == a
                 for c in xs[:4]:
                     assert tower.mul(a, tower.add(b, c)) == tower.add(
@@ -239,7 +239,7 @@ class TestTowers:
 class TestFFElement:
     def test_enumerate_elements(self):
         first = next(iter(F9.elements()))
-        assert F9.is_zero(first)
+        assert not first
         assert len(list(F9.elements())) == 9
 
 
@@ -272,15 +272,15 @@ class TestExtendedGcd:
                     f = tuple(field.element(rng.randrange(field.order)) for _ in range(rng.randrange(1, 4)))
                     g = tuple(field.element(rng.randrange(field.order)) for _ in range(rng.randrange(1, 4)))
                 f, g = unipoly.trim(f, field), unipoly.trim(g, field)
-                if unipoly.is_zero(f) and unipoly.is_zero(g):
+                if not f and not g:
                     continue
                 d, u, v = unipoly.xgcd(f, g, field)
                 lhs = unipoly.add(unipoly.mul(u, f, field), unipoly.mul(v, g, field), field)
                 assert lhs == d
-                assert unipoly.is_zero(d) or field.is_one(d[-1])
-                if not unipoly.is_zero(f):
+                assert not d or field.is_one(d[-1])
+                if f:
                     assert unipoly.divides(d, f, field)
-                if not unipoly.is_zero(g):
+                if g:
                     assert unipoly.divides(d, g, field)
 
     def test_frozen_small_case(self):
@@ -296,7 +296,7 @@ class TestUnivariatePolyDomain:
             a = tuple(rng.randrange(5) for _ in range(rng.randrange(5)))
             b = tuple(rng.randrange(5) for _ in range(rng.randrange(1, 5)))
             a, b = unipoly.trim(a, F5), unipoly.trim(b, F5)
-            if self.dom.is_zero(b):
+            if not b:
                 continue
             q, r = self.dom.euclid_divmod(a, b)
             assert self.dom.add(self.dom.mul(q, b), r) == a
@@ -311,16 +311,6 @@ class TestUnivariatePolyDomain:
         assert self.dom.mul(self.dom.inv((3,)), (3,)) == self.dom.one()
         with pytest.raises(UsageError):
             self.dom.inv((0, 1))
-
-    def test_field_helpers_match_the_trivial_euclidean_structure(self):
-        # the completion engine asks these of every coefficient domain
-        for field in (F5, F9, QQ):
-            zero, one, two = field.zero(), field.one(), field.from_int(2)
-            assert field.is_unit(two) and not field.is_unit(zero)
-            assert field.canonical_unit(two) == two
-            assert field.gcd(two, zero) == one and field.gcd(zero, zero) == zero
-            assert field.divides(two, one) and field.divides(zero, zero)
-            assert not field.divides(zero, one)
 
     def test_exact_div_rejects_remainders(self):
         with pytest.raises(UsageError):
@@ -383,14 +373,15 @@ def _zero_invariant_domains():
     ids=["QQ", "GF5", "GF32003", "GF49", "GF625", "GF5[x1]", "QQ[x1]"],
 )
 def test_an_element_is_falsy_exactly_when_it_is_zero(dom, sample):
-    # groebner._divide tests every coefficient it computes by truthiness
-    assert not dom.zero() and dom.is_zero(dom.zero())
+    # the kernel tests every coefficient it computes by truthiness alone
+    zero = dom.zero()
+    assert not zero
     rng = random.Random(29)
     xs = [dom.zero(), dom.one()] + [sample(rng) for _ in range(10)]
     for a in xs:
         for b in xs:
             results = [a, dom.neg(a), dom.add(a, b), dom.sub(a, b), dom.mul(a, b)]
-            if not dom.is_zero(b):
+            if b != zero:
                 results.extend(dom.euclid_divmod(a, b))
             for r in results:
-                assert bool(r) == (not dom.is_zero(r))
+                assert bool(r) == (r != zero)

@@ -15,6 +15,7 @@ from gbsolve.groebner import (
     buchberger,
     certify_basis,
     eliminate_to_x1,
+    gpoly,
     is_trivial,
     member,
     normal_form,
@@ -99,6 +100,30 @@ class TestDivision:
                 f.leading(order).exponents, g.leading(order).exponents
             )
             assert order.compare(s.leading(order).exponents, t) == -1
+
+    @pytest.mark.parametrize("domain", [F5, F49, QQ], ids=["GF5", "GF49", "QQ"])
+    def test_pair_polynomials_over_a_field_are_the_textbook_ones(self, domain):
+        # with t = lcm(lm f, lm g): S = (t/lt f)*f/lc(f) - (t/lt g)*g/lc(g)
+        # and G = (t/lt f)*f/lc(f), for leading coefficients other than 1 too
+        rng = random.Random(15)
+        orders = [TermOrder.lex(2), TermOrder.weighted((1, 2))]
+        make = random_poly_q if domain is QQ else random_poly
+        non_monic = 0
+        for trial in range(60):
+            order = orders[trial % 2]
+            f, g = (_nonzero(rng, lambda r: make(r, domain, 2, 3, 4)) for _ in "fg")
+            lf, lg = f.leading(order), g.leading(order)
+            t = exp_lcm(lf.exponents, lg.exponents)
+
+            def lifted(h, lead):
+                shift = tuple(a - b for a, b in zip(t, lead.exponents))
+                inverse = domain.inv(lead.coefficient)
+                return Polynomial.term(domain, 2, inverse, shift) * h
+
+            assert spoly(f, g, order) == lifted(f, lf) - lifted(g, lg)
+            assert gpoly(f, g, order) == lifted(f, lf)
+            non_monic += not domain.is_one(lf.coefficient)
+        assert non_monic >= 30
 
 
 class TestBuchberger:

@@ -8,6 +8,10 @@ belongs in ``tests/corpus.py``.
 
 ``bench/tracing.py`` patches kernel names from four tables, so a deleted or
 renamed name breaks every traced benchmark run; it is loaded here by path.
+
+A coefficient is zero exactly when it is falsy (``fields.Domain``), so no
+kernel module calls a zero test on an argument, ``<expr>.is_zero(<arg>)``;
+``Polynomial.is_zero()`` takes none.
 """
 
 import ast
@@ -71,3 +75,25 @@ def test_every_name_the_tracer_patches_exists():
         if owner is None or attr not in vars(owner):
             missing.append(f"{module}.{cls}.{attr}")
     assert missing == []
+
+
+def zero_tests_with_an_argument(source):
+    """Line numbers of the calls ``<expr>.is_zero(...)`` that pass an argument."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "is_zero"
+        and (node.args or node.keywords)
+    )
+
+
+def test_the_check_sees_a_zero_test_with_an_argument():
+    source = "dom.is_zero(c)\nf.is_zero()\nself.tower.is_zero(a=x)\n"
+    assert zero_tests_with_an_argument(source) == [1, 3]
+
+
+def test_every_kernel_zero_test_of_a_coefficient_is_truthiness():
+    found = {p.name: zero_tests_with_an_argument(p.read_text()) for p in SRC.glob("*.py")}
+    assert {name: lines for name, lines in found.items() if lines} == {}
