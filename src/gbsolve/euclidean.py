@@ -20,7 +20,7 @@ from . import unipoly
 from .errors import SpecializationError, UsageError
 from .fields import FFElement, UnivariatePolyDomain
 from .groebner import StrongBasis, _complete, _ring
-from .poly import MAX_DENSE_DEGREE, Polynomial
+from .poly import Polynomial, dense
 
 
 def to_coeff_view(p, name="x1"):
@@ -33,15 +33,8 @@ def to_coeff_view(p, name="x1"):
     groups = {}
     for exps, c in p.coeffs.items():
         groups.setdefault(exps[1:], {})[exps[0]] = c
-    out = {}
-    for rest, dense in groups.items():
-        top = max(dense)
-        if top > MAX_DENSE_DEGREE:
-            raise UsageError(f"degree {top} exceeds the dense bound {MAX_DENSE_DEGREE}")
-        cs = [p.domain.zero()] * (top + 1)
-        for e, c in dense.items():
-            cs[e] = c
-        out[rest] = tuple(cs)
+    zero = p.domain.zero()
+    out = {rest: dense(terms, zero) for rest, terms in groups.items()}
     return Polynomial(dom, p.nvars - 1, out)
 
 
@@ -89,21 +82,16 @@ def specialize_basis(basis, a):
     dom = basis.domain
     if not isinstance(dom, UnivariatePolyDomain):
         raise UsageError("specialization needs a K[x1] basis")
-    field = target = dom.field
+    target = dom.field
     if isinstance(a, FFElement):
         target, a = a.tower, a.rep
     out = []
     for g in basis.elements:
-        terms = {}
-        for exps, cs in g.coeffs.items():
-            lifted = tuple(target.lift(c, field) for c in cs)
-            val = unipoly.evaluate(lifted, a, target)
-            if val:
-                terms[exps] = val
-        if g.leading(basis.order).exponents not in terms:
+        h = from_coeff_view(g).evaluate_x1(a, target)
+        if g.leading(basis.order).exponents not in h.coeffs:
             raise SpecializationError(
                 "the point is a root of a leading coefficient (locus vanishes)"
             )
-        out.append(Polynomial(target, basis.nvars, terms))
+        out.append(h)
     out.sort(key=lambda g: basis.order.key(g.leading(basis.order).exponents), reverse=True)
     return StrongBasis(tuple(out), basis.order, target, basis.nvars)

@@ -20,7 +20,7 @@ powers first return to 1 at g^(q-1).  A reducible level (only a test that
 bypasses the irreducibility check can build one) has no such g and keeps
 polynomial arithmetic.  The tables hold the same canonical tuples the
 polynomial arithmetic makes, so no result changes.  A larger tower multiplies
-over its tabled sub-levels, reducing in the same pass (``_poly_mul``).
+over its sub-level with ``unipoly.mul_mod``, reducing in the same pass.
 """
 
 from __future__ import annotations
@@ -279,7 +279,9 @@ class FieldTower(Field):
     A tower with at least one level and order at most ``TABLE_MAX_ORDER``
     adds, subtracts, negates, multiplies and inverts through log, antilog and
     Zech tables (see the module docstring), which ``_stack`` builds with
-    ``_tabulate``; ``_log`` is False for a tower without tables.
+    ``_tabulate``; ``_log`` is False for a tower without tables.  Without
+    them, and in the walk of ``_tabulate``, a product is ``unipoly.mul_mod``
+    by the top minimal polynomial and an inverse the ``unipoly.xgcd`` cofactor.
 
     ``FieldTower(p)`` is the prime field; every level above it is built by
     one stacking step, ``_stack``, which checks nothing.  A level from
@@ -400,28 +402,7 @@ class FieldTower(Field):
         log = self._log
         if log:
             return self._exp[log[a] + log[b]] if a and b else ()
-        return self._poly_mul(a, b)
-
-    def _poly_mul(self, a, b):
-        """The product over the level below reduced by the monic minimal
-        polynomial g in one call: over a prime sub-level in inline ints."""
-        below, g = self._sub, self.levels[-1].minpoly
-        p, n = below.modulus, len(g) - 1
-        add, sub, mul = below.add, below.sub, below.mul
-        out = [below.zero()] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] = out[i + j] + x * y if p else add(out[i + j], mul(x, y))
-        for top in range(len(out) - 1, n - 1, -1):
-            c = out[top] % p if p else out[top]
-            if c:
-                for k, d in zip(range(top - n, top), g):
-                    out[k] = out[k] - c * d if p else sub(out[k], mul(c, d))
-        out = [c % p for c in out[:n]] if p else out[:n]
-        while out and not out[-1]:
-            out.pop()
-        return tuple(out)
+        return unipoly.mul_mod(a, b, self.levels[-1].minpoly, self._sub)
 
     def neg(self, a):
         if not self.levels:
@@ -446,7 +427,7 @@ class FieldTower(Field):
             raise InvariantViolation(
                 f"{self.tag}: an element shares a factor with the minimal polynomial"
             )
-        return unipoly.rem(u, self.levels[-1].minpoly, self._sub)
+        return u  # deg u < deg minpoly, as for every Bezout cofactor
 
     def _tabulate(self):
         """Build this tower's tables in one walk of a candidate's powers.
@@ -460,13 +441,13 @@ class FieldTower(Field):
         fill exp.  A reducible level has no such g: its units form a group of
         fewer than q - 1 elements, and a zero divisor never reaches 1.
         """
-        mul, n, one = self._poly_mul, self._order - 1, self.one()
+        n, one, minpoly = self._order - 1, self.one(), self.levels[-1].minpoly
         for i in range(self._sub.order, self._order):
             g = x = self.element(i)
             exp = [one]
             while x != one and len(exp) < n:
                 exp.append(x)
-                x = mul(x, g)
+                x = unipoly.mul_mod(x, g, minpoly, self._sub)
             if x == one and len(exp) == n:
                 break
         else:

@@ -477,7 +477,7 @@ def certify_basis(elements, order):
     """Re-reduce every S- and G-polynomial from scratch; all must vanish.
 
     Over a field a G-polynomial is f/lc(f) times a monomial, which f
-    reduces to zero, so only the S-polynomials can fail; over K[x1] both
+    reduces to zero, so only the S-polynomials are formed; over K[x1] both
     kinds are needed for a strong basis.
     """
     elements = list(elements)
@@ -486,8 +486,9 @@ def certify_basis(elements, order):
         lead = _leads(packed)
         for i, f in enumerate(packed):
             dom = elements[i].domain
+            kinds = (_S,) if dom.is_field else (_S, _G)
             for j in range(i + 1, len(packed)):
-                for kind in (_S, _G):
+                for kind in kinds:
                     c = _pair(kind, f, lead[i], packed[j], lead[j], pk, dom)
                     if c and _divide(c, packed, lead, pk.guard, dom, False)[0]:
                         return False

@@ -16,8 +16,8 @@ from operator import add, itemgetter, mul
 from .errors import UsageError, ZeroPolynomialError
 from .unipoly import elem_pow, power
 
-# Largest degree that ``dense_in`` and ``euclidean.to_coeff_view`` lay out
-# as a list, one slot per degree; a higher one is a usage error.
+# Largest degree that ``dense`` lays out as a list, one slot per degree; a
+# higher one is a usage error.
 MAX_DENSE_DEGREE = 10**6
 
 
@@ -161,6 +161,17 @@ class Packing:
         return (t & mask) | (s & ~mask)
 
 
+def dense(terms, zero):
+    """Ascending coefficient tuple of the univariate terms {degree: c}."""
+    top = max(terms, default=-1)
+    if top > MAX_DENSE_DEGREE:
+        raise UsageError(f"degree {top} exceeds the dense bound {MAX_DENSE_DEGREE}")
+    out = [zero] * (top + 1)
+    for e, c in terms.items():
+        out[e] = c
+    return tuple(out)
+
+
 def _powers(a, exps, dom):
     """{e: a^e}, ascending: the previous power times a^gap, or a^e where
     that is fewer products, so never more than one ``elem_pow`` each."""
@@ -254,15 +265,8 @@ class Polynomial:
         """Ascending coefficient tuple of a polynomial univariate in var."""
         if not self.univariate_in(var):
             raise UsageError("polynomial involves more than one variable")
-        if not self.coeffs:
-            return ()
-        top = max(exps[var] for exps in self.coeffs)
-        if top > MAX_DENSE_DEGREE:
-            raise UsageError(f"degree {top} exceeds the dense bound {MAX_DENSE_DEGREE}")
-        out = [self.domain.zero()] * (top + 1)
-        for exps, c in self.coeffs.items():
-            out[exps[var]] = c
-        return tuple(out)
+        terms = {exps[var]: c for exps, c in self.coeffs.items()}
+        return dense(terms, self.domain.zero())
 
     def leading(self, order):
         """Leading monomial under the given order; rejects the zero polynomial."""

@@ -5,6 +5,11 @@ trailing zeros; the zero polynomial is the empty tuple.  Every function takes
 the field object last.  The factorization routines additionally require a
 finite field exposing ``char``, ``order`` and index-based element access.
 
+Division has one loop, ``divmod_``; ``quo`` and ``rem`` are its halves.  A
+product modulo a monic polynomial is ``mul_mod``, which multiplies and
+reduces in one pass: the untabled tower levels of ``fields``, ``pow_mod``
+and ``edf`` all multiply through it.
+
 ``factor`` splits f into squarefree parts (``sqf_list``; a quadratic by its
 discriminant, with no gcd).  In odd characteristic a part of degree 2 splits
 by one square root (``_split_quadratic``, ``_sqrt``); every other part goes
@@ -108,42 +113,19 @@ def power(a, e, mul, one):
 
 
 def divmod_(f, g, F):
-    """Quotient and remainder of f by nonzero g; a monic g inverts nothing."""
-    if not g:
-        raise UsageError("univariate division by zero")
-    dq = len(f) - len(g)
-    if dq < 0:
-        return (), tuple(f)
-    lead_inv = None if F.is_one(g[-1]) else F.inv(g[-1])  # None: g is monic
-    rem = list(f)
-    quo = [F.zero()] * (dq + 1)
-    for i in range(dq, -1, -1):
-        c = rem[i + len(g) - 1]
-        if not c:
-            continue
-        q = c if lead_inv is None else F.mul(c, lead_inv)
-        quo[i] = q
-        for j, b in enumerate(g):
-            rem[i + j] = F.sub(rem[i + j], F.mul(q, b))
-    return trim(quo, F), trim(rem, F)
-
-
-def quo(f, g, F):
-    return divmod_(f, g, F)[0]
-
-
-def rem(f, g, F):
-    """Remainder of f by nonzero g, keeping no quotient.
+    """Quotient and remainder of f by nonzero g.
 
     Each step cancels the top coefficient c of the running remainder by
-    c/lc(g) * g without writing the slot it cancels, so a monic g of degree n
-    costs n field multiplications per step, at most (deg f - n + 1) * n.
+    q * g, q = c/lc(g), without writing the slot it cancels, and stores q in
+    that slot instead, so the slots from deg g up end as the quotient, whose
+    top is the nonzero lc(f)/lc(g).  A monic g of degree n inverts nothing
+    and costs n field multiplications per step, at most (deg f - n + 1) * n.
     """
     if not g:
         raise UsageError("univariate division by zero")
     n = len(g) - 1
     if len(f) <= n:
-        return tuple(f)
+        return (), tuple(f)
     lead_inv = None if F.is_one(g[-1]) else F.inv(g[-1])  # None: g is monic
     out = list(f)
     for top in range(len(f) - 1, n - 1, -1):
@@ -151,11 +133,41 @@ def rem(f, g, F):
         if not c:
             continue
         if lead_inv is not None:
-            c = F.mul(c, lead_inv)
+            c = out[top] = F.mul(c, lead_inv)
         base = top - n
         for j in range(n):
             out[base + j] = F.sub(out[base + j], F.mul(c, g[j]))
-    return trim(out[:n], F)
+    return tuple(out[n:]), trim(out[:n], F)
+
+
+def quo(f, g, F):
+    return divmod_(f, g, F)[0]
+
+
+def rem(f, g, F):
+    return divmod_(f, g, F)[1]
+
+
+def mul_mod(f, g, m, F):
+    """f * g modulo the monic m, multiplied and reduced in one pass and
+    trimmed once: over a prime field (``F.modulus``) in inline ints reduced
+    mod p where read, through F's methods otherwise."""
+    p, n = F.modulus, len(m) - 1
+    add, sub, mul = F.add, F.sub, F.mul
+    out = [F.zero()] * (len(f) + len(g) - 1)
+    for i, x in enumerate(f):
+        if x:
+            for j, y in enumerate(g):
+                out[i + j] = out[i + j] + x * y if p else add(out[i + j], mul(x, y))
+    for top in range(len(out) - 1, n - 1, -1):
+        c = out[top] % p if p else out[top]
+        if c:
+            for k, d in zip(range(top - n, top), m):
+                out[k] = out[k] - c * d if p else sub(out[k], mul(c, d))
+    out = [c % p for c in out[:n]] if p else out[:n]
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
 
 
 def divides(g, f, F):
@@ -218,9 +230,11 @@ def derivative(f, F):
 
 
 def pow_mod(f, e, m, F):
-    """f**e modulo m by binary exponentiation."""
+    """f**e modulo nonzero m by binary exponentiation; m is made monic once,
+    which leaves every remainder unchanged."""
+    m = monic(m, F)
     return power(
-        rem(f, m, F), e, lambda g, h: rem(mul(g, h, F), m, F), rem(one(F), m, F)
+        rem(f, m, F), e, lambda g, h: mul_mod(g, h, m, F), rem(one(F), m, F)
     )
 
 
@@ -322,7 +336,7 @@ def edf(f, d, F, rng):
                 t = r
                 cur = r
                 for _ in range(d * k - 1):
-                    cur = rem(mul(cur, cur, F), h, F)
+                    cur = mul_mod(cur, cur, h, F)
                     t = add(t, cur, F)
                 g = gcd(t, h, F)
             else:

@@ -5,7 +5,8 @@ import itertools
 from fractions import Fraction
 
 from gbsolve import unipoly
-from gbsolve.errors import UsageError
+from gbsolve.errors import SpecializationError, UsageError
+from gbsolve.fields import FFElement
 from gbsolve.groebner import member
 from gbsolve.poly import Polynomial
 
@@ -27,6 +28,27 @@ def exp_divides(s, t):
 def poly_pow(f, e, F):
     """f**e of a dense univariate tuple by squaring, e >= 0."""
     return unipoly.power(f, e, lambda g, h: unipoly.mul(g, h, F), unipoly.one(F))
+
+
+def horner_specialize(basis, a):
+    """The elements of ``euclidean.specialize_basis(basis, a)`` by its own
+    loop: every K[x1] coefficient lifted into the point's field and evaluated
+    by Horner's rule (``unipoly.evaluate``)."""
+    field = target = basis.domain.field
+    if isinstance(a, FFElement):
+        target, a = a.tower, a.rep
+    out = []
+    for g in basis.elements:
+        terms = {}
+        for exps, cs in g.coeffs.items():
+            lifted = tuple(target.lift(c, field) for c in cs)
+            terms[exps] = unipoly.evaluate(lifted, a, target)
+        h = Polynomial(target, basis.nvars, terms)
+        if g.leading(basis.order).exponents not in h.coeffs:
+            raise SpecializationError("the point is a root of a leading coefficient")
+        out.append(h)
+    out.sort(key=lambda g: basis.order.key(g.leading(basis.order).exponents), reverse=True)
+    return tuple(out)
 
 
 def reference_factor(f, F, rng):

@@ -4,10 +4,10 @@ import random
 
 import pytest
 
-from corpus import exp_divides, exp_lcm, random_poly, random_poly_q
-from gbsolve import euclidean
+from corpus import exp_divides, exp_lcm, horner_specialize, random_poly, random_poly_q
+from gbsolve import euclidean, unipoly
 from gbsolve.errors import SpecializationError, UsageError
-from gbsolve.fields import GF, QQ, UnivariatePolyDomain
+from gbsolve.fields import GF, QQ, FFElement, UnivariatePolyDomain
 from gbsolve.groebner import (
     Ideal,
     certify_basis,
@@ -257,6 +257,34 @@ class TestSpecialization:
         for a in (1, 4):  # the two roots of x1^2 + 4
             with pytest.raises(SpecializationError):
                 euclidean.specialize_basis(sb, a)
+
+    def test_specialize_matches_lift_and_horner(self):
+        # at every GF(5) point and at points of GF(25) and GF(125), on the
+        # locus (both refuse) and off it (the same elements)
+        F25 = F5.extend(unipoly.first_irreducible(2, F5))
+        F125 = F5.extend(unipoly.first_irreducible(3, F5))
+        points = list(range(5))
+        points += [FFElement(F25, F25.element(i)) for i in (5, 7, 13, 24)]
+        points += [FFElement(F125, F125.element(i)) for i in (25, 61, 124)]
+        rng = random.Random(58)
+        compared = refused = 0
+        for _ in range(25):
+            full = [random_poly(rng, F5, 3, max_total=2, max_terms=4) for _ in range(3)]
+            gens = [v for v in _view_gens(F5, full) if not v.is_zero()]
+            if not gens:
+                continue
+            sb = euclidean.strong_buchberger(gens)
+            for a in points:
+                try:
+                    want = horner_specialize(sb, a)
+                except SpecializationError:
+                    with pytest.raises(SpecializationError):
+                        euclidean.specialize_basis(sb, a)
+                    refused += 1
+                    continue
+                assert euclidean.specialize_basis(sb, a).elements == want
+                compared += 1
+        assert compared > 100 and refused > 5, (compared, refused)
 
     def test_specialized_images_stay_members(self):
         # evaluating generators commutes with membership in the evaluated ideal

@@ -1,13 +1,15 @@
 """Buchberger over fields: division, reduced bases, certificates, elimination."""
 
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import exp_divides, exp_lcm, random_poly, random_poly_q
-from gbsolve import groebner
+from gbsolve import euclidean, groebner
 from gbsolve.errors import UsageError
 from gbsolve.fields import GF, QQ
 from gbsolve.groebner import (
@@ -22,6 +24,7 @@ from gbsolve.groebner import (
     reduce,
     spoly,
 )
+from gbsolve.parser import parse_problem
 from gbsolve.poly import Polynomial, TermOrder, to_text
 
 F2 = GF(2)
@@ -183,6 +186,39 @@ class TestBuchberger:
             gb = buchberger(gens, order, domain=F5, nvars=2)
             assert gb.order is order
             assert certify_basis(gb.elements, order)
+
+    def test_certify_reduces_g_polynomials_only_over_k_x1(self, monkeypatch):
+        """Over a field certify_basis reduces one S-polynomial per pair and no
+        G-polynomial: 78 reductions, not 156, for the 13-element graded basis
+        of the first seed-1 gb-graded job.  Over K[x1] it reduces both kinds.
+        The verdicts are the same either way."""
+        path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        problem = parse_problem(workloads.make_jobs("gb-graded", 1)[0].text)
+        order = TermOrder.weighted((1, 1, 1, 1))
+        gb = buchberger(problem.gens, order, domain=problem.domain, nvars=4)
+        rng = random.Random(3)
+        gens = [
+            euclidean.to_coeff_view(random_poly(rng, F5, 3, max_total=2, max_terms=4))
+            for _ in range(3)
+        ]
+        strong = euclidean.strong_buchberger(gens)
+        reductions = []
+        real = groebner._divide
+        monkeypatch.setattr(
+            groebner, "_divide", lambda *a: reductions.append(1) or real(*a)
+        )
+        assert len(gb.elements) == 13
+        assert certify_basis(gb.elements, order)
+        assert len(reductions) == 78
+        assert not certify_basis(problem.gens, order)
+        reductions.clear()
+        assert len(strong.elements) == 4
+        assert certify_basis(strong.elements, strong.order)
+        assert len(reductions) == 11
+        assert not certify_basis(gens, strong.order)
 
     def test_lineage_reconstructs_elements(self):
         rng = random.Random(25)

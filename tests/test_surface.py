@@ -12,6 +12,9 @@ renamed name breaks every traced benchmark run; it is loaded here by path.
 A coefficient is zero exactly when it is falsy (``fields.Domain``), so no
 kernel module calls a zero test on an argument, ``<expr>.is_zero(<arg>)``;
 ``Polynomial.is_zero()`` takes none.
+
+A product modulo a monic polynomial is ``unipoly.mul_mod``, so no kernel
+module reduces a fresh product with ``rem(mul(...), ...)``.
 """
 
 import ast
@@ -96,4 +99,38 @@ def test_the_check_sees_a_zero_test_with_an_argument():
 
 def test_every_kernel_zero_test_of_a_coefficient_is_truthiness():
     found = {p.name: zero_tests_with_an_argument(p.read_text()) for p in SRC.glob("*.py")}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def _callee(call):
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def remainders_of_products(source):
+    """Line numbers of the calls ``rem(mul(...), ...)``, through a module
+    prefix or not."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and _callee(node) == "rem"
+        and node.args
+        and isinstance(node.args[0], ast.Call)
+        and _callee(node.args[0]) == "mul"
+    )
+
+
+def test_the_check_sees_a_remainder_of_a_product():
+    source = (
+        "rem(mul(a, b, F), m, F)\n"
+        "unipoly.rem(unipoly.mul(a, b, F), m, F)\n"
+        "rem(a, m, F)\n"
+        "mul(rem(a, m, F), b, F)\n"
+    )
+    assert remainders_of_products(source) == [1, 2]
+
+
+def test_every_kernel_modular_product_is_mul_mod():
+    found = {p.name: remainders_of_products(p.read_text()) for p in SRC.glob("*.py")}
     assert {name: lines for name, lines in found.items() if lines} == {}

@@ -90,9 +90,9 @@ def _check(tower, ref, a, b, c):
     assert tower.mul(a, tower.add(b, c)) == tower.add(tower.mul(a, b), tower.mul(a, c))
 
 
-# (p, degrees of the levels).  Untabled tops multiply through _poly_mul: over
-# the prime GF(32003), over an untabled GF(625), and, in the last tower, of
-# order 625 over a tabled GF(25)
+# (p, degrees of the levels).  Untabled tops multiply through
+# unipoly.mul_mod: over the prime GF(32003), over an untabled GF(625), and,
+# in the last tower, of order 625 over a tabled GF(25)
 TOWERS = [
     (2, (2,)),
     (2, (3,)),

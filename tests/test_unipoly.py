@@ -28,6 +28,10 @@ F27 = F3.extend(unipoly.first_irreducible(3, F3))
 F49 = F7.extend(unipoly.first_irreducible(2, F7))
 F625 = F25.extend(unipoly.first_irreducible(2, F25))  # above TABLE_MAX_ORDER
 F125 = F5.extend(unipoly.first_irreducible(3, F5))
+F32003 = GF(32003)
+# prime, large prime, tabled, and untabled over a tabled sub-level
+ARITHMETIC = [F5, F32003, F9, F625]
+ARITHMETIC_IDS = ["GF5", "GF32003", "GF9", "GF625"]
 
 
 def _random_tuple(rng, field, max_deg):
@@ -54,19 +58,31 @@ def _irreducible_by_trial_division(f, field):
     return True
 
 
+def _operand_pairs(rng, field, n, max_deg):
+    """n random pairs of tuples of degree <= max_deg, each also with the
+    zero polynomial and with a constant in its place."""
+    for _ in range(n):
+        a = _random_tuple(rng, field, max_deg)
+        b = _random_tuple(rng, field, max_deg)
+        c = (field.element(rng.randrange(1, field.order)),)
+        yield from [(a, b), ((), b), (a, ()), (c, b), (a, c)]
+
+
 class TestDivision:
-    @pytest.mark.parametrize("field", [F2, F3, F5, F9])
+    @pytest.mark.parametrize("field", [F2, F3, F5, F9, F32003, F625])
     def test_divmod_contract(self, field):
+        # q*g + r = f and deg r < deg g, for monic and non-monic divisors,
+        # constants included, and quo and rem are its two halves
         rng = random.Random(2)
-        for _ in range(80):
-            a = _random_tuple(rng, field, 5)
-            b = _random_tuple(rng, field, 3)
-            if not b:
-                continue
-            q, r = unipoly.divmod_(a, b, field)
-            recombined = unipoly.add(unipoly.mul(q, b, field), r, field)
-            assert recombined == a
-            assert unipoly.deg(r) < unipoly.deg(b)
+        for a, b in _operand_pairs(rng, field, 30, 5):
+            for g in (b, unipoly.monic(b, field), unipoly.trim(b[:2], field)):
+                if not g:
+                    continue
+                q, r = unipoly.divmod_(a, g, field)
+                recombined = unipoly.add(unipoly.mul(q, g, field), r, field)
+                assert recombined == a
+                assert unipoly.deg(r) < unipoly.deg(g)
+                assert unipoly.quo(a, g, field) == q and unipoly.rem(a, g, field) == r
 
     @pytest.mark.parametrize("field", [F5, F9, F81], ids=["GF5", "GF9", "GF81"])
     def test_monic_divisor_inverts_nothing(self, field, monkeypatch):
@@ -118,6 +134,35 @@ class TestDivision:
         assert calls == []
         got = [unipoly.rem(a, b, field) for a, b in general]
         assert got == expected[len(monic):]
+
+    @pytest.mark.parametrize("field", ARITHMETIC, ids=ARITHMETIC_IDS)
+    def test_mul_mod_is_the_remainder_of_the_product(self, field):
+        # operands reduced or not, zero and constant ones, and moduli of
+        # degree 0 to 4
+        rng = random.Random(31)
+        for a, b in _operand_pairs(rng, field, 30, 6):
+            m = unipoly.monic(_random_tuple(rng, field, rng.randrange(5)), field)
+            if not m:
+                continue
+            want = unipoly.rem(unipoly.mul(a, b, field), m, field)
+            assert unipoly.mul_mod(a, b, m, field) == want
+            ra, rb = unipoly.rem(a, m, field), unipoly.rem(b, m, field)
+            assert unipoly.mul_mod(ra, rb, m, field) == want
+
+    @pytest.mark.parametrize("field", ARITHMETIC, ids=ARITHMETIC_IDS)
+    def test_pow_mod_with_a_non_monic_modulus(self, field):
+        rng = random.Random(32)
+        checked = 0
+        while checked < 12:
+            m = _random_tuple(rng, field, rng.randrange(1, 4))
+            if unipoly.deg(m) < 1 or field.is_one(m[-1]):
+                continue
+            checked += 1
+            f = _random_tuple(rng, field, 4)
+            e = rng.randrange(12)
+            want = unipoly.rem(poly_pow(f, e, field), m, field)
+            assert unipoly.pow_mod(f, e, m, field) == want
+            assert unipoly.pow_mod(f, e, unipoly.monic(m, field), field) == want
 
     def test_division_by_zero_rejected(self):
         with pytest.raises(UsageError):
@@ -389,8 +434,8 @@ class TestPower:
         else:
             f = (2, 1, 1)  # x^2 + x + 2
             m = unipoly.first_irreducible(3, F3)
-            counted = _counting(unipoly.mul)
-            monkeypatch.setattr(unipoly, "mul", counted)
+            counted = _counting(unipoly.mul_mod)
+            monkeypatch.setattr(unipoly, "mul_mod", counted)
             one = unipoly.one(F3)
             raise_to = lambda e: unipoly.pow_mod(f, e, m, F3)
             step = lambda acc: unipoly.rem(unipoly.mul(acc, f, F3), m, F3)
