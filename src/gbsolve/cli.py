@@ -18,10 +18,10 @@ from pathlib import Path
 from .errors import InvariantViolation, KernelError, UsageError
 from .euclidean import strong_buchberger, to_coeff_view
 from .fields import FieldTower, UnivariatePolyDomain
-from .groebner import Ideal, eliminate_to_x1, is_trivial, member
+from .groebner import Ideal, Triviality, eliminate_to_x1, is_trivial, member
 from .parser import parse_problem
 from .poly import TermOrder, to_text
-from .solver import Point, Trivial, ideal_intersect, radical_member, solve
+from .solver import Point, ideal_intersect, radical_member, solve
 
 
 def _load(path):
@@ -176,7 +176,7 @@ def _cmd_solve(args):
     outcome, trace = solve(_ideal(problem), seed=args.seed)
     if args.trace:
         _print_trace(trace, problem)
-    if isinstance(outcome, Trivial):
+    if isinstance(outcome, Triviality):
         print("TRIVIAL")
         _print_certificate(outcome.certificate, problem.names)
         return 1

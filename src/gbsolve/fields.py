@@ -4,10 +4,10 @@ and the Euclidean ring K[x1], all under the two contracts of ``Domain``.
 Tower elements are plain nested tuples (ints at the prime-field floor), so they
 hash and compare structurally; the tower object itself carries the arithmetic,
 and ``FFElement`` only pairs an element with its tower.  A tower grows one
-level at a time from ``GF(p)``: ``extend`` and ``adjoin_root`` check a level
-from outside, and the solver stacks irreducible factors unchecked.  Every
-element handed to a tower operation must already live at that tower's top
-level; ``lift`` embeds elements from any prefix tower.
+level at a time from ``GF(p)``: ``extend`` checks a level from outside,
+``adjoin_root``'s included, and the solver stacks irreducible factors
+unchecked.  Every element handed to a tower operation must already live at
+that tower's top level; ``lift`` embeds elements from any prefix tower.
 
 A tower with at least one level and order q <= ``TABLE_MAX_ORDER`` computes
 through Zech-logarithm tables (Huber 1990, "Some comments on Zech's
@@ -285,12 +285,12 @@ class FieldTower(Field):
 
     ``FieldTower(p)`` is the prime field; every level above it is built by
     one stacking step, ``_stack``, which checks nothing.  A level from
-    outside enters through ``extend``, which checks only the new level with
-    ``_check_level`` and shares the tower it extends; ``adjoin_root`` checks
-    a polynomial of degree >= 2 with the same ``_check_level``.  The solver
-    stacks the factors ``unipoly.factor`` returns and the output of
-    ``unipoly.first_irreducible`` unchecked (``_adjoin_irreducible``), as
-    both are irreducible by construction.
+    outside enters through ``extend``, which checks only the new level and
+    shares the tower it extends; ``adjoin_root`` passes a polynomial of
+    degree >= 2 to ``extend``.  The solver stacks the factors
+    ``unipoly.factor`` returns and the output of ``unipoly.first_irreducible``
+    unchecked (``_adjoin_irreducible``), as both are irreducible by
+    construction.
     """
 
     __slots__ = (
@@ -463,12 +463,19 @@ class FieldTower(Field):
     # -- tower structure -----------------------------------------------------
 
     def extend(self, minpoly, name=None):
-        """Adjoin a root of a monic irreducible over this tower's top level."""
+        """Adjoin a root of a monic irreducible over this tower's top level.
+
+        The one checked way up a level: a minimal polynomial of degree below
+        2, or one reducible over this tower, is rejected.
+        """
         minpoly = unipoly.monic(unipoly.trim(minpoly, self), self)
         if name is None:
             name = f"t{len(self.levels) + 1}"
         top = TowerLevel(name, minpoly)
-        _check_level(self, top)
+        if top.degree < 2:
+            raise UsageError("tower levels must have degree >= 2")
+        if not unipoly.is_irreducible(minpoly, self):
+            raise UsageError(f"minimal polynomial of {name} is reducible")
         bigger = object.__new__(FieldTower)
         bigger._stack(self, top)
         return bigger
@@ -555,15 +562,6 @@ class FieldTower(Field):
         return False, text
 
 
-def _check_level(sub, top):
-    """Reject a level that cannot extend ``sub``: degree below 2, or a monic
-    minimal polynomial that is reducible over ``sub``."""
-    if top.degree < 2:
-        raise UsageError("tower levels must have degree >= 2")
-    if not unipoly.is_irreducible(top.minpoly, sub):
-        raise UsageError(f"minimal polynomial of {top.name} is reducible")
-
-
 def GF(p):
     """The prime field F_p as a zero-level tower."""
     return FieldTower(p)
@@ -585,15 +583,15 @@ def adjoin_root(tower, g):
     """Return (tower, root) for an irreducible g over the tower's top level.
 
     Degree-1 input yields its root in the unchanged tower; higher degrees
-    extend the tower by one level whose generator is the root.
+    go through ``extend``, checked, and the root is the new level's generator.
     """
     g = unipoly.trim(g, tower)
     if unipoly.deg(g) < 1:
         raise UsageError("cannot adjoin a root of a constant")
-    g = unipoly.monic(g, tower)
-    if unipoly.deg(g) > 1:
-        _check_level(tower, TowerLevel(f"t{len(tower.levels) + 1}", g))
-    return _adjoin_irreducible(tower, g)
+    if unipoly.deg(g) == 1:
+        return _adjoin_irreducible(tower, unipoly.monic(g, tower))
+    bigger = tower.extend(g)
+    return bigger, FFElement(bigger, bigger.generator())
 
 
 def _adjoin_irreducible(tower, g):

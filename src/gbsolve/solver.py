@@ -5,15 +5,17 @@ combination of the generators) or produces a common zero in a finite
 extension tower, eliminating one variable per step:
 
 * the ideal meets K[x1] in a nonconstant polynomial p: every root of p
-  extends to a zero of the ideal (the Closure Theorem), so substitute the
-  root of p's first irreducible factor and go on (``find_branch_root``);
+  extends to a zero of the ideal (the Closure Theorem, argued in ``_point``),
+  so take the root of p's first irreducible factor (``find_branch_root``);
 * the intersection is zero: compute a strong basis over K[x1] and take x1 = a
   off the roots of its leading-coefficient product (``specialization_locus``);
   there the strong basis specializes to a Groebner basis of I(a) with no
-  constant member, so I(a) is proper.  The next step substitutes a into the
-  generators, as the root step does: they generate the same I(a);
+  constant member, so I(a) is proper;
 * one variable left: the same root step, on the gcd of the generators (the
   trace calls it ``base``); every root works, and the zero ideal takes 0.
+
+A branch only picks the value a.  The step then substitutes a into the
+generators, in one place for all three branches, and goes on with I(a).
 
 Each level computes one untracked Groebner basis, under
 ``TermOrder.elimination`` (lex x_n > ... > x1, the same order at every level
@@ -24,7 +26,8 @@ factor of ``unipoly.factor`` or from ``unipoly.first_irreducible``, both
 irreducible by construction, so it is stacked without a second
 irreducibility check.
 
-Every produced point is checked against the original generators before it is
+A trivial ideal is answered with ``is_trivial``'s ``Triviality`` itself.  Every
+produced point is checked against the original generators before it is
 returned.  The same machinery powers ideal intersection through a slack
 variable, the coprime splitting of an ideal plus a product, and radical
 membership via the usual extra-variable trick.
@@ -44,19 +47,11 @@ from .poly import Polynomial, TermOrder
 
 
 @dataclass(frozen=True)
-class Trivial:
-    """The unit ideal, with 1 = sum(certificate[i] * gens[i])."""
-
-    certificate: tuple
-
-
-@dataclass(frozen=True)
 class Point:
     """A common zero, with coordinates in a tower over the input field."""
 
     tower: FieldTower
     coords: tuple
-    verified: bool
 
     def reps(self):
         return [c.rep for c in self.coords]
@@ -103,44 +98,38 @@ def good_specialization_point(q):
     raise InvariantViolation("a polynomial cannot vanish on a larger field")
 
 
-def find_branch_root(p, ideal, rng=None):
-    """A root of p, the generator of the ideal's intersection with K[x1].
+def find_branch_root(p, rng=None):
+    """A root of the first irreducible factor of p, a nonconstant polynomial
+    in x1 over a finite tower.
 
-    Returns (root, evaluated ideal).  The root is that of the first
-    irreducible factor of p in canonical order; its tower is extended beyond
-    the ideal's field when that factor has degree above one.  p must be a
-    nonconstant polynomial in x1 whose monic form is ``eliminate_to_x1`` of
-    the ideal I.  Then every root of p extends to a zero of I, so any factor
-    keeps the evaluated ideal proper.  Over the algebraic closure, the
-    projection of V(I) onto the x1-axis lies in the finite set V(p), so it is
-    Zariski closed; by the Closure Theorem (Cox, Little & O'Shea, ch. 3
-    section 2) its closure is the zero set of I's intersection with K[x1],
-    which is V(p), so the projection is all of V(p).
+    Factors come in canonical order; the root lives in p's tower when that
+    factor is linear, and generates a new level above it otherwise.
     """
     if rng is None:
         rng = random.Random(0)
-    tower = ideal.domain
+    tower = p.domain
     if not isinstance(tower, FieldTower):
         raise UsageError("root branching needs a finite coefficient field")
-    if p.domain != tower or not p.univariate_in(0):
-        raise UsageError("expected a polynomial in x1 over the ideal's field")
     dense = p.dense_in(0)
     if unipoly.deg(dense) < 1:
         raise UsageError("a constant has no roots to branch on")
-    if unipoly.monic(dense, tower) != eliminate_to_x1(ideal).dense_in(0):
-        raise UsageError("p must generate the ideal's intersection with K[x1]")
     g, _mult = unipoly.factor(dense, tower, rng)[0]
-    ext, root = _adjoin_irreducible(tower, g)
-    gens = [h.evaluate_x1(root.rep, ext) for h in ideal.gens]
-    return root, Ideal(gens, domain=ext, nvars=ideal.nvars - 1)
+    return _adjoin_irreducible(tower, g)[1]
 
 
 def _point(ideal, rng, trace):
     """A common zero of a proper ideal, one variable eliminated per step.
 
-    Each step keeps only the value it chose, so the ideal of a level and its
-    cached bases are freed once the next level's ideal is built; the chosen
-    values are lifted into the final tower at the end.
+    Each step picks a value a for x1, substitutes it into the generators and
+    goes on with I(a).  A root of p = ``eliminate_to_x1`` of I keeps I(a)
+    proper: over the algebraic closure, the projection of V(I) onto the
+    x1-axis lies in the finite set V(p), so it is Zariski closed; by the
+    Closure Theorem (Cox, Little & O'Shea, ch. 3 section 2) its closure is
+    the zero set of I's intersection with K[x1], which is V(p), so the
+    projection is all of V(p) and any factor of p will do.  Each step keeps
+    only the value it chose, so the ideal of a level and its cached bases
+    are freed once the next level's ideal is built; the chosen values are
+    lifted into the final tower at the end.
     """
     chosen = []
     while ideal.nvars:
@@ -151,10 +140,9 @@ def _point(ideal, rng, trace):
             if p.is_constant():
                 raise InvariantViolation("a proper ideal met K[x1] in a constant")
             branch = "base" if ideal.nvars == 1 else "root"
-            a, ideal = find_branch_root(p, ideal, rng)
+            a = find_branch_root(p, rng)
         elif ideal.nvars == 1:
             branch, a = "base", FFElement(tower, tower.zero())
-            ideal = Ideal([], domain=tower, nvars=0)
         else:
             views = [to_coeff_view(g) for g in ideal.gens]
             strong = strong_buchberger(
@@ -162,17 +150,18 @@ def _point(ideal, rng, trace):
             )
             branch, locus = "locus", specialization_locus(strong)
             a = good_specialization_point(locus)
-            gens = [h.evaluate_x1(a.rep, a.tower) for h in ideal.gens]
-            ideal = Ideal(gens, domain=a.tower, nvars=ideal.nvars - 1)
+        gens = [h.evaluate_x1(a.rep, a.tower) for h in ideal.gens]
+        ideal = Ideal(gens, domain=a.tower, nvars=ideal.nvars - 1)
         extension = a.tower if a.tower != tower else None
         trace.append(BranchStep(len(chosen), branch, p, a, extension, locus))
         chosen.append(a)
     final = ideal.domain
-    return final, [FFElement(final, final.lift(a.rep, a.tower)) for a in chosen]
+    coords = (FFElement(final, final.lift(a.rep, a.tower)) for a in chosen)
+    return Point(final, tuple(coords))
 
 
 def solve(ideal, *, seed=0):
-    """Trivial-with-certificate or a verified point, plus the branch trace."""
+    """A certified ``Triviality`` or a verified point, plus the branch trace."""
     if not isinstance(ideal.domain, FieldTower):
         raise UsageError("solving needs a finite coefficient field")
     if ideal.nvars < 1:
@@ -180,14 +169,14 @@ def solve(ideal, *, seed=0):
     rng = random.Random(seed)
     verdict = is_trivial(ideal)
     if verdict:
-        return Trivial(verdict.certificate), []
+        return verdict, []
     trace = []
-    tower, coords = _point(ideal, rng, trace)
-    reps = [c.rep for c in coords]
+    point = _point(ideal, rng, trace)
+    reps = point.reps()
     for g in ideal.gens:
-        if g.evaluate(reps, tower):
+        if g.evaluate(reps, point.tower):
             raise InvariantViolation("the computed point misses a generator")
-    return Point(tower, tuple(coords), True), trace
+    return point, trace
 
 
 # -- ideal operations ---------------------------------------------------------

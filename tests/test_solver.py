@@ -8,16 +8,15 @@ from pathlib import Path
 
 import pytest
 
-from corpus import common_zeros, exp_divides, ideals_equal, random_poly
+from corpus import common_zeros, exp_divides, ideals_equal, random_poly, random_unipoly
 from gbsolve import groebner, solver, unipoly
 from gbsolve.errors import KernelError, UsageError
 from gbsolve.fields import GF, QQ, FFElement, adjoin_root
-from gbsolve.groebner import Ideal, is_trivial, member
+from gbsolve.groebner import Ideal, Triviality, is_trivial, member
 from gbsolve.parser import parse_problem
 from gbsolve.poly import Polynomial, TermOrder, to_text
 from gbsolve.solver import (
     Point,
-    Trivial,
     coprime_split_identity,
     find_branch_root,
     good_specialization_point,
@@ -81,27 +80,26 @@ class TestGoodSpecializationPoint:
 
 
 class TestFindBranchRoot:
-    def test_first_root_wins_when_it_works(self):
-        x1, x2 = _vars(F3, 2)
-        one = _const(F3, 2, 1)
-        ideal = Ideal([x1 * x1 - one, x1 - x2])
-        p = _uni(F3, 2, 0, 1)  # x1^2 - 1
-        root, evaluated = find_branch_root(p, ideal)
-        assert root == FFElement(F3, 1)
-        assert evaluated.nvars == 1
-        assert member(Polynomial.variable(F3, 1, 0) - _const(F3, 1, 1), evaluated)
+    def test_root_of_the_first_factor(self):
+        extended = 0
+        for field in (F3, F5, F9):
+            rng = random.Random(74)
+            for _ in range(40):
+                dense = random_unipoly(rng, field, max_deg=5)
+                if unipoly.deg(dense) < 1:
+                    continue
+                p = Polynomial.from_dense(field, 1, 0, dense)
+                root = find_branch_root(p)
+                g = unipoly.factor(p.dense_in(0), field)[0][0]
+                assert root == adjoin_root(field, g)[1]
+                extended += root.tower != field
+                lifted = tuple(root.tower.lift(c, field) for c in p.dense_in(0))
+                assert not unipoly.evaluate(lifted, root.rep, root.tower)
+        assert extended >= 10
 
-    def test_p_must_generate_the_intersection_with_k_x1(self):
-        x1, x2 = _vars(F3, 2)
-        one = _const(F3, 2, 1)
-        # x1 = 1 makes the second generator -1, so the eliminant is x1 + 1
-        embedded = (x1 - one) * (x1 - _const(F3, 2, 2))
-        ideal = Ideal([embedded, (x1 - one) * x2 - one])
-        root, evaluated = find_branch_root(_uni(F3, 1, 1), ideal)
-        assert root == FFElement(F3, 2)
-        assert not is_trivial(evaluated)
-        with pytest.raises(UsageError):
-            find_branch_root(_uni(F3, 2, 0, 1), ideal)  # x1^2 - 1, a proper multiple
+    def test_first_root_wins_when_it_works(self):
+        root = find_branch_root(_uni(F3, 2, 0, 1))  # x1^2 - 1
+        assert root == FFElement(F3, 1)
 
     def test_every_factor_of_the_eliminant_keeps_the_ideal_proper(self):
         # The Closure Theorem: every root of the eliminant extends to a zero
@@ -122,40 +120,22 @@ class TestFindBranchRoot:
                     tower, root = adjoin_root(field, g)
                     evaluated = [h.evaluate_x1(root.rep, tower) for h in gens]
                     assert not is_trivial(Ideal(evaluated, domain=tower, nvars=nvars - 1))
-                assert find_branch_root(p, ideal)[0] == adjoin_root(field, factors[0][0])[1]
+                assert find_branch_root(p) == adjoin_root(field, factors[0][0])[1]
         assert ideals >= 150 and multi >= 40 and extended >= 20
 
     def test_adjoins_an_extension_when_needed(self):
-        x1 = Polynomial.variable(F3, 1, 0)
-        one = Polynomial.constant(F3, 1, F3.one())
-        ideal = Ideal([x1 * x1 + one])
-        root, evaluated = find_branch_root(x1 * x1 + one, ideal)
+        root = find_branch_root(_uni(F3, 1, 0, 1))  # x1^2 + 1
         assert root.tower.order == 9
         assert root.rep == (0, 1)
-        assert evaluated.nvars == 0 and not is_trivial(evaluated)
-
-    def test_zero_evaluation_branch(self):
-        x1, x2 = _vars(F3, 2)
-        one = _const(F3, 2, 1)
-        ideal = Ideal([(x1 - one) * x2, x1 - one])
-        root, evaluated = find_branch_root(x1 - one, ideal)
-        assert root == FFElement(F3, 1)
-        assert all(g.is_zero() for g in evaluated.gens)
 
     def test_usage_errors(self):
-        x1, _ = _vars(F3, 2)
-        one = _const(F3, 2, 1)
+        x1, x2 = _vars(F3, 2)
         with pytest.raises(UsageError):
-            find_branch_root(x1, Ideal([one]))  # trivial ideal
+            find_branch_root(_const(F3, 1, 1))  # constant p
         with pytest.raises(UsageError):
-            find_branch_root(one, Ideal([x1]))  # constant p
+            find_branch_root(x1 * x2)  # p not in x1
         with pytest.raises(UsageError):
-            find_branch_root(_vars(F3, 2)[1], Ideal([x1]))  # p not in x1
-        with pytest.raises(UsageError):
-            find_branch_root(_uni(F5, 0, 1), Ideal([x1]))  # field mismatch
-        q1 = _vars(QQ, 2)[0]
-        with pytest.raises(UsageError):
-            find_branch_root(q1, Ideal([q1]))
+            find_branch_root(_vars(QQ, 1)[0])  # not a finite field
 
 
 class TestSolve:
@@ -163,7 +143,7 @@ class TestSolve:
         x1, x2 = _vars(F3, 2)
         one = _const(F3, 2, 1)
         outcome, trace = solve(Ideal([x1 * x1 + one, x2 - x1]))
-        assert isinstance(outcome, Point) and outcome.verified
+        assert isinstance(outcome, Point)
         assert outcome.tower.order == 9
         assert outcome.reps() == [(0, 1), (0, 1)]
         assert [s.branch for s in trace] == ["root", "base"]
@@ -265,17 +245,47 @@ class TestSolve:
         assert [s.branch for s in trace] == ["base"]
         assert trace[0].eliminated.is_zero() and trace[0].extension is None
 
+    def test_the_eliminant_passes_over_an_embedded_component(self):
+        x1, x2 = _vars(F3, 2)
+        one = _const(F3, 2, 1)
+        # x1 = 1 makes the second generator -1, so the eliminant is x1 + 1
+        embedded = (x1 - one) * (x1 - _const(F3, 2, 2))
+        gens = [embedded, (x1 - one) * x2 - one]
+        outcome, trace = solve(Ideal(gens))
+        assert isinstance(outcome, Point) and outcome.reps() == [2, 1]
+        assert to_text(trace[0].eliminated) == "x1 + 1"
+        assert all(not g.evaluate(outcome.reps(), F3) for g in gens)
+
+    def test_a_root_that_zeroes_every_generator(self):
+        x1, x2 = _vars(F3, 2)
+        one = _const(F3, 2, 1)
+        outcome, trace = solve(Ideal([(x1 - one) * x2, x1 - one]))
+        assert outcome.reps() == [1, 0]
+        assert [s.branch for s in trace] == ["root", "base"]
+        assert trace[1].eliminated.is_zero()
+
+    def test_one_eliminant_read_per_level(self, monkeypatch):
+        x1, x2, x3 = _vars(F5, 3)
+        reads = []
+        real = solver.eliminate_to_x1
+        monkeypatch.setattr(
+            solver, "eliminate_to_x1", lambda I: reads.append(I.nvars) or real(I)
+        )
+        _, trace = solve(Ideal([x1 * x1 - _const(F5, 3, 2), x2 * x3 - x1]))
+        assert [s.branch for s in trace] == ["root", "locus", "base"]
+        assert reads == [3, 2, 1]
+
     def test_trivial_ideal_certificate(self):
         x1, _ = _vars(F5, 2)
         one = _const(F5, 2, 1)
         outcome, trace = solve(Ideal([x1, x1 - one]))
-        assert isinstance(outcome, Trivial) and trace == []
+        assert isinstance(outcome, Triviality) and trace == []
         assert [to_text(c) for c in outcome.certificate] == ["1", "4"]
 
     def test_unit_ideal(self):
         one = _const(F2, 2, 1)
         outcome, _ = solve(Ideal([one]))
-        assert isinstance(outcome, Trivial)
+        assert isinstance(outcome, Triviality)
         assert len(outcome.certificate) == 1 and outcome.certificate[0].is_one()
 
     def test_tower_input_stays_in_its_tower(self):
@@ -305,7 +315,7 @@ class TestSolve:
             ]
             ideal = Ideal(gens, domain=F3, nvars=2)
             outcome, trace = solve(ideal)
-            if isinstance(outcome, Trivial):
+            if isinstance(outcome, Triviality):
                 trivials += 1
                 acc = Polynomial.zero(F3, 2)
                 for cof, g in zip(outcome.certificate, gens):
@@ -313,7 +323,6 @@ class TestSolve:
                 assert acc.is_one()
                 continue
             points += 1
-            assert outcome.verified
             reps = outcome.reps()
             for g in gens:
                 assert not g.evaluate(reps, outcome.tower)
@@ -326,7 +335,7 @@ class TestSolve:
             gens = [random_poly(rng, F2, 2, max_total=2) for _ in range(2)]
             ideal = Ideal(gens, domain=F2, nvars=2)
             outcome, _ = solve(ideal)
-            if isinstance(outcome, Trivial) or outcome.tower != F2:
+            if isinstance(outcome, Triviality) or outcome.tower != F2:
                 continue
             assert tuple(outcome.reps()) in {
                 tuple(z) for z in common_zeros(gens, F2, 2)
