@@ -16,8 +16,9 @@ ideals print identically.
 1 lies in an ideal exactly when its reduced basis is {1}, under any term
 order, so ``is_trivial`` reads the verdict from whichever basis an ``Ideal``
 has cached and otherwise computes the one under ``TermOrder.elimination``
-(lex x_n > ... > x1), which ``eliminate_to_x1`` needs anyway; under it a
-triangular system is already a basis and its completion reduces no S-pair.
+(lex x_n > ... > x1), which ``eliminate_to_x1`` and ``Ideal.evaluate_x1``
+need anyway; under it a triangular system is already a basis, and its
+completion reduces no S-pair.
 A certificate comes from a tracked lex run, made only for a trivial ideal.
 
 Division and completion work on packed terms (``poly.Packing``).  Each
@@ -516,6 +517,32 @@ class Ideal:
         )
         self._bases[order] = computed
         return computed
+
+    def evaluate_x1(self, a, tower):
+        """I(a): x1 fixed at a, over ``tower`` (at or above the ideal's field).
+
+        Its generators are the nonzero images g(a) of the reduced basis G
+        under ``TermOrder.elimination``, which generates the same ideal.  When
+        every g vanishes at a or leads free of x1 (so is monic), the images in
+        G's order are I(a)'s reduced basis under the elimination order of one
+        variable fewer (Gianni 1987, Kalkbrener 1987) and are cached: an
+        S-pair of two images is the image of theirs, whose standard
+        representation over G maps to one below the x1-free lcm, and x1-free
+        leading monomials stay leading, so the images stay reduced and in
+        order.
+        """
+        order = TermOrder.elimination(self.nvars)
+        basis = self.groebner(order).elements
+        images = [g.evaluate_x1(a, tower) for g in basis]
+        gens = [h for h in images if not h.is_zero()]
+        ideal = Ideal(gens, domain=tower, nvars=self.nvars - 1)
+        if all(
+            h.is_zero() or not g.leading(order).exponents[0]
+            for g, h in zip(basis, images)
+        ):
+            order = TermOrder.elimination(ideal.nvars)
+            ideal._bases[order] = StrongBasis(tuple(gens), order, tower, ideal.nvars)
+        return ideal
 
     def cached_basis(self):
         """Some basis computed so far, under any order, or None."""

@@ -14,17 +14,18 @@ extension tower, eliminating one variable per step:
 * one variable left: the same root step, on the gcd of the generators (the
   trace calls it ``base``); every root works, and the zero ideal takes 0.
 
-A branch only picks the value a.  The step then substitutes a into the
-generators, in one place for all three branches, and goes on with I(a).
+A branch only picks the value a.  The step then builds I(a) with
+``Ideal.evaluate_x1``, in one place for all three branches, and goes on.
 
-Each level computes one untracked Groebner basis, under
+Every level reads the intersection with K[x1] from its reduced basis under
 ``TermOrder.elimination`` (lex x_n > ... > x1, the same order at every level
-once x1 is dropped): ``is_trivial`` decides from it, and ``eliminate_to_x1``
-reuses it for the intersection with K[x1].  Only a trivial ideal gets a
-second, tracked lex run, for its certificate.  A new tower level comes from a
-factor of ``unipoly.factor`` or from ``unipoly.first_irreducible``, both
-irreducible by construction, so it is stacked without a second
-irreducibility check.
+once x1 is dropped).  ``is_trivial`` computes the input's for its verdict,
+and ``Ideal.evaluate_x1`` carries each level's to the next, where at a root
+of a triangular system it is already I(a)'s and nothing is completed.  Only
+a trivial ideal gets a second, tracked lex run, for its certificate.  A new
+tower level comes from a factor of ``unipoly.factor`` or from
+``unipoly.first_irreducible``, both irreducible by construction, so it is
+stacked without a second irreducibility check.
 
 A trivial ideal is answered with ``is_trivial``'s ``Triviality`` itself.  Every
 produced point is checked against the original generators before it is
@@ -120,16 +121,19 @@ def find_branch_root(p, rng=None):
 def _point(ideal, rng, trace):
     """A common zero of a proper ideal, one variable eliminated per step.
 
-    Each step picks a value a for x1, substitutes it into the generators and
-    goes on with I(a).  A root of p = ``eliminate_to_x1`` of I keeps I(a)
-    proper: over the algebraic closure, the projection of V(I) onto the
+    Each step picks a value a for x1 and goes on with I(a), built from the
+    level's elimination basis.  A root of p = ``eliminate_to_x1`` of I keeps
+    I(a) proper: over the algebraic closure, the projection of V(I) onto the
     x1-axis lies in the finite set V(p), so it is Zariski closed; by the
     Closure Theorem (Cox, Little & O'Shea, ch. 3 section 2) its closure is
     the zero set of I's intersection with K[x1], which is V(p), so the
-    projection is all of V(p) and any factor of p will do.  Each step keeps
-    only the value it chose, so the ideal of a level and its cached bases
-    are freed once the next level's ideal is built; the chosen values are
-    lifted into the final tower at the end.
+    projection is all of V(p) and any factor of p will do.  The locus q
+    depends only on the ideal, not on the generators completed into the
+    strong basis: a minimal strong basis leads, at each of its leading
+    terms, with a generator of all leading coefficients there.  Each step
+    keeps only the value it chose, so the ideal of a level and its cached
+    bases are freed once the next level's ideal is built; the chosen values
+    are lifted into the final tower at the end.
     """
     chosen = []
     while ideal.nvars:
@@ -150,8 +154,7 @@ def _point(ideal, rng, trace):
             )
             branch, locus = "locus", specialization_locus(strong)
             a = good_specialization_point(locus)
-        gens = [h.evaluate_x1(a.rep, a.tower) for h in ideal.gens]
-        ideal = Ideal(gens, domain=a.tower, nvars=ideal.nvars - 1)
+        ideal = ideal.evaluate_x1(a.rep, a.tower)
         extension = a.tower if a.tower != tower else None
         trace.append(BranchStep(len(chosen), branch, p, a, extension, locus))
         chosen.append(a)

@@ -11,6 +11,7 @@ from gbsolve.fields import GF, QQ, FFElement, UnivariatePolyDomain
 from gbsolve.groebner import (
     Ideal,
     certify_basis,
+    eliminate_to_x1,
     gpoly,
     member,
     normal_form,
@@ -316,6 +317,35 @@ class TestSpecialization:
             for g in full:
                 image = g.evaluate_x1(F3.element(point))
                 assert member(image, evaluated)
+
+    def test_locus_depends_only_on_the_ideal(self):
+        # solve's locus level completes the carried generators (the images of
+        # the previous level's elimination basis), not the input generators
+        # with x1 substituted; both generate I(a), and a minimal strong basis
+        # leads at each leading term with a generator of all leading
+        # coefficients there, so the monic product cannot move
+        def locus(gens, field):
+            views = [euclidean.to_coeff_view(g) for g in gens]
+            dom = UnivariatePolyDomain(field)
+            basis = euclidean.strong_buchberger(views, domain=dom, nvars=1)
+            return euclidean.specialization_locus(basis)
+
+        compared = differ = 0
+        for field in (F3, F5, GF(7)):
+            rng = random.Random(67)
+            for _ in range(60):
+                ngens = rng.randrange(1, 4)
+                gens = [random_poly(rng, field, 3, max_total=2, max_terms=4) for _ in range(ngens)]
+                ideal = Ideal(gens, domain=field, nvars=3)
+                for a in field.elements():
+                    carried = ideal.evaluate_x1(a, field)
+                    if not eliminate_to_x1(carried).is_zero():
+                        continue
+                    substituted = [g.evaluate_x1(a, field) for g in gens]
+                    assert locus(carried.gens, field) == locus(substituted, field)
+                    compared += 1
+                    differ += set(carried.gens) != set(substituted)
+        assert compared > 180 and differ > 140, (compared, differ)
 
     def test_wrong_domain_rejected(self):
         with pytest.raises(UsageError):

@@ -54,6 +54,10 @@ CASES = [
     # tower elements and minimal polynomials over two- and three-level towers
     ("solve_tower3_levels", ["solve", "--trace"], ["tower3_levels_gf5.gb"], 0),
     ("solve_locus", ["solve", "--trace"], ["locus2_gf5.gb"], 0),
+    # root, then locus on generators carried from the root level's basis
+    ("solve_root_locus", ["solve", "--trace"], ["root_locus_gf5.gb"], 0),
+    # the locus level's basis image is not a basis, so the next level completes
+    ("solve_uncarried", ["solve", "--trace"], ["uncarried_gf5.gb"], 0),
     # one variable: the root step on the gcd, extending the field
     ("solve_univariate", ["solve", "--trace"], ["univariate_gf3.gb"], 0),
     ("solve_trivial", ["solve", "--trace"], ["unit3_gf5.gb"], 1),

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import exp_divides, exp_lcm, random_poly, random_poly_q
-from gbsolve import euclidean, groebner
+from gbsolve import euclidean, groebner, unipoly
 from gbsolve.errors import UsageError
 from gbsolve.fields import GF, QQ
 from gbsolve.groebner import (
@@ -30,6 +30,8 @@ from gbsolve.poly import Polynomial, TermOrder, to_text
 F2 = GF(2)
 F3 = GF(3)
 F5 = GF(5)
+F7 = GF(7)
+F25 = F5.extend(unipoly.first_irreducible(2, F5))  # tabled: order 25 <= 256
 F49 = GF(7).extend((1, 0, 1))  # t^2 + 1 has no root mod 7
 
 
@@ -525,3 +527,54 @@ class TestElimination:
         leads = [g.leading(order).exponents for g in basis.elements]
         assert leads == [(0, 0, 2), (0, 2, 0), (2, 0, 0)]
         assert list(basis.elements) == gens
+
+
+class TestEvaluateX1:
+    """I(a) from the carried elimination basis against a fresh completion."""
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(
+        st.sampled_from([F3, F5, F7, F25]),
+        st.integers(2, 4),
+        st.integers(1, 3),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_carried_basis_matches_a_fresh_completion(self, field, nvars, ngens, seed):
+        rng = random.Random(seed)
+        gens = [random_poly(rng, field, nvars, max_total=2, max_terms=3) for _ in range(ngens)]
+        ideal = Ideal(gens, domain=field, nvars=nvars)
+        order = TermOrder.elimination(nvars - 1)
+        for a in field.elements():
+            carried = ideal.evaluate_x1(a, field)
+            substituted = [g.evaluate_x1(a, field) for g in gens]
+            fresh = buchberger(substituted, order, domain=field, nvars=nvars - 1)
+            # the cached basis when the images were already one, else a completion
+            assert carried.groebner(order).elements == fresh.elements
+            assert carried.domain is field and carried.nvars == nvars - 1
+
+    def test_a_root_of_a_triangular_system_is_carried(self):
+        x1, x2, x3 = _vars(F5, 3)
+        one = _const(F5, 3, 1)
+        ideal = Ideal([x1 * x1 - one, x2 * x2 - x1, x3 * x3 + x2 * x3 + x1])
+        carried = ideal.evaluate_x1(F5.from_int(4), F5)  # x1 = -1
+        cached = carried.cached_basis()
+        assert cached is not None and cached.order == TermOrder.elimination(2)
+        assert [to_text(g, order=cached.order) for g in cached.elements] == [
+            "x2^2 + x1*x2 + 4",
+            "x1^2 + 1",
+        ]
+
+    def test_x1_times_x2_minus_one_at_zero_is_the_unit_ideal(self):
+        # x1*x2 - 1 leads with x1 and evaluates to -1: nothing is cached
+        x1, x2 = _vars(F5, 2)
+        carried = Ideal([x1 * x2 - _const(F5, 2, 1)]).evaluate_x1(F5.zero(), F5)
+        assert carried.cached_basis() is None
+        assert is_trivial(carried)
+
+    def test_a_non_root_of_the_eliminant_gives_the_unit_ideal(self):
+        x1, x2 = _vars(F5, 2)
+        ideal = Ideal([x1 * x1 - _const(F5, 2, 1), x2 - x1])
+        assert to_text(eliminate_to_x1(ideal)) == "x1^2 + 4"
+        carried = ideal.evaluate_x1(F5.from_int(2), F5)
+        assert carried.cached_basis() is None
+        assert is_trivial(carried)

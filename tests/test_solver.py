@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from corpus import common_zeros, exp_divides, ideals_equal, random_poly, random_unipoly
-from gbsolve import groebner, solver, unipoly
+from gbsolve import euclidean, groebner, solver, unipoly
 from gbsolve.errors import KernelError, UsageError
 from gbsolve.fields import GF, QQ, FFElement, adjoin_root
 from gbsolve.groebner import Ideal, Triviality, is_trivial, member
@@ -197,6 +197,43 @@ class TestSolve:
         assert all(order.nvars >= 1 for _, order, _ in runs)
         # runs keeps every generator tuple alive, so no id is reused
         assert max(Counter(id(gens) for gens, _ in untracked).values()) == 1
+
+    def _completions(self, monkeypatch, ideal):
+        """Runs of the completion engine (field and K[x1]) while solving."""
+        runs = []
+        real = groebner._complete
+
+        def counting(*args):
+            runs.append(args[2])
+            return real(*args)
+
+        monkeypatch.setattr(groebner, "_complete", counting)
+        monkeypatch.setattr(euclidean, "_complete", counting)
+        outcome, trace = solve(ideal)
+        assert isinstance(outcome, Point)
+        return runs, [s.branch for s in trace]
+
+    def test_a_triangular_system_completes_once(self, monkeypatch):
+        # each level's elimination basis is the image of the previous one's
+        # (every element leads free of x1 or is the eliminant, which vanishes
+        # at the root), so only the input is completed
+        golden = Path(__file__).parent / "golden" / "tower3_gf5.gb"
+        problem = parse_problem(golden.read_text())
+        ideal = Ideal(problem.gens, domain=problem.domain, nvars=problem.nvars)
+        runs, branches = self._completions(monkeypatch, ideal)
+        assert branches == ["root", "root", "base"]
+        assert runs == [problem.domain]
+
+    def test_the_root_level_carries_its_basis(self, monkeypatch):
+        # the root level's image is already a basis; the locus level's is not
+        # (x2*x3 - t1 leads with x2 and does not vanish at x2 = 1), so the
+        # input, the strong basis and the base level make the 3 runs
+        x1, x2, x3 = _vars(F5, 3)
+        ideal = Ideal([x1 * x1 - _const(F5, 3, 2), x2 * x3 - x1])
+        runs, branches = self._completions(monkeypatch, ideal)
+        assert branches == ["root", "locus", "base"]
+        assert len(runs) == 3
+        assert [dom.is_field for dom in runs] == [True, False, True]
 
     def test_tower_levels_from_factor_output_are_not_rechecked(self, monkeypatch):
         golden = Path(__file__).parent / "golden" / "tower3_levels_gf5.gb"
