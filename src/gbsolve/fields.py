@@ -252,8 +252,9 @@ QQ = RationalField()
 # Building the tables of an order-q tower costs about q products and q sums,
 # so they pay only where a tower does many more operations than that.  The
 # GF(25) towers of the solve-tower benchmark do; its GF(625) towers do about
-# 137 top-level products each, and a bound of 625 ran no faster there than
-# 256.  At order 256 a tower's three tables hold about 1300 entries.
+# 36 top-level products each (seed 1), and with quadratic levels multiplied
+# in closed form a bound of 625 ran about 3 times slower there than 256.  At
+# order 256 a tower's three tables hold about 1300 entries.
 TABLE_MAX_ORDER = 256
 
 

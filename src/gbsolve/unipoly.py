@@ -7,8 +7,10 @@ finite field exposing ``char``, ``order`` and index-based element access.
 
 Division has one loop, ``divmod_``; ``quo`` and ``rem`` are its halves.  A
 product modulo a monic polynomial is ``mul_mod``, which multiplies and
-reduces in one pass: the untabled tower levels of ``fields``, ``pow_mod``
-and ``edf`` all multiply through it.
+reduces in one pass: the untabled tower levels of ``fields``, the walk that
+builds a small level's tables, ``pow_mod`` and ``edf`` all multiply through
+it.  Modulo a quadratic, as at every level of a tower of quadratic
+extensions, it writes the product of two reduced operands out in closed form.
 
 ``factor`` splits f into squarefree parts (``sqf_list``; a quadratic by its
 discriminant, with no gcd).  In odd characteristic a part of degree 2 splits
@@ -151,9 +153,34 @@ def rem(f, g, F):
 def mul_mod(f, g, m, F):
     """f * g modulo the monic m, multiplied and reduced in one pass and
     trimmed once: over a prime field (``F.modulus``) in inline ints reduced
-    mod p where read, through F's methods otherwise."""
+    mod p where read, through F's methods otherwise.
+
+    A product of two nonzero operands of degree <= 1 modulo a quadratic
+    m = t^2 + c1*t + c0 is written out: t^2 = -c1*t - c0, so it is
+    r0 + r1*t with r0 = a0*b0 - c0*a1*b1 and r1 = a0*b1 + a1*b0 - c1*a1*b1.
+    No inverse is taken, so this holds for a reducible m too; through F's
+    methods a zero coefficient of f, g or m is skipped, not multiplied."""
     p, n = F.modulus, len(m) - 1
     add, sub, mul = F.add, F.sub, F.mul
+    if n == 2 and 0 < len(f) <= 2 and 0 < len(g) <= 2:
+        c0, c1, z = m[0], m[1], F.zero()
+        a0, a1 = f if len(f) == 2 else (f[0], z)
+        b0, b1 = g if len(g) == 2 else (g[0], z)
+        if p:
+            t = a1 * b1
+            r0, r1 = (a0 * b0 - c0 * t) % p, (a0 * b1 + a1 * b0 - c1 * t) % p
+        else:
+            r0 = mul(a0, b0) if a0 and b0 else z
+            r1 = mul(a0, b1) if a0 and b1 else z
+            if a1 and b0:
+                r1 = add(r1, mul(a1, b0))
+            if a1 and b1:
+                t = mul(a1, b1)
+                if c0:
+                    r0 = sub(r0, mul(c0, t))
+                if c1:
+                    r1 = sub(r1, mul(c1, t))
+        return (r0, r1) if r1 else (r0,) if r0 else ()
     out = [F.zero()] * (len(f) + len(g) - 1)
     for i, x in enumerate(f):
         if x:

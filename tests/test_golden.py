@@ -60,6 +60,12 @@ CASES = [
     ("solve_uncarried", ["solve", "--trace"], ["uncarried_gf5.gb"], 0),
     # one variable: the root step on the gcd, extending the field
     ("solve_univariate", ["solve", "--trace"], ["univariate_gf3.gb"], 0),
+    # GF(289) is untabled, so its products are taken over the prime field;
+    # then GF(17^4) over it
+    ("solve_tower2_gf17", ["solve", "--trace"], ["tower2_gf17.gb"], 0),
+    # characteristic 2: distinct- and equal-degree splitting up to GF(2^16)
+    # over the tabled GF(256)
+    ("solve_tower4_gf2", ["solve", "--trace"], ["tower4_gf2.gb"], 0),
     ("solve_trivial", ["solve", "--trace"], ["unit3_gf5.gb"], 1),
 ]
 

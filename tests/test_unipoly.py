@@ -149,6 +149,52 @@ class TestDivision:
             ra, rb = unipoly.rem(a, m, field), unipoly.rem(b, m, field)
             assert unipoly.mul_mod(ra, rb, m, field) == want
 
+    @pytest.mark.parametrize("field", [F2, F3], ids=["GF2", "GF3"])
+    def test_mul_mod_by_every_quadratic(self, field):
+        # the written-out product modulo t^2 + c1*t + c0, on every monic
+        # quadratic, reducible ones such as t^2 and t^2 + 1 over GF(2)
+        # included, and every pair of operands of degree <= 1
+        moduli = list(_all_monic(field, 2))
+        pairs = itertools.product(range(field.p), repeat=2)
+        operands = [unipoly.trim(t, field) for t in pairs]
+        assert len(moduli) == field.p**2 and len(set(operands)) == field.p**2
+        assert F2 is not field or {(0, 0, 1), (1, 0, 1)} <= set(moduli)
+        for m in moduli:
+            for a, b in itertools.product(operands, repeat=2):
+                want = unipoly.rem(unipoly.mul(a, b, field), m, field)
+                assert unipoly.mul_mod(a, b, m, field) == want, (a, b, m)
+
+    @pytest.mark.parametrize(
+        "field", [F32003, F9, F25, F625], ids=["GF32003", "GF9", "GF25", "GF625"]
+    )
+    def test_mul_mod_by_a_quadratic_over_every_sub_level(self, field, monkeypatch):
+        # a prime field in ints, tabled and untabled sub-levels through the
+        # field's methods, which never multiply by zero; operands of degree
+        # >= 2 take the general loop
+        rng = random.Random(33)
+        zero_products = []
+        real_mul = FieldTower.mul
+
+        def mul(F, x, y):
+            if F is field and not (x and y):
+                zero_products.append((x, y))
+            return real_mul(F, x, y)
+
+        monkeypatch.setattr(FieldTower, "mul", mul)
+        rand = lambda: field.element(rng.randrange(field.order))
+        for _ in range(40):
+            m = (rand(), rand(), field.one())
+            low_zero = (field.zero(), field.element(rng.randrange(1, field.order)))
+            pairs = list(_operand_pairs(rng, field, 3, 1))
+            pairs += [(low_zero, b) for _, b in pairs] + [(low_zero, low_zero)]
+            pairs += list(_operand_pairs(rng, field, 3, 4))
+            for a, b in pairs:
+                want = unipoly.rem(unipoly.mul(a, b, field), m, field)
+                zero_products.clear()
+                assert unipoly.mul_mod(a, b, m, field) == want, (a, b, m)
+                if unipoly.deg(a) <= 1 and unipoly.deg(b) <= 1:
+                    assert zero_products == []
+
     @pytest.mark.parametrize("field", ARITHMETIC, ids=ARITHMETIC_IDS)
     def test_pow_mod_with_a_non_monic_modulus(self, field):
         rng = random.Random(32)
