@@ -301,6 +301,7 @@ class FieldTower(Field):
         "_sub",
         "_order",
         "_hash",
+        "_one",  # 1, or (sub.one(),) once the level is stacked
         "_log",  # element -> k with g^k = element, built at stacking; False if none
         "_exp",  # exp[k] = g^k for 0 <= k < 2(q - 1), so index sums need no mod
         "_zech",  # zech[k] = log(1 + g^k), None where 1 + g^k = 0; period q - 1
@@ -316,6 +317,7 @@ class FieldTower(Field):
         self._sub = None
         self._order = p
         self._hash = hash((p, ()))
+        self._one = 1
         self._log = False
 
     def _stack(self, sub, top):
@@ -327,6 +329,7 @@ class FieldTower(Field):
         self._sub = sub
         self._order = sub.order ** top.degree
         self._hash = hash((self.p, self.levels))
+        self._one = (sub.one(),)  # read by _tabulate
         self._log = False
         if self._order <= TABLE_MAX_ORDER:
             self._tabulate()
@@ -361,7 +364,7 @@ class FieldTower(Field):
         return 0 if not self.levels else ()
 
     def one(self):
-        return 1 if not self.levels else (self._sub.one(),)
+        return self._one
 
     def from_int(self, n):
         if not self.levels:
@@ -553,7 +556,7 @@ class FieldTower(Field):
         if not k:
             return str(a)
         names = tuple(lv.name for lv in self.levels)
-        order = TermOrder.lex(k, range(k - 1, -1, -1))  # the top level leads
+        order = TermOrder.elimination(k)  # the top level leads
         return to_text(Polynomial(self.prefix(0), k, self._expand(a)), names, order)
 
     def coeff_text(self, a):

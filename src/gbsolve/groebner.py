@@ -361,7 +361,6 @@ def _completion(pk, gens, domain, nvars, track):
     """``_complete`` on the generators packed by ``pk``."""
     guard = pk.guard
     field = domain.is_field  # leading coefficients 1: no G-pair, gcd or lcm
-    cdom = None if field else domain  # coefficient test of _strongly_divides
     basis = []  # packed elements
     lead = []  # (packed leading term, canonical leading coefficient)
     lineage = []  # with track: packed cofactors over the generators
@@ -400,14 +399,15 @@ def _completion(pk, gens, domain, nvars, track):
             (ei, ci), (ej, cj) = lead[i], lead[j]
             if t == ei + ej and (field or domain.is_unit(domain.gcd(ci, cj))):
                 continue  # coprime leading monomials: reduces to zero
-            lcm_lead = (t, None if field else domain.lcm(ci, cj))
+            lc_ij = None if field else domain.lcm(ci, cj)
             if any(
-                k != i
+                not (t - e) & guard
+                and k != i
                 and k != j
-                and _strongly_divides(cdom, guard, lead[k], lcm_lead)
+                and (field or domain.divides(c, lc_ij))
                 and (min(i, k), max(i, k)) not in pending
                 and (min(j, k), max(j, k)) not in pending
-                for k in range(len(basis))
+                for k, (e, c) in enumerate(lead)
             ):
                 continue  # chain criterion: a third leading monomial covers it
         mult = _multipliers(kind, lead[i], lead[j], t, domain)
@@ -429,6 +429,7 @@ def _completion(pk, gens, domain, nvars, track):
     # certificates depend on it) and the latest over K[x1] (printed strong
     # bases depend on it).
     keep = []
+    cdom = None if field else domain  # coefficient test of _strongly_divides
     ranked = sorted(
         range(len(basis)),
         key=lambda k: (lead[k][0], domain.sort_key(lead[k][1]), k if field else -k),

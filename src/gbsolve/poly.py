@@ -11,6 +11,7 @@ order, for division and completion.  Evaluation takes one power per exponent.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from operator import add, itemgetter, mul
 
 from .errors import UsageError, ZeroPolynomialError
@@ -63,10 +64,11 @@ class TermOrder:
     @staticmethod
     def lex(nvars, priority=None):
         if priority is None:
-            priority = tuple(range(nvars))
+            return _default_lex(nvars)
         return TermOrder(tuple(priority))
 
     @staticmethod
+    @cache
     def elimination(nvars):
         """Lex with x_n > ... > x2 > x1, so x1 ranks below every other variable.
 
@@ -77,7 +79,7 @@ class TermOrder:
         S-pair.  Each recursion level drops x1 and renumbers, so every level
         works in the same order: the lex order that the Gianni-Kalkbrener
         specialization theorem needs.  With fewer than two variables it is
-        ``lex(nvars)``.
+        ``lex(nvars)``.  Built once per variable count, like ``lex(nvars)``.
         """
         return TermOrder.lex(nvars, range(nvars - 1, -1, -1))
 
@@ -103,6 +105,11 @@ class TermOrder:
         return (ks > kt) - (ks < kt)
 
 
+@cache
+def _default_lex(nvars):
+    return TermOrder(tuple(range(nvars)))
+
+
 class Overflow(ArithmeticError):
     """A packed field passed its maximum; the caller retries with wider fields."""
 
@@ -119,9 +126,11 @@ class Packing:
     from its guard bit.  A sum that passes a field's maximum sets that
     field's guard bit instead of wrapping, so every new term is checked
     against ``guard`` and the work restarts with wider fields on ``Overflow``.
+    The lcm of two terms is a guard-bit mask under every order; a weighted
+    order then writes the lcm's weighted degree into the top field.
     """
 
-    __slots__ = ("order", "bits", "guard", "_shifts", "_deg_shift")
+    __slots__ = ("order", "bits", "guard", "_shifts", "_deg_shift", "_weight_shifts")
 
     def __init__(self, order, bits):
         n = order.nvars
@@ -135,6 +144,7 @@ class Packing:
             shifts[var] = stride * (n - 1 - rank)
         self._shifts = tuple(shifts)
         self._deg_shift = None if order.weights is None else stride * n
+        self._weight_shifts = tuple(zip(order.weights or (), shifts))
 
     def pack(self, exps):
         """The packed int of an exponent tuple; Overflow when a field is too big."""
@@ -153,12 +163,21 @@ class Packing:
         return tuple((packed >> s) & field for s in self._shifts)
 
     def lcm(self, s, t):
-        """Fieldwise max: g marks where t >= s, g - (g >> bits) fills those."""
-        if self._deg_shift is not None:
-            return self.pack(tuple(map(max, self.unpack(s), self.unpack(t))))
+        """Fieldwise max: g marks where t >= s, g - (g >> bits) fills those.
+
+        A weighted order's top field then holds the larger degree, so it is
+        replaced by the weighted degree of the lcm's variable fields."""
         g = ((t | self.guard) - s) & self.guard
         mask = g - (g >> self.bits)
-        return (t & mask) | (s & ~mask)
+        m = (t & mask) | (s & ~mask)
+        d = self._deg_shift
+        if d is None:
+            return m
+        field = (1 << self.bits) - 1
+        deg = sum([w * (m >> sh & field) for w, sh in self._weight_shifts])
+        if deg >> self.bits:
+            raise Overflow
+        return (m & ((1 << d) - 1)) | deg << d
 
 
 def dense(terms, zero):

@@ -29,6 +29,8 @@ CASES = [
     ("gb_lex_dense", ["gb"], ["dense3_gf32003.gb"], 0),
     ("gb_wlex_dense", ["gb", "--order", "wlex:1,2,3"], ["dense3_gf32003.gb"], 0),
     ("gb_wlex_quadrics", ["gb", "--order", "wlex:1,1,1,1"], ["quadrics4_gf32003.gb"], 0),
+    # katsura-4 over GF(101): a graded run on every pair lcm of five variables
+    ("gb_wlex_katsura4", ["gb", "--order", "wlex:1,1,1,1,1"], ["katsura4_gf101.gb"], 0),
     ("gb_lex_rational", ["gb"], ["rational3.gb"], 0),
     ("gb_wlex_rational", ["gb", "--order", "wlex:2,1,1"], ["rational3.gb"], 0),
     ("gb_strong_gf5", ["gb-strong"], ["strong3_gf5.gb"], 0),
@@ -67,6 +69,9 @@ CASES = [
     # over the tabled GF(256)
     ("solve_tower4_gf2", ["solve", "--trace"], ["tower4_gf2.gb"], 0),
     ("solve_trivial", ["solve", "--trace"], ["unit3_gf5.gb"], 1),
+    # katsura-4 over GF(101): a lex elimination run whose pairs the chain
+    # criterion mostly skips, and a root of degree 16 at the first level
+    ("solve_katsura4", ["solve", "--trace"], ["katsura4_gf101.gb"], 0),
 ]
 
 

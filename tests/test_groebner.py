@@ -294,6 +294,40 @@ class TestBuchberger:
         with pytest.raises(UsageError):
             buchberger([_vars(F5, 2)[0]], TermOrder.lex(3))
 
+    def test_criteria_skip_the_pinned_pairs(self, monkeypatch):
+        """Count ``_divide`` calls on seeded ideals: one per pair the criteria
+        keep, plus the inter-reduction.  The counts were taken before the
+        chain criterion became one inline scan; a rewrite of the criteria that
+        skips a different set of pairs changes them.  A deliberate change to
+        a criterion updates these numbers."""
+        calls = []
+        real = groebner._divide
+        monkeypatch.setattr(
+            groebner, "_divide", lambda *a: calls.append(1) or real(*a)
+        )
+        counts = {}
+        for name, order in (
+            ("lex", TermOrder.lex(4)),
+            ("elimination", TermOrder.elimination(4)),
+            ("graded", TermOrder.weighted((1, 1, 1, 1))),
+        ):
+            rng = random.Random(29)
+            calls.clear()
+            for _ in range(8):
+                gens = [random_poly(rng, F7, 4, max_total=2, max_terms=4) for _ in range(3)]
+                buchberger(gens, order, domain=F7, nvars=4)
+            counts[name] = len(calls)
+        rng = random.Random(31)
+        calls.clear()
+        for _ in range(8):
+            gens = [
+                euclidean.to_coeff_view(random_poly(rng, F5, 3, max_total=2, max_terms=4))
+                for _ in range(3)
+            ]
+            euclidean.strong_buchberger(gens)
+        counts["strong"] = len(calls)
+        assert counts == {"lex": 69, "elimination": 67, "graded": 65, "strong": 37}
+
 
 class TestIdeal:
     def test_basis_is_cached_and_upgraded(self):

@@ -40,13 +40,22 @@ def _cmp(a, b):
     return (a > b) - (a < b)
 
 
+def _or_overflow(f, *args):
+    try:
+        return f(*args)
+    except Overflow:
+        return Overflow
+
+
 def _check_packing(order, rng, bits=3):
-    """Packed terms compare, divide, add and unpack as their exponent tuples."""
+    """Packed terms compare, divide, add, take lcms and unpack as their
+    exponent tuples."""
     top = (1 << bits) - 1
     pk = Packing(order, bits)
     n = order.nvars
     samples = [tuple(rng.choice((0, 1, top, rng.randrange(top + 1))) for _ in range(n))]
     samples += [tuple(rng.randrange(top + 1) for _ in range(n)) for _ in range(6)]
+    samples += [tuple(rng.randrange(4) for _ in range(n)) for _ in range(3)]
     # each variable alone at the largest value its field (and the degree) holds
     weights = order.weights or (1,) * n
     samples += [tuple(top // w if j == i else 0 for j in range(n)) for i, w in enumerate(weights)]
@@ -67,6 +76,8 @@ def _check_packing(order, rng, bits=3):
                 assert (ps + pt) & pk.guard
             else:
                 assert ps + pt == pk.pack(total)
+            lcm = tuple(map(max, s, t))
+            assert _or_overflow(pk.lcm, ps, pt) == _or_overflow(pk.pack, lcm)
 
 
 class TestTermOrder:
@@ -146,8 +157,23 @@ class TestTermOrder:
 
 
 class TestPackedLcm:
-    """Without weights ``Packing.lcm`` is bitwise; it must equal the packed
-    fieldwise max, which a weighted order computes by unpacking."""
+    """``Packing.lcm`` is bitwise under every order, with a weighted order's
+    degree field recomputed from the lcm's variable fields; it must equal the
+    packed fieldwise max, ``Overflow`` included."""
+
+    def test_lcm_under_plain_permuted_and_weighted_orders(self):
+        rng = random.Random(11)
+        base = 10**200  # weights as large as test_overflow_restart's
+        for order, bits in (
+            (TermOrder.lex(3), 3),
+            (TermOrder.lex(3, (2, 0, 1)), 3),
+            (TermOrder.weighted((1, 1, 1)), 3),
+            (TermOrder.weighted((2, 1, 3), (1, 2, 0)), 4),
+            (TermOrder.weighted((base, base + 1, 3 * base)), 670),
+            (TermOrder.weighted((base + 7, base, base), (1, 2, 0)), 670),
+        ):
+            for _ in range(20):
+                _check_packing(order, rng, bits)
 
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @given(st.data())
