@@ -1,13 +1,17 @@
 """Differential tests for division on seeded random inputs.
 
-``groebner._divide`` is one loop for every coefficient domain.  It takes
-terms from a lazily pruned heap and picks its arithmetic once per call:
-inline ints mod p over a prime field (GF5, GF32003), the domain's methods
-over a tower (GF49), QQ and K[x1].  Each result must satisfy
-f = sum(cof * g) + r, leave no reducible term in r, and agree exactly with
-the textbook loops below, which rescan the whole remaining polynomial for
-its leading term at every step.  Over a field the two textbook loops agree
-with each other as well.
+``groebner._divide`` is the one entry point for division.  Outside a graded
+prime-field completion it takes terms from a lazily pruned heap and picks
+its arithmetic once per call: inline ints mod p over a prime field (GF5,
+GF32003), the domain's methods over a tower (GF49), QQ and K[x1].  Each
+result must satisfy f = sum(cof * g) + r, leave no reducible term in r, and
+agree exactly with the textbook loops below, which rescan the whole
+remaining polynomial for its leading term at every step.  Over a field the
+two textbook loops agree with each other as well.
+
+Given a row context (``groebner._Rows``), a prime-field division under a
+weighted order reduces the dividend as one big int instead; its remainders,
+cofactors and completions must equal the heap loop's.
 """
 
 import random
@@ -17,6 +21,7 @@ import pytest
 from corpus import exp_divides, exp_sub, random_poly, random_poly_q
 from gbsolve import euclidean, groebner
 from gbsolve.fields import GF, QQ, FieldTower, UnivariatePolyDomain
+from gbsolve.groebner import buchberger
 from gbsolve.poly import Polynomial, TermOrder
 
 F5 = GF(5)
@@ -192,3 +197,105 @@ def test_prime_field_division_makes_no_domain_calls(monkeypatch):
         r, cofs = groebner.reduce(f, basis, ORDERS[trial % len(ORDERS)])
         assert _combination(cofs, basis, r) == f
     assert len(divisions) == 8 and calls == []
+
+
+HUGE = 10**200
+ROW_ORDERS = pytest.mark.parametrize(
+    "order",
+    [
+        TermOrder.weighted((1, 1, 1, 1)),
+        TermOrder.weighted((1, 2, 3)),
+        TermOrder.weighted((HUGE, HUGE + 1, 3 * HUGE), (1, 2, 0)),
+    ],
+    ids=["graded", "weights-123", "huge-weights"],
+)
+
+
+@pytest.mark.parametrize("field", [F5, F32003], ids=["GF5", "GF32003"])
+@ROW_ORDERS
+@pytest.mark.parametrize("bits", [1, None], ids=["one-bit", "normal"])
+def test_row_loop_matches_the_heap_loop(field, order, bits, monkeypatch):
+    # three dividends share one row context, so cached rows and first
+    # divisors carry from call to call; a copy of the leading-term list
+    # divides without the memo of first divisors
+    if bits:
+        monkeypatch.setattr(groebner, "_start_width", lambda top: bits)
+    rng = random.Random(20243)
+    n, rows_used = order.nvars, 0
+
+    def run(pk, packed):
+        nonlocal rows_used
+        divisors = packed[3:]
+        lead = groebner._leads(divisors)
+        rows = groebner._Rows(pk, field.modulus, lead)
+        for pf in packed[:3]:
+            for want in (False, True):
+                heap = groebner._divide(pf, divisors, lead, pk.guard, field, want)
+                for leads in (lead, list(lead)):
+                    args = (pf, divisors, leads, pk.guard, field, want, rows)
+                    assert groebner._divide(*args) == heap
+        rows_used += bool(rows.mono)
+
+    for trial in range(30):
+        dividends = [random_poly(rng, field, n, 4, 8) for _ in range(3)]
+        basis = []
+        while len(basis) < 1 + trial % 4:
+            g = random_poly(rng, field, n, 2, 4)
+            if not g.is_zero():
+                basis.append(g)
+        groebner._packed(order, [*dividends, *basis], run)
+    assert rows_used == 30
+
+
+def _graded_bases(field, seed):
+    rng = random.Random(seed)
+    systems = [[random_poly(rng, field, 3, 2, 4) for _ in range(3)] for _ in range(12)]
+    return [
+        buchberger(gens, order, track=track, domain=field, nvars=3)
+        for gens in systems
+        for order in (TermOrder.weighted((1, 1, 1)), TermOrder.weighted((1, 2, 3)))
+        for track in (False, True)
+    ]
+
+
+@pytest.mark.parametrize("field", [F5, F32003], ids=["GF5", "GF32003"])
+def test_graded_completions_match_the_heap_loop(field, monkeypatch):
+    # StrongBasis equality covers the lineage of the tracked runs
+    taken = []
+    real = groebner._Rows.pack
+
+    def pack(self, f):
+        row = real(self, f)
+        taken.append(row is not None)
+        return row
+
+    monkeypatch.setattr(groebner._Rows, "pack", pack)
+    expected = _graded_bases(field, 20244)
+    assert any(taken)
+    monkeypatch.setattr(groebner, "ROW_MAX_COLUMNS", 0)
+    assert _graded_bases(field, 20244) == expected
+
+
+def test_a_degree_past_the_column_cap_is_never_searched_again(monkeypatch):
+    # ten columns hold the monomials of degree <= 2 under weighted((1, 1, 1))
+    # and of degree <= 3 under weighted((1, 2, 3)), so completions pass the
+    # cap; searching again at or above the degree that passed it would
+    # repeat a search that can only fail
+    expected = _graded_bases(F32003, 20245)
+    builds = []
+    real = groebner._Rows._extend
+
+    def extend(self, d):
+        ok = real(self, d)
+        builds.append((self, d, ok))
+        return ok
+
+    monkeypatch.setattr(groebner, "ROW_MAX_COLUMNS", 10)
+    monkeypatch.setattr(groebner._Rows, "_extend", extend)
+    assert _graded_bases(F32003, 20245) == expected
+    capped = {}
+    for rows, d, ok in builds:
+        assert d < capped.get(id(rows), float("inf"))
+        if not ok:
+            capped[id(rows)] = d
+    assert capped and any(ok for _, _, ok in builds)
