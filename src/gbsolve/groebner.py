@@ -47,10 +47,10 @@ A completion over a prime field, whose elements are the ints in [0, p)
 (``Domain.modulus``, set by ``FieldTower(p)`` alone), under a weighted order
 reduces it as one big int with a slot per monomial (a row) and subtracts
 each shifted reducer x^m*g as a row built once per completion, F4's sharing
-(Faugere 1999) in Kronecker-style packed ints.  Every other division, and
-one past the row limits, keeps the live terms in a heap, with inline int
-arithmetic mod p over a prime field and the domain's methods over towers,
-QQ and K[x1].
+(Faugere 1999) in Kronecker-style packed ints, while the columns stay few
+against the basis's terms.  Every other division keeps the live terms in a
+heap, with inline int arithmetic mod p over a prime field and the domain's
+methods over towers, QQ and K[x1].
 """
 
 from __future__ import annotations
@@ -139,15 +139,18 @@ def _leads(basis):
     return [_leading(g) for g in basis]
 
 
-# Limits of the row loop; past either one, division takes the heap loop.  A
-# row step costs O(columns) however sparse its reducer.  In CPU time on a
-# shared 2-CPU host (Python 3.11), katsura-7's graded completion took
-# 1.15 s at this cap, 1.17 s with none (24,310 columns), 2.3 s at 4096 and
-# 5.1 s on the heap loop alone; sparse cubic binomials fall behind from
-# about 3,000 columns (six in 8 variables 0.01 -> 0.09 s, eight in 12
-# 0.34 -> 0.39 s).  katsura-7 caches 1.27 M words of rows and cyclic-6
-# 0.9 M; a budget of 2^19 words slowed katsura-7 to 1.9 s and 2^18 to 2.7 s.
+# Limits of the row loop; past any one, division takes the heap loop.  A row
+# step costs O(columns), a heap step O(reducer terms), so a degree gets
+# columns only while they number at most ROW_COLUMNS_PER_TERM times a basis
+# element's mean terms and at most ROW_MAX_COLUMNS.  CPU time on a shared
+# 2-CPU host (Python 3.11): dense systems stay under 340 columns per term
+# (katsura-6 and -7 140, cyclic-6 334); binomials lose from about 640, and
+# six cubic ones in 8 variables took 0.08 s with no per-term limit, 0.011 s
+# at 512 and 0.009 s on the heap loop.  katsura-7 took 1.6-1.9 s at this
+# cap, 1.4-1.9 s with none (24,310 columns), 2.4-2.9 s at 4096 and 5.4 s
+# on the heap loop; it caches 1.27 M words, and 2^19 slowed it to 2.1 s.
 ROW_MAX_COLUMNS = 2**14
+ROW_COLUMNS_PER_TERM = 512
 ROW_MAX_WORDS = 2**22  # 64-bit words of one completion's cached rows
 
 
@@ -158,19 +161,18 @@ class _Rows:
     the k-th monomial, in ascending term order, of weighted degree at most
     ``top``; every degree-d monomial ranks below every degree-(d+1) one, so
     raising ``top`` appends columns and moves none.  ``tails`` maps (id(g),
-    m) to the row of x^m*g less its leading term, and ``first`` holds each
-    column's first divisor among ``lead`` (~n when none of the first n
-    divides): the completion keeps every divisor alive and only appends to
-    ``lead``.  A division adds less than p^2 to a slot at most once per
-    column, so slots of 2*bits(p) + bits(ROW_MAX_COLUMNS) + 1 bits, rounded
-    up to whole bytes, never carry.
+    m) to g and the row of x^m*g less its leading term, and ``first`` holds
+    each column's first divisor among ``lead`` (~n when none of the first n
+    divides), which the completion only appends to.  A degree whose columns
+    would pass the limits above, measured against the mean terms of
+    ``basis``, is recorded and never searched again.  A division adds less
+    than p^2 to a slot at most once per column, so slots of 2*bits(p) +
+    bits(ROW_MAX_COLUMNS) + 1 bits never carry.
     """
 
-    def __init__(self, pk, p, lead):
-        self.pk, self.lead = pk, lead
-        self.size = (2 * p.bit_length() + ROW_MAX_COLUMNS.bit_length() + 8) // 8
-        self.width = 8 * self.size
-        self.shift = (pk.bits + 1) * pk.order.nvars  # the weighted degree's field
+    def __init__(self, pk, p, basis, lead):
+        self.pk, self.basis, self.lead = pk, basis, lead
+        self.width = 2 * p.bit_length() + ROW_MAX_COLUMNS.bit_length() + 1
         self.mono, self.col, self.first = [], {}, []
         self.top, self.capped = -1, float("inf")  # degrees with and past columns
         self.tails, self.words = {}, 0
@@ -179,7 +181,7 @@ class _Rows:
         """f as a row, or None past a limit."""
         if not f:
             return 0
-        d = max(f) >> self.shift
+        d = max(f) >> self.pk.deg_shift
         if d >= self.capped or self.words > ROW_MAX_WORDS:
             return None
         if d > self.top and not self._extend(d):
@@ -190,16 +192,14 @@ class _Rows:
     def _extend(self, d):
         """Append the columns of degree top+1..d, found by a breadth-first
         search from 1 over the units, or return False past the cap."""
-        pk, shift, top = self.pk, self.shift, self.top
-        weights = pk.order.weights
-        units = [
-            pk.pack(tuple(int(k == i) for k in range(len(weights))))
-            for i, w in enumerate(weights)
-            if w <= d
-        ]
+        pk, top = self.pk, self.top
+        shift, weights = pk.deg_shift, pk.order.weights
+        units = [pk.unit(i) for i, w in enumerate(weights) if w <= d]
         reach = d - min(weights)  # a monomial above it has no unit left to take
+        terms = sum(map(len, self.basis)) / len(self.basis)
+        cap = min(ROW_MAX_COLUMNS, ROW_COLUMNS_PER_TERM * terms)
         seen = frontier = {0}
-        while frontier and len(seen) <= ROW_MAX_COLUMNS:
+        while frontier and len(seen) <= cap:
             frontier = {
                 s
                 for t in frontier
@@ -218,20 +218,17 @@ class _Rows:
         return True
 
     def row(self, f, m, skip):
-        """The row of x^m*f less its term x^m*skip.  A sum of shifted terms
-        costs O(terms * columns), a byte buffer O(terms + columns) with a
-        larger constant; they break even near 200 columns."""
-        size, col = self.size, self.col
-        top = col[max(f) + m]
-        if top < 200:
-            width = self.width
-            return sum(c << width * col[s + m] for s, c in f.items() if s != skip)
-        buf = bytearray(size * (top + 1))
-        for s, c in f.items():
-            if s != skip:
-                k = size * col[s + m]
-                buf[k : k + size] = c.to_bytes(size, "little")
-        return int.from_bytes(buf, "little")
+        """The row of x^m*f less its term x^m*skip."""
+        width, col = self.width, self.col
+        return sum(c << width * col[s + m] for s, c in f.items() if s != skip)
+
+    def tail(self, g, m, lt):
+        """The cached row of x^m*g less its leading term x^m*lt."""
+        hit = self.tails.get((id(g), m))
+        if hit is None or hit[0] is not g:  # an id can be reused once g is freed
+            hit = self.tails[id(g), m] = g, self.row(g, m, lt)
+            self.words += hit[1].bit_length() >> 6
+        return hit[1]
 
 
 def _divide(f, basis, lead, guard, dom, want_cofs, rows=None):
@@ -251,10 +248,11 @@ def _divide(f, basis, lead, guard, dom, want_cofs, rows=None):
 
     The live terms take one of two forms, with the same visits, remainder
     and cofactors.  Given a row context (``_Rows``, which ``_completion``
-    builds over GF(p) under a weighted order) and a dividend within its
-    limits, they are one int with a slot per monomial column: the top slot
-    is read off by ``bit_length``, reduced mod p and, at a divisor, replaced
-    by (p - u) times the cached row of the shifted divisor's tail.  Otherwise
+    builds over GF(p) under a weighted order) whose columns reach the
+    dividend's degree within the limits on columns and cached words, they
+    are one int with a slot per monomial column: the top slot is read off
+    by ``bit_length``, reduced mod p and, at a divisor, replaced by
+    (p - u) times the cached row of the shifted divisor's tail.  Otherwise
     they wait in a max-heap of negated packed terms, and a term that
     cancelled since it was pushed is skipped when its entry surfaces.
 
@@ -270,7 +268,7 @@ def _divide(f, basis, lead, guard, dom, want_cofs, rows=None):
     cofs = [{} for _ in basis] if want_cofs else None
     row = None if rows is None else rows.pack(f)
     if row is not None:
-        width, mono, tails = rows.width, rows.mono, rows.tails
+        width, mono = rows.width, rows.mono
         first = rows.first if lead is rows.lead else [-1] * len(mono)
         while row:
             k = (row.bit_length() - 1) // width
@@ -292,12 +290,7 @@ def _divide(f, basis, lead, guard, dom, want_cofs, rows=None):
             lt, lc = lead[idx]
             m = t - lt
             u = c if lc == 1 else c * pow(lc, -1, p) % p
-            g = basis[idx]
-            tail = tails.get((id(g), m))
-            if tail is None:
-                tail = tails[id(g), m] = rows.row(g, m, lt)
-                rows.words += tail.bit_length() >> 6
-            row += (p - u) * tail
+            row += (p - u) * rows.tail(basis[idx], m, lt)
             if want_cofs:
                 cofs[idx][m] = u
         return remainder, cofs
@@ -504,7 +497,9 @@ def _completion(pk, gens, domain, nvars, track):
     pending = set()  # S-pairs not yet popped
     queue = []  # (packed lcm, kind, i, j), smallest first
     rows = (
-        _Rows(pk, domain.modulus, lead) if domain.modulus and pk.order.weights else None
+        _Rows(pk, domain.modulus, basis, lead)
+        if domain.modulus and pk.order.weights
+        else None
     )
 
     def push(f, vec):

@@ -127,10 +127,11 @@ class Packing:
     field's guard bit instead of wrapping, so every new term is checked
     against ``guard`` and the work restarts with wider fields on ``Overflow``.
     The lcm of two terms is a guard-bit mask under every order; a weighted
-    order then writes the lcm's weighted degree into the top field.
+    order then writes the lcm's weighted degree into the top field, so a
+    packed term's weighted degree is ``t >> deg_shift``.
     """
 
-    __slots__ = ("order", "bits", "guard", "_shifts", "_deg_shift", "_weight_shifts")
+    __slots__ = ("order", "bits", "guard", "deg_shift", "_shifts", "_weight_shifts")
 
     def __init__(self, order, bits):
         n = order.nvars
@@ -143,20 +144,24 @@ class Packing:
         for rank, var in enumerate(order.priority):
             shifts[var] = stride * (n - 1 - rank)
         self._shifts = tuple(shifts)
-        self._deg_shift = None if order.weights is None else stride * n
+        self.deg_shift = None if order.weights is None else stride * n
         self._weight_shifts = tuple(zip(order.weights or (), shifts))
 
     def pack(self, exps):
         """The packed int of an exponent tuple; Overflow when a field is too big."""
         fields = list(exps)
         packed = sum(e << s for e, s in zip(fields, self._shifts))
-        if self._deg_shift is not None:
+        if self.deg_shift is not None:
             deg = sum(map(mul, self.order.weights, fields))
-            packed += deg << self._deg_shift
+            packed += deg << self.deg_shift
             fields.append(deg)
         if fields and max(fields) >> self.bits:
             raise Overflow
         return packed
+
+    def unit(self, var):
+        """The packed term x_var."""
+        return self.pack(tuple(int(k == var) for k in range(self.order.nvars)))
 
     def unpack(self, packed):
         field = (1 << self.bits) - 1
@@ -170,7 +175,7 @@ class Packing:
         g = ((t | self.guard) - s) & self.guard
         mask = g - (g >> self.bits)
         m = (t & mask) | (s & ~mask)
-        d = self._deg_shift
+        d = self.deg_shift
         if d is None:
             return m
         field = (1 << self.bits) - 1

@@ -227,7 +227,7 @@ def test_row_loop_matches_the_heap_loop(field, order, bits, monkeypatch):
         nonlocal rows_used
         divisors = packed[3:]
         lead = groebner._leads(divisors)
-        rows = groebner._Rows(pk, field.modulus, lead)
+        rows = groebner._Rows(pk, field.modulus, divisors, lead)
         for pf in packed[:3]:
             for want in (False, True):
                 heap = groebner._divide(pf, divisors, lead, pk.guard, field, want)
@@ -245,6 +245,32 @@ def test_row_loop_matches_the_heap_loop(field, order, bits, monkeypatch):
                 basis.append(g)
         groebner._packed(order, [*dividends, *basis], run)
     assert rows_used == 30
+
+
+def test_a_cached_row_is_taken_only_for_its_own_divisor():
+    # rows are cached under id(g), which CPython hands to a new object once
+    # g is freed; a row cached for another object under that id is rebuilt
+    rng = random.Random(20246)
+    order, checked = TermOrder.weighted((1, 1, 1)), 0
+
+    def run(pk, packed):
+        nonlocal checked
+        f, *divisors = packed
+        lead = groebner._leads(divisors)
+        rows = groebner._Rows(pk, F32003.modulus, divisors, lead)
+        args = (f, divisors, lead, pk.guard, F32003, True, rows)
+        expected = groebner._divide(*args)
+        for key in rows.tails:
+            rows.tails[key] = ({}, 1)
+            checked += 1
+        assert groebner._divide(*args) == expected
+
+    for _ in range(10):
+        f = random_poly(rng, F32003, 3, 4, 8)
+        basis = [random_poly(rng, F32003, 3, 2, 4) for _ in range(3)]
+        basis = [g for g in basis if not g.is_zero()] or [f]
+        groebner._packed(order, [f, *basis], run)
+    assert checked
 
 
 def _graded_bases(field, seed):
@@ -276,11 +302,16 @@ def test_graded_completions_match_the_heap_loop(field, monkeypatch):
     assert _graded_bases(field, 20244) == expected
 
 
-def test_a_degree_past_the_column_cap_is_never_searched_again(monkeypatch):
+@pytest.mark.parametrize(
+    "limit, value", [("ROW_MAX_COLUMNS", 10), ("ROW_COLUMNS_PER_TERM", 3)]
+)
+def test_a_degree_past_the_column_cap_is_never_searched_again(
+    limit, value, monkeypatch
+):
     # ten columns hold the monomials of degree <= 2 under weighted((1, 1, 1))
-    # and of degree <= 3 under weighted((1, 2, 3)), so completions pass the
-    # cap; searching again at or above the degree that passed it would
-    # repeat a search that can only fail
+    # and of degree <= 3 under weighted((1, 2, 3)), and three per basis term
+    # are about as many, so completions pass the cap; searching again at or
+    # above the degree that passed it would repeat a search that can only fail
     expected = _graded_bases(F32003, 20245)
     builds = []
     real = groebner._Rows._extend
@@ -290,7 +321,7 @@ def test_a_degree_past_the_column_cap_is_never_searched_again(monkeypatch):
         builds.append((self, d, ok))
         return ok
 
-    monkeypatch.setattr(groebner, "ROW_MAX_COLUMNS", 10)
+    monkeypatch.setattr(groebner, limit, value)
     monkeypatch.setattr(groebner._Rows, "_extend", extend)
     assert _graded_bases(F32003, 20245) == expected
     capped = {}
