@@ -48,9 +48,10 @@ A completion over a prime field, whose elements are the ints in [0, p)
 reduces it as one big int with a slot per monomial (a row) and subtracts
 each shifted reducer x^m*g as a row built once per completion, F4's sharing
 (Faugere 1999) in Kronecker-style packed ints, while the columns stay few
-against the basis's terms.  Every other division keeps the live terms in a
-heap, with inline int arithmetic mod p over a prime field and the domain's
-methods over towers, QQ and K[x1].
+against the basis's terms.  An S-pair enters that loop as a row too, the
+sum of two such cached rows, with no polynomial built in between.  Every
+other division keeps the live terms in a heap, with inline int arithmetic
+mod p over a prime field and the domain's methods over towers, QQ and K[x1].
 """
 
 from __future__ import annotations
@@ -165,40 +166,68 @@ class _Rows:
     each column's first divisor among ``lead`` (~n when none of the first n
     divides), which the completion only appends to.  A degree whose columns
     would pass the limits above, measured against the mean terms of
-    ``basis``, is recorded and never searched again.  A division adds less
-    than p^2 to a slot at most once per column, so slots of 2*bits(p) +
-    bits(ROW_MAX_COLUMNS) + 1 bits never carry.
+    ``basis``, is recorded and never searched again.  A row from ``pack``
+    starts with slots below p and one from ``pair`` below p + (p-1)^2 < p^2;
+    a division then adds less than p^2 to a slot at most once per column,
+    so slots of 2*bits(p) + bits(ROW_MAX_COLUMNS) + 1 bits never carry.
     """
 
     def __init__(self, pk, p, basis, lead):
-        self.pk, self.basis, self.lead = pk, basis, lead
+        self.pk, self.p, self.basis, self.lead = pk, p, basis, lead
         self.width = 2 * p.bit_length() + ROW_MAX_COLUMNS.bit_length() + 1
         self.mono, self.col, self.first = [], {}, []
         self.top, self.capped = -1, float("inf")  # degrees with and past columns
         self.tails, self.words = {}, 0
 
+    def reaches(self, d):
+        """Whether the columns reach degree d within the limits, extending
+        them when needed; a degree past the cap is never searched again."""
+        if d >= self.capped or self.words > ROW_MAX_WORDS:
+            return False
+        if d > self.top and not self._extend(d):
+            self.capped = d
+            return False
+        return True
+
     def pack(self, f):
         """f as a row, or None past a limit."""
         if not f:
             return 0
-        d = max(f) >> self.pk.deg_shift
-        if d >= self.capped or self.words > ROW_MAX_WORDS:
-            return None
-        if d > self.top and not self._extend(d):
-            self.capped = d  # never searched again
+        if not self.reaches(max(f) >> self.pk.deg_shift):
             return None
         return self.row(f, 0, None)
 
+    def pair(self, i, j, t):
+        """The row of x^m*f_i - x^n*f_j, where x^m and x^n lift the leading
+        terms of the monic basis elements i and j to t, or None past a limit.
+
+        Both leading terms cancel, so it is the tail of x^m*f_i plus p - 1
+        times that of x^n*f_j, each a cached row; its slots stay unreduced.
+        """
+        if not self.reaches(t >> self.pk.deg_shift):
+            return None
+        (li, _), (lj, _) = self.lead[i], self.lead[j]
+        fi, fj = self.basis[i], self.basis[j]
+        return self.tail(fi, t - li, li) + (self.p - 1) * self.tail(fj, t - lj, lj)
+
     def _extend(self, d):
-        """Append the columns of degree top+1..d, found by a breadth-first
-        search from 1 over the units, or return False past the cap."""
+        """Append the columns of degree top+1..d, or return False past the cap.
+
+        A breadth-first search over the units starts from 1 on the first
+        call and afterwards from the columns of degree above top -
+        max(weights): every monomial above ``top`` is a unit times one of
+        those, so the search finds the same columns without re-enumerating
+        the ones below.
+        """
         pk, top = self.pk, self.top
         shift, weights = pk.deg_shift, pk.order.weights
         units = [pk.unit(i) for i, w in enumerate(weights) if w <= d]
         reach = d - min(weights)  # a monomial above it has no unit left to take
         terms = sum(map(len, self.basis)) / len(self.basis)
         cap = min(ROW_MAX_COLUMNS, ROW_COLUMNS_PER_TERM * terms)
-        seen = frontier = {0}
+        low = top - max(weights)
+        frontier = {t for t in self.mono if t >> shift > low} if self.mono else {0}
+        seen = {*self.mono, *frontier}
         while frontier and len(seen) <= cap:
             frontier = {
                 s
@@ -252,21 +281,24 @@ def _divide(f, basis, lead, guard, dom, want_cofs, rows=None):
     dividend's degree within the limits on columns and cached words, they
     are one int with a slot per monomial column: the top slot is read off
     by ``bit_length``, reduced mod p and, at a divisor, replaced by
-    (p - u) times the cached row of the shifted divisor's tail.  Otherwise
-    they wait in a max-heap of negated packed terms, and a term that
-    cancelled since it was pushed is skipped when its entry surfaces.
+    (p - u) times the cached row of the shifted divisor's tail.  An S-pair
+    comes in already as such a row (an int f, from ``_Rows.pair``), built
+    from the cached tails of its two shifted elements.  Otherwise the terms
+    wait in a max-heap of negated packed terms, and a term that cancelled
+    since it was pushed is skipped when its entry surfaces.
 
     The heap loop chooses its arithmetic once per call.  Over GF(p), whose
     elements are the ints in [0, p) (``dom.modulus``), it is inline int
-    arithmetic mod p with each leading coefficient inverted once (not at all
-    when it is 1, as in every basis ``buchberger`` builds); over towers, QQ
-    and K[x1] it is the domain's ``euclid_divmod``, ``sub`` and ``mul``.
+    arithmetic mod p; both loops divide c by a leading coefficient lc only
+    when lc is not 1 (every basis ``buchberger`` builds is monic).  Over
+    towers, QQ and K[x1] it is the domain's ``euclid_divmod``, ``sub`` and
+    ``mul``.
     Every zero test is truthiness, as each domain's zero is falsy.
     """
     p = dom.modulus
     remainder = {}
     cofs = [{} for _ in basis] if want_cofs else None
-    row = None if rows is None else rows.pack(f)
+    row = f if isinstance(f, int) else None if rows is None else rows.pack(f)
     if row is not None:
         width, mono = rows.width, rows.mono
         first = rows.first if lead is rows.lead else [-1] * len(mono)
@@ -294,9 +326,7 @@ def _divide(f, basis, lead, guard, dom, want_cofs, rows=None):
             if want_cofs:
                 cofs[idx][m] = u
         return remainder, cofs
-    if p:
-        invs = [1 if lc == 1 else pow(lc, -1, p) for _, lc in lead]
-    else:
+    if not p:
         divmod_, sub, mul = dom.euclid_divmod, dom.sub, dom.mul
     zero = dom.zero()
     work = dict(f)
@@ -312,7 +342,7 @@ def _divide(f, basis, lead, guard, dom, want_cofs, rows=None):
             if m & guard:
                 continue
             if p:
-                u, c = c * invs[idx] % p, 0
+                u, c = c if lc == 1 else c * pow(lc, -1, p) % p, 0
             else:
                 u, c = divmod_(c, lc)
             if u:
@@ -545,8 +575,11 @@ def _completion(pk, gens, domain, nvars, track):
                 for k, (e, c) in enumerate(lead)
             ):
                 continue  # chain criterion: a third leading monomial covers it
-        mult = _multipliers(kind, lead[i], lead[j], t, domain)
-        h = _combine(basis[i], basis[j], *mult, domain, guard)
+        h = None if rows is None else rows.pair(i, j, t)
+        if h is None or track:
+            mult = _multipliers(kind, lead[i], lead[j], t, domain)
+        if h is None:
+            h = _combine(basis[i], basis[j], *mult, domain, guard)
         r, cofs = _divide(h, basis, lead, guard, domain, track, rows)
         if not r:
             continue

@@ -11,9 +11,14 @@ two textbook loops agree with each other as well.
 
 Given a row context (``groebner._Rows``), a prime-field division under a
 weighted order reduces the dividend as one big int instead; its remainders,
-cofactors and completions must equal the heap loop's.
+cofactors and completions must equal the heap loop's.  An S-pair enters that
+loop as a row built from two cached tails, which must equal the row of its
+S-polynomial slot by slot mod p, and columns grown degree by degree must
+equal the ones a single search finds.
 """
 
+import itertools
+import operator
 import random
 
 import pytest
@@ -330,3 +335,127 @@ def test_a_degree_past_the_column_cap_is_never_searched_again(
         if not ok:
             capped[id(rows)] = d
     assert capped and any(ok for _, _, ok in builds)
+
+
+def _reduced_slots(row, width, p):
+    """The row with every slot reduced mod p."""
+    out, shift, mask = 0, 0, (1 << width) - 1
+    while row:
+        out |= (row & mask) % p << shift
+        row >>= width
+        shift += width
+    return out
+
+
+@pytest.mark.parametrize("field", [F5, F32003], ids=["GF5", "GF32003"])
+@ROW_ORDERS
+def test_a_pair_row_is_the_packed_s_polynomial(field, order):
+    # the pairs of one basis share a row context, so some lcms lie within
+    # its columns and others extend them
+    rng = random.Random(20247)
+    n, p = order.nvars, field.modulus
+    extended = within = 0
+
+    def run(pk, packed):
+        nonlocal extended, within
+        basis = [{t: c * pow(f[max(f)], -1, p) % p for t, c in f.items()} for f in packed]
+        lead = groebner._leads(basis)
+        rows = groebner._Rows(pk, p, basis, lead)
+        for i, j in itertools.combinations(range(len(basis)), 2):
+            t = pk.lcm(lead[i][0], lead[j][0])
+            grows = t >> pk.deg_shift > rows.top
+            row = rows.pair(i, j, t)
+            assert row is not None
+            mult = groebner._multipliers(groebner._S, lead[i], lead[j], t, field)
+            h = groebner._combine(basis[i], basis[j], *mult, field, pk.guard)
+            assert _reduced_slots(row, rows.width, p) == rows.pack(h)
+            extended += grows
+            within += not grows
+
+    for _ in range(15):
+        gens = []
+        while len(gens) < 4:
+            g = random_poly(rng, field, n, 3, 5)
+            if not g.is_zero():
+                gens.append(g)
+        groebner._packed(order, gens, run)
+    assert extended and within
+
+
+@pytest.mark.parametrize("field", [F5, F32003], ids=["GF5", "GF32003"])
+def test_a_pair_past_the_column_cap_falls_back_to_its_polynomial(field, monkeypatch):
+    # ten columns hold the monomials of degree <= 2 under weighted((1, 1, 1))
+    # and of degree <= 3 under weighted((1, 2, 3)): some lcms get a row and
+    # others are refused, and a refused pair is built and reduced as a
+    # polynomial; StrongBasis equality covers the lineage of the tracked runs
+    expected = _graded_bases(field, 20244)
+    built = []
+    real = groebner._Rows.pair
+
+    def pair(self, i, j, t):
+        row = real(self, i, j, t)
+        built.append(row is not None)
+        return row
+
+    monkeypatch.setattr(groebner._Rows, "pair", pair)
+    monkeypatch.setattr(groebner, "ROW_MAX_COLUMNS", 0)
+    assert _graded_bases(field, 20244) == expected and not any(built)
+    monkeypatch.setattr(groebner, "ROW_MAX_COLUMNS", 10)
+    built.clear()
+    assert _graded_bases(field, 20244) == expected
+    assert any(built) and not all(built)
+
+
+def _monomials(pk, d):
+    """The packed monomials of weighted degree at most d, by brute force."""
+    weights = pk.order.weights
+    ranges = [range(d // w + 1) for w in weights]
+    return sorted(
+        pk.pack(e)
+        for e in itertools.product(*ranges)
+        if sum(map(operator.mul, weights, e)) <= d
+    )
+
+
+@ROW_ORDERS
+@pytest.mark.parametrize("cap", [None, 12], ids=["uncapped", "cap-12"])
+def test_columns_grown_degree_by_degree_match_one_search(order, cap, monkeypatch):
+    # a search that starts from the columns already found must append the
+    # columns, and give the verdict, of a fresh search from 1
+    if cap:
+        monkeypatch.setattr(groebner, "ROW_MAX_COLUMNS", cap)
+    rng = random.Random(20248)
+    refused = 0
+
+    def run(pk, packed):
+        nonlocal refused
+        lead = groebner._leads(packed)
+        shift = pk.deg_shift
+        top = 2 * max(map(max, packed)) >> shift
+
+        def fresh():
+            return groebner._Rows(pk, F5.modulus, packed, lead)
+
+        whole, stepwise = fresh(), fresh()
+        degrees = {t >> shift for t in _monomials(pk, top)}
+        for d in sorted({e for d in degrees for e in (d, d + 1) if e <= top}):
+            one = fresh()
+            verdict = one._extend(d)
+            assert stepwise._extend(d) == verdict
+            if not verdict:
+                refused += 1
+                assert not whole._extend(top)
+                return
+            assert stepwise.mono == one.mono == _monomials(pk, d)
+            assert stepwise.col == one.col
+        assert whole._extend(top)
+        assert (whole.mono, whole.col) == (stepwise.mono, stepwise.col)
+
+    for _ in range(8):
+        gens = []
+        while len(gens) < 3:
+            g = random_poly(rng, F5, order.nvars, 3, 4)
+            if not g.is_zero():
+                gens.append(g)
+        groebner._packed(order, gens, run)
+    assert bool(refused) == bool(cap)
