@@ -552,18 +552,24 @@ class FieldTower(Field):
         return out
 
     def to_text(self, a):
-        k = len(self.levels)
-        if not k:
+        if not self.levels:
             return str(a)
+        return self._text(self._expand(a))
+
+    def _text(self, terms):
+        """An expanded element as a polynomial in the level names."""
+        k = len(self.levels)
         names = tuple(lv.name for lv in self.levels)
         order = TermOrder.elimination(k)  # the top level leads
-        return to_text(Polynomial(self.prefix(0), k, self._expand(a)), names, order)
+        return to_text(Polynomial(self.prefix(0), k, terms), names, order)
 
     def coeff_text(self, a):
-        text = self.to_text(a)
-        if len(self._expand(a)) > 1:
-            text = f"({text})"
-        return False, text
+        """Parenthesized when it has more than one term; expanded once."""
+        if not self.levels:
+            return False, str(a)
+        terms = self._expand(a)
+        text = self._text(terms)
+        return False, f"({text})" if len(terms) > 1 else text
 
 
 def GF(p):

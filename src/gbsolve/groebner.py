@@ -43,15 +43,17 @@ never what it returns.  Lineage terms are checked the same way: a
 certificate can need higher powers than any basis element.
 
 Division has one entry point, ``_divide``, and two forms of the dividend.
-A completion over a prime field, whose elements are the ints in [0, p)
-(``Domain.modulus``, set by ``FieldTower(p)`` alone), under a weighted order
-reduces it as one big int with a slot per monomial (a row) and subtracts
-each shifted reducer x^m*g as a row built once per completion, F4's sharing
-(Faugere 1999) in Kronecker-style packed ints, while the columns stay few
-against the basis's terms.  An S-pair enters that loop as a row too, the
-sum of two such cached rows, with no polynomial built in between.  Every
-other division keeps the live terms in a heap, with inline int arithmetic
-mod p over a prime field and the domain's methods over towers, QQ and K[x1].
+An untracked completion over a prime field, whose elements are the ints in
+[0, p) (``Domain.modulus``, set by ``FieldTower(p)`` alone), under a
+weighted order builds each S-pair as one big int with a slot per monomial (a
+row), the sum of two cached rows of shifted basis elements, and reduces it
+by subtracting each shifted reducer x^m*g as a row built once per
+completion: F4's sharing (Faugere 1999) in Kronecker-style packed ints,
+while the columns stay few against the basis's terms.  That basis is monic
+and no cofactor is kept.  Every other dividend, a pair past the column
+limits and the final inter-reduction included, keeps its live terms in a
+heap, with inline int arithmetic mod p over a prime field and the domain's
+methods over towers, QQ and K[x1].
 """
 
 from __future__ import annotations
@@ -140,7 +142,7 @@ def _leads(basis):
     return [_leading(g) for g in basis]
 
 
-# Limits of the row loop; past any one, division takes the heap loop.  A row
+# Limits of the row loop; past any one, a pair takes the heap loop.  A row
 # step costs O(columns), a heap step O(reducer terms), so a degree gets
 # columns only while they number at most ROW_COLUMNS_PER_TERM times a basis
 # element's mean terms and at most ROW_MAX_COLUMNS.  CPU time on a shared
@@ -156,20 +158,21 @@ ROW_MAX_WORDS = 2**22  # 64-bit words of one completion's cached rows
 
 
 class _Rows:
-    """One completion's columns and cached reducer rows for the row loop.
+    """One untracked completion's columns and cached reducer rows.
 
-    A row is one int with a ``width``-bit slot per column.  Column k holds
-    the k-th monomial, in ascending term order, of weighted degree at most
-    ``top``; every degree-d monomial ranks below every degree-(d+1) one, so
-    raising ``top`` appends columns and moves none.  ``tails`` maps (id(g),
-    m) to g and the row of x^m*g less its leading term, and ``first`` holds
-    each column's first divisor among ``lead`` (~n when none of the first n
-    divides), which the completion only appends to.  A degree whose columns
-    would pass the limits above, measured against the mean terms of
-    ``basis``, is recorded and never searched again.  A row from ``pack``
-    starts with slots below p and one from ``pair`` below p + (p-1)^2 < p^2;
-    a division then adds less than p^2 to a slot at most once per column,
-    so slots of 2*bits(p) + bits(ROW_MAX_COLUMNS) + 1 bits never carry.
+    It serves the completion's S-pairs over GF(p) under a weighted order,
+    whose basis is monic and only grows.  A row is one int with a
+    ``width``-bit slot per column.  Column k holds the k-th monomial, in
+    ascending term order, of weighted degree at most ``top``; every degree-d
+    monomial ranks below every degree-(d+1) one, so raising ``top`` appends
+    columns and moves none.  ``tails`` maps (k, m) to the row of
+    x^m*basis[k] less its leading term, and ``first`` holds each column's
+    first divisor among ``lead`` (~n when none of the first n divides).  A
+    degree whose columns would pass the limits above, measured against the
+    mean terms of ``basis``, is recorded and never searched again.  A row
+    from ``pair`` starts with slots below p + (p-1)^2 < p^2; a reduction
+    then adds less than p^2 to a slot at most once per column, so slots of
+    2*bits(p) + bits(ROW_MAX_COLUMNS) + 1 bits never carry.
     """
 
     def __init__(self, pk, p, basis, lead):
@@ -179,36 +182,22 @@ class _Rows:
         self.top, self.capped = -1, float("inf")  # degrees with and past columns
         self.tails, self.words = {}, 0
 
-    def reaches(self, d):
-        """Whether the columns reach degree d within the limits, extending
-        them when needed; a degree past the cap is never searched again."""
-        if d >= self.capped or self.words > ROW_MAX_WORDS:
-            return False
-        if d > self.top and not self._extend(d):
-            self.capped = d
-            return False
-        return True
-
-    def pack(self, f):
-        """f as a row, or None past a limit."""
-        if not f:
-            return 0
-        if not self.reaches(max(f) >> self.pk.deg_shift):
-            return None
-        return self.row(f, 0, None)
-
     def pair(self, i, j, t):
         """The row of x^m*f_i - x^n*f_j, where x^m and x^n lift the leading
-        terms of the monic basis elements i and j to t, or None past a limit.
+        terms of the basis elements i and j to t, or None past a limit.
 
         Both leading terms cancel, so it is the tail of x^m*f_i plus p - 1
         times that of x^n*f_j, each a cached row; its slots stay unreduced.
+        The columns are extended to t's degree when needed.
         """
-        if not self.reaches(t >> self.pk.deg_shift):
+        d = t >> self.pk.deg_shift
+        if d >= self.capped or self.words > ROW_MAX_WORDS:
+            return None
+        if d > self.top and not self._extend(d):
+            self.capped = d
             return None
         (li, _), (lj, _) = self.lead[i], self.lead[j]
-        fi, fj = self.basis[i], self.basis[j]
-        return self.tail(fi, t - li, li) + (self.p - 1) * self.tail(fj, t - lj, lj)
+        return self.tail(i, t - li) + (self.p - 1) * self.tail(j, t - lj)
 
     def _extend(self, d):
         """Append the columns of degree top+1..d, or return False past the cap.
@@ -246,62 +235,27 @@ class _Rows:
         self.top = d
         return True
 
-    def row(self, f, m, skip):
-        """The row of x^m*f less its term x^m*skip."""
-        width, col = self.width, self.col
-        return sum(c << width * col[s + m] for s, c in f.items() if s != skip)
+    def tail(self, k, m):
+        """The cached row of x^m*basis[k] less its leading term."""
+        row = self.tails.get((k, m))
+        if row is None:
+            width, col, lt = self.width, self.col, self.lead[k][0]
+            g = self.basis[k]
+            row = sum(c << width * col[s + m] for s, c in g.items() if s != lt)
+            self.tails[k, m] = row
+            self.words += row.bit_length() >> 6
+        return row
 
-    def tail(self, g, m, lt):
-        """The cached row of x^m*g less its leading term x^m*lt."""
-        hit = self.tails.get((id(g), m))
-        if hit is None or hit[0] is not g:  # an id can be reused once g is freed
-            hit = self.tails[id(g), m] = g, self.row(g, m, lt)
-            self.words += hit[1].bit_length() >> 6
-        return hit[1]
+    def reduce(self, row):
+        """The packed remainder of a row from ``pair`` on division by the basis.
 
-
-def _divide(f, basis, lead, guard, dom, want_cofs, rows=None):
-    """Strong division of packed f by the packed basis with leading terms ``lead``.
-
-    A term c*t meets the divisors in order; at each one whose leading term
-    divides t, c is replaced by its Euclidean remainder modulo the leading
-    coefficient and the quotient times the shifted divisor is subtracted.
-    Over a field the first such divisor leaves remainder zero.  Over K[x1] a
-    remainder has lower degree than every leading coefficient passed over
-    with quotient zero, so one pass leaves c reduced modulo all of them.
-
-    Every new term lies below the one being reduced, so the terms are
-    visited in strictly descending order: each is reduced once and gives
-    each divisor's cofactor at most one term.  Returns the packed remainder
-    and, with ``want_cofs``, the packed cofactors.
-
-    The live terms take one of two forms, with the same visits, remainder
-    and cofactors.  Given a row context (``_Rows``, which ``_completion``
-    builds over GF(p) under a weighted order) whose columns reach the
-    dividend's degree within the limits on columns and cached words, they
-    are one int with a slot per monomial column: the top slot is read off
-    by ``bit_length``, reduced mod p and, at a divisor, replaced by
-    (p - u) times the cached row of the shifted divisor's tail.  An S-pair
-    comes in already as such a row (an int f, from ``_Rows.pair``), built
-    from the cached tails of its two shifted elements.  Otherwise the terms
-    wait in a max-heap of negated packed terms, and a term that cancelled
-    since it was pushed is skipped when its entry surfaces.
-
-    The heap loop chooses its arithmetic once per call.  Over GF(p), whose
-    elements are the ints in [0, p) (``dom.modulus``), it is inline int
-    arithmetic mod p; both loops divide c by a leading coefficient lc only
-    when lc is not 1 (every basis ``buchberger`` builds is monic).  Over
-    towers, QQ and K[x1] it is the domain's ``euclid_divmod``, ``sub`` and
-    ``mul``.
-    Every zero test is truthiness, as each domain's zero is falsy.
-    """
-    p = dom.modulus
-    remainder = {}
-    cofs = [{} for _ in basis] if want_cofs else None
-    row = f if isinstance(f, int) else None if rows is None else rows.pack(f)
-    if row is not None:
-        width, mono = rows.width, rows.mono
-        first = rows.first if lead is rows.lead else [-1] * len(mono)
+        The top slot is read off by ``bit_length`` and reduced mod p; at its
+        first divisor, whose leading coefficient is 1, it is replaced by
+        (p - c) times the cached row of the shifted divisor's tail.
+        """
+        p, width, mono, first = self.p, self.width, self.mono, self.first
+        lead, guard = self.lead, self.pk.guard
+        remainder = {}
         while row:
             k = (row.bit_length() - 1) // width
             c = row >> k * width
@@ -319,13 +273,43 @@ def _divide(f, basis, lead, guard, dom, want_cofs, rows=None):
                     remainder[t] = c
                     continue
                 first[k] = idx
-            lt, lc = lead[idx]
-            m = t - lt
-            u = c if lc == 1 else c * pow(lc, -1, p) % p
-            row += (p - u) * rows.tail(basis[idx], m, lt)
-            if want_cofs:
-                cofs[idx][m] = u
-        return remainder, cofs
+            row += (p - c) * self.tail(idx, t - lead[idx][0])
+        return remainder
+
+
+def _divide(f, basis, lead, guard, dom, want_cofs, rows=None):
+    """Strong division of packed f by the packed basis with leading terms ``lead``.
+
+    A term c*t meets the divisors in order; at each one whose leading term
+    divides t, c is replaced by its Euclidean remainder modulo the leading
+    coefficient and the quotient times the shifted divisor is subtracted.
+    Over a field the first such divisor leaves remainder zero.  Over K[x1] a
+    remainder has lower degree than every leading coefficient passed over
+    with quotient zero, so one pass leaves c reduced modulo all of them.
+
+    Every new term lies below the one being reduced, so the terms are
+    visited in strictly descending order: each is reduced once and gives
+    each divisor's cofactor at most one term.  Returns the packed remainder
+    and, with ``want_cofs``, the packed cofactors.
+
+    A row from ``_Rows.pair`` (an int f, given with its row context ``rows``)
+    is reduced by ``_Rows.reduce``, which keeps no cofactors; every other
+    dividend is a packed polynomial whose terms wait in a max-heap of negated
+    packed terms, and a term that cancelled since it was pushed is skipped
+    when its entry surfaces.
+
+    The heap loop chooses its arithmetic once per call.  Over GF(p), whose
+    elements are the ints in [0, p) (``dom.modulus``), it is inline int
+    arithmetic mod p, dividing c by a leading coefficient lc only when lc is
+    not 1 (every basis ``buchberger`` builds is monic).  Over towers, QQ and
+    K[x1] it is the domain's ``euclid_divmod``, ``sub`` and ``mul``.
+    Every zero test is truthiness, as each domain's zero is falsy.
+    """
+    if isinstance(f, int):
+        return rows.reduce(f), None
+    p = dom.modulus
+    remainder = {}
+    cofs = [{} for _ in basis] if want_cofs else None
     if not p:
         divmod_, sub, mul = dom.euclid_divmod, dom.sub, dom.mul
     zero = dom.zero()
@@ -528,7 +512,7 @@ def _completion(pk, gens, domain, nvars, track):
     queue = []  # (packed lcm, kind, i, j), smallest first
     rows = (
         _Rows(pk, domain.modulus, basis, lead)
-        if domain.modulus and pk.order.weights
+        if domain.modulus and pk.order.weights and not track
         else None
     )
 
@@ -575,12 +559,13 @@ def _completion(pk, gens, domain, nvars, track):
                 for k, (e, c) in enumerate(lead)
             ):
                 continue  # chain criterion: a third leading monomial covers it
-        h = None if rows is None else rows.pair(i, j, t)
-        if h is None or track:
+        row = None if rows is None else rows.pair(i, j, t)
+        if row is None:
             mult = _multipliers(kind, lead[i], lead[j], t, domain)
-        if h is None:
             h = _combine(basis[i], basis[j], *mult, domain, guard)
-        r, cofs = _divide(h, basis, lead, guard, domain, track, rows)
+            r, cofs = _divide(h, basis, lead, guard, domain, track)
+        else:
+            r, cofs = _divide(row, basis, lead, guard, domain, False, rows)
         if not r:
             continue
         vec = None
@@ -627,7 +612,6 @@ def _completion(pk, gens, domain, nvars, track):
             guard,
             domain,
             track,
-            rows,
         )
         elems[idx] = r
         if track:

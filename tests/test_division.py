@@ -1,20 +1,21 @@
 """Differential tests for division on seeded random inputs.
 
-``groebner._divide`` is the one entry point for division.  Outside a graded
-prime-field completion it takes terms from a lazily pruned heap and picks
-its arithmetic once per call: inline ints mod p over a prime field (GF5,
-GF32003), the domain's methods over a tower (GF49), QQ and K[x1].  Each
-result must satisfy f = sum(cof * g) + r, leave no reducible term in r, and
-agree exactly with the textbook loops below, which rescan the whole
-remaining polynomial for its leading term at every step.  Over a field the
-two textbook loops agree with each other as well.
+``groebner._divide`` is the one entry point for division.  Every dividend
+but one kind takes terms from a lazily pruned heap, with its arithmetic
+picked once per call: inline ints mod p over a prime field (GF5, GF32003),
+the domain's methods over a tower (GF49), QQ and K[x1].  Each result must
+satisfy f = sum(cof * g) + r, leave no reducible term in r, and agree
+exactly with the textbook loops below, which rescan the whole remaining
+polynomial for its leading term at every step.  Over a field the two
+textbook loops agree with each other as well.
 
-Given a row context (``groebner._Rows``), a prime-field division under a
-weighted order reduces the dividend as one big int instead; its remainders,
-cofactors and completions must equal the heap loop's.  An S-pair enters that
-loop as a row built from two cached tails, which must equal the row of its
-S-polynomial slot by slot mod p, and columns grown degree by degree must
-equal the ones a single search finds.
+The one other kind is the S-pair of an untracked completion over a prime
+field under a weighted order: a row built by a row context
+(``groebner._Rows``) from two cached tails, reduced as one big int.  Such a
+row must equal the row of its S-polynomial slot by slot mod p, and reduce to
+the heap loop's remainder of that S-polynomial; completions must equal the
+heap loop's; only such rows may meet a row context; and columns grown degree
+by degree must equal the ones a single search finds.
 """
 
 import itertools
@@ -216,66 +217,56 @@ ROW_ORDERS = pytest.mark.parametrize(
 )
 
 
+def _monic(packed, p):
+    """Packed polynomials over GF(p) scaled to leading coefficient 1."""
+    return [{t: c * pow(f[max(f)], -1, p) % p for t, c in f.items()} for f in packed]
+
+
+def _s_polynomial(basis, lead, i, j, t, pk, field):
+    """The packed S-polynomial of basis elements i and j, lifted to lcm t."""
+    mult = groebner._multipliers(groebner._S, lead[i], lead[j], t, field)
+    return groebner._combine(basis[i], basis[j], *mult, field, pk.guard)
+
+
 @pytest.mark.parametrize("field", [F5, F32003], ids=["GF5", "GF32003"])
 @ROW_ORDERS
 @pytest.mark.parametrize("bits", [1, None], ids=["one-bit", "normal"])
 def test_row_loop_matches_the_heap_loop(field, order, bits, monkeypatch):
-    # three dividends share one row context, so cached rows and first
-    # divisors carry from call to call; a copy of the leading-term list
-    # divides without the memo of first divisors
+    # the basis grows one element at a time, as in a completion, and all its
+    # pairs share one row context, so cached rows and first divisors carry
+    # from call to call and a column's divisor search resumes past the
+    # elements it has already tried
     if bits:
         monkeypatch.setattr(groebner, "_start_width", lambda top: bits)
     rng = random.Random(20243)
-    n, rows_used = order.nvars, 0
+    n, p, rows_used = order.nvars, field.modulus, 0
 
     def run(pk, packed):
         nonlocal rows_used
-        divisors = packed[3:]
-        lead = groebner._leads(divisors)
-        rows = groebner._Rows(pk, field.modulus, divisors, lead)
-        for pf in packed[:3]:
-            for want in (False, True):
-                heap = groebner._divide(pf, divisors, lead, pk.guard, field, want)
-                for leads in (lead, list(lead)):
-                    args = (pf, divisors, leads, pk.guard, field, want, rows)
-                    assert groebner._divide(*args) == heap
+        basis, lead = [], []
+        rows = groebner._Rows(pk, p, basis, lead)
+        for g in _monic(packed, p):
+            basis.append(g)
+            lead.append(groebner._leading(g))
+            j = len(basis) - 1
+            for i in range(j):
+                t = pk.lcm(lead[i][0], lead[j][0])
+                h = _s_polynomial(basis, lead, i, j, t, pk, field)
+                heap = groebner._divide(h, basis, lead, pk.guard, field, False)
+                row = rows.pair(i, j, t)
+                assert row is not None
+                args = (row, basis, lead, pk.guard, field, False, rows)
+                assert groebner._divide(*args) == heap
         rows_used += bool(rows.mono)
 
     for trial in range(30):
-        dividends = [random_poly(rng, field, n, 4, 8) for _ in range(3)]
-        basis = []
-        while len(basis) < 1 + trial % 4:
+        gens = []
+        while len(gens) < 2 + trial % 3:
             g = random_poly(rng, field, n, 2, 4)
             if not g.is_zero():
-                basis.append(g)
-        groebner._packed(order, [*dividends, *basis], run)
+                gens.append(g)
+        groebner._packed(order, gens, run)
     assert rows_used == 30
-
-
-def test_a_cached_row_is_taken_only_for_its_own_divisor():
-    # rows are cached under id(g), which CPython hands to a new object once
-    # g is freed; a row cached for another object under that id is rebuilt
-    rng = random.Random(20246)
-    order, checked = TermOrder.weighted((1, 1, 1)), 0
-
-    def run(pk, packed):
-        nonlocal checked
-        f, *divisors = packed
-        lead = groebner._leads(divisors)
-        rows = groebner._Rows(pk, F32003.modulus, divisors, lead)
-        args = (f, divisors, lead, pk.guard, F32003, True, rows)
-        expected = groebner._divide(*args)
-        for key in rows.tails:
-            rows.tails[key] = ({}, 1)
-            checked += 1
-        assert groebner._divide(*args) == expected
-
-    for _ in range(10):
-        f = random_poly(rng, F32003, 3, 4, 8)
-        basis = [random_poly(rng, F32003, 3, 2, 4) for _ in range(3)]
-        basis = [g for g in basis if not g.is_zero()] or [f]
-        groebner._packed(order, [f, *basis], run)
-    assert checked
 
 
 def _graded_bases(field, seed):
@@ -291,20 +282,58 @@ def _graded_bases(field, seed):
 
 @pytest.mark.parametrize("field", [F5, F32003], ids=["GF5", "GF32003"])
 def test_graded_completions_match_the_heap_loop(field, monkeypatch):
-    # StrongBasis equality covers the lineage of the tracked runs
+    # with no columns every pair is refused a row and takes the heap loop
     taken = []
-    real = groebner._Rows.pack
+    real = groebner._Rows.pair
 
-    def pack(self, f):
-        row = real(self, f)
+    def pair(self, i, j, t):
+        row = real(self, i, j, t)
         taken.append(row is not None)
         return row
 
-    monkeypatch.setattr(groebner._Rows, "pack", pack)
+    monkeypatch.setattr(groebner._Rows, "pair", pair)
     expected = _graded_bases(field, 20244)
     assert any(taken)
     monkeypatch.setattr(groebner, "ROW_MAX_COLUMNS", 0)
     assert _graded_bases(field, 20244) == expected
+
+
+def test_only_untracked_pair_rows_meet_a_row_context(monkeypatch):
+    # ten columns refuse some pairs a row; a refused pair and the final
+    # inter-reduction divide as polynomials without the row context, and a
+    # tracked completion builds none
+    calls, built, refused = [], [], []
+    divide, init, pair = groebner._divide, groebner._Rows.__init__, groebner._Rows.pair
+
+    def spy_divide(f, basis, lead, guard, dom, want_cofs, rows=None):
+        calls.append((isinstance(f, int), rows is not None))
+        return divide(f, basis, lead, guard, dom, want_cofs, rows)
+
+    def spy_init(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    def spy_pair(self, i, j, t):
+        row = pair(self, i, j, t)
+        refused.append(row is None)
+        return row
+
+    monkeypatch.setattr(groebner, "_divide", spy_divide)
+    monkeypatch.setattr(groebner._Rows, "__init__", spy_init)
+    monkeypatch.setattr(groebner._Rows, "pair", spy_pair)
+    monkeypatch.setattr(groebner, "ROW_MAX_COLUMNS", 10)
+    rng = random.Random(20249)
+    for _ in range(12):
+        gens = [random_poly(rng, F32003, 3, 2, 4) for _ in range(3)]
+        for order in (TermOrder.weighted((1, 1, 1)), TermOrder.weighted((1, 2, 3))):
+            built.clear()
+            buchberger(gens, order, track=True, domain=F32003, nvars=3)
+            assert not built
+            buchberger(gens, order, domain=F32003, nvars=3)
+            assert len(built) == 1
+    assert all(is_row == with_rows for is_row, with_rows in calls)
+    assert (True, True) in calls and (False, False) in calls
+    assert any(refused) and not all(refused)
 
 
 @pytest.mark.parametrize(
@@ -337,6 +366,11 @@ def test_a_degree_past_the_column_cap_is_never_searched_again(
     assert capped and any(ok for _, _, ok in builds)
 
 
+def _row_of(f, rows):
+    """Packed polynomial f as a row over the columns of ``rows``."""
+    return sum(c << rows.width * rows.col[t] for t, c in f.items())
+
+
 def _reduced_slots(row, width, p):
     """The row with every slot reduced mod p."""
     out, shift, mask = 0, 0, (1 << width) - 1
@@ -358,7 +392,7 @@ def test_a_pair_row_is_the_packed_s_polynomial(field, order):
 
     def run(pk, packed):
         nonlocal extended, within
-        basis = [{t: c * pow(f[max(f)], -1, p) % p for t, c in f.items()} for f in packed]
+        basis = _monic(packed, p)
         lead = groebner._leads(basis)
         rows = groebner._Rows(pk, p, basis, lead)
         for i, j in itertools.combinations(range(len(basis)), 2):
@@ -366,9 +400,8 @@ def test_a_pair_row_is_the_packed_s_polynomial(field, order):
             grows = t >> pk.deg_shift > rows.top
             row = rows.pair(i, j, t)
             assert row is not None
-            mult = groebner._multipliers(groebner._S, lead[i], lead[j], t, field)
-            h = groebner._combine(basis[i], basis[j], *mult, field, pk.guard)
-            assert _reduced_slots(row, rows.width, p) == rows.pack(h)
+            h = _s_polynomial(basis, lead, i, j, t, pk, field)
+            assert _reduced_slots(row, rows.width, p) == _row_of(h, rows)
             extended += grows
             within += not grows
 
@@ -387,7 +420,7 @@ def test_a_pair_past_the_column_cap_falls_back_to_its_polynomial(field, monkeypa
     # ten columns hold the monomials of degree <= 2 under weighted((1, 1, 1))
     # and of degree <= 3 under weighted((1, 2, 3)): some lcms get a row and
     # others are refused, and a refused pair is built and reduced as a
-    # polynomial; StrongBasis equality covers the lineage of the tracked runs
+    # polynomial
     expected = _graded_bases(field, 20244)
     built = []
     real = groebner._Rows.pair

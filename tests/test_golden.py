@@ -33,6 +33,9 @@ CASES = [
     ("gb_wlex_katsura4", ["gb", "--order", "wlex:1,1,1,1,1"], ["katsura4_gf101.gb"], 0),
     # katsura-5 over GF(101): a graded run through degrees above katsura-4's
     ("gb_wlex_katsura5", ["gb", "--order", "wlex:1,1,1,1,1,1"], ["katsura5_gf101.gb"], 0),
+    # four binomials in six variables over GF(32003): pairs whose lcm degree
+    # passes the per-term column limit are built and reduced as polynomials
+    ("gb_wlex_binomials6", ["gb", "--order", "wlex:1,1,1,1,1,1"], ["binomials6_gf32003.gb"], 0),
     ("gb_lex_rational", ["gb"], ["rational3.gb"], 0),
     ("gb_wlex_rational", ["gb", "--order", "wlex:2,1,1"], ["rational3.gb"], 0),
     ("gb_strong_gf5", ["gb-strong"], ["strong3_gf5.gb"], 0),

@@ -15,14 +15,24 @@ kernel module calls a zero test on an argument, ``<expr>.is_zero(<arg>)``;
 
 A product modulo a monic polynomial is ``unipoly.mul_mod``, so no kernel
 module reduces a fresh product with ``rem(mul(...), ...)``.
+
+A call the kernel cannot serve raises ``UsageError`` with its reason; the
+guards that no other test reaches are called here one by one.
 """
 
 import ast
 import importlib
 import importlib.util
+import operator
 from pathlib import Path
 
+import pytest
+
 import gbsolve
+from gbsolve import euclidean, groebner, unipoly
+from gbsolve.errors import UsageError
+from gbsolve.fields import GF, UnivariatePolyDomain
+from gbsolve.poly import Polynomial, TermOrder
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "gbsolve"
@@ -134,3 +144,51 @@ def test_the_check_sees_a_remainder_of_a_product():
 def test_every_kernel_modular_product_is_mul_mod():
     found = {p.name: remainders_of_products(p.read_text()) for p in SRC.glob("*.py")}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+F5 = GF(5)
+F5X = UnivariatePolyDomain(F5)  # F5[x1], not a field
+
+
+@pytest.mark.parametrize(
+    "call, reason",
+    [
+        (lambda: TermOrder((0, 1), (1,)), "one weight per variable"),
+        (
+            lambda: groebner.buchberger([], domain=F5X, nvars=1),
+            "buchberger needs field coefficients",
+        ),
+        (
+            lambda: groebner.eliminate_to_x1(groebner.Ideal([], F5X, 1)),
+            "elimination needs field coefficients",
+        ),
+        (
+            lambda: euclidean.to_coeff_view(Polynomial(F5, 0, {(): 1})),
+            "no variable available",
+        ),
+        (
+            lambda: euclidean.specialize_basis(
+                groebner.buchberger([], domain=F5, nvars=1), 0
+            ),
+            "specialization needs a K\\[x1\\] basis",
+        ),
+        (lambda: F5.prefix(1), "has no 1-level prefix"),
+        (lambda: F5.generator(), "the prime field has no adjoined generator"),
+        (lambda: unipoly.leading(()), "leading coefficient of the zero polynomial"),
+        (lambda: unipoly.power(2, -1, operator.mul, 1), "negative powers"),
+    ],
+    ids=[
+        "weight-count",
+        "buchberger-over-Kx1",
+        "eliminate-over-Kx1",
+        "coeff-view-of-no-variables",
+        "specialize-a-field-basis",
+        "prefix-out-of-range",
+        "prime-field-generator",
+        "leading-of-zero",
+        "negative-power",
+    ],
+)
+def test_a_call_the_kernel_cannot_serve_raises_usage_error(call, reason):
+    with pytest.raises(UsageError, match=reason):
+        call()
