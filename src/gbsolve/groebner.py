@@ -45,14 +45,16 @@ certificate can need higher powers than any basis element.
 Division has one entry point, ``_divide``, and two forms of the dividend.
 An untracked completion over a prime field, whose elements are the ints in
 [0, p) (``Domain.modulus``, set by ``FieldTower(p)`` alone), under a
-weighted order builds each S-pair as one big int with a slot per monomial (a
-row), the sum of two cached rows of shifted basis elements, and reduces it
-by subtracting each shifted reducer x^m*g as a row built once per
-completion: F4's sharing (Faugere 1999) in Kronecker-style packed ints,
-while the columns stay few against the basis's terms.  That basis is monic
-and no cofactor is kept.  Every other dividend, a pair past the column
-limits and the final inter-reduction included, keeps its live terms in a
-heap, with inline int arithmetic mod p over a prime field and the domain's
+weighted order works on rows: one big int with a slot per monomial.  Each
+S-pair is the sum of two cached rows of shifted basis elements, and each
+kept element of the final inter-reduction is its leading term plus its
+cached tail, reduced by the whole basis.  A row is reduced by subtracting
+each column's reducer x^m*g as a row built once per completion and kept
+with the column: F4's sharing (Faugere 1999) in Kronecker-style packed
+ints, while the columns stay few against the basis's terms.  That basis is
+monic and no cofactor is kept.  Every other dividend, a pair or kept
+element past the column limits included, keeps its live terms in a heap,
+with inline int arithmetic mod p over a prime field and the domain's
 methods over towers, QQ and K[x1].
 """
 
@@ -160,17 +162,18 @@ ROW_MAX_WORDS = 2**22  # 64-bit words of one completion's cached rows
 class _Rows:
     """One untracked completion's columns and cached reducer rows.
 
-    It serves the completion's S-pairs over GF(p) under a weighted order,
-    whose basis is monic and only grows.  A row is one int with a
-    ``width``-bit slot per column.  Column k holds the k-th monomial, in
-    ascending term order, of weighted degree at most ``top``; every degree-d
-    monomial ranks below every degree-(d+1) one, so raising ``top`` appends
-    columns and moves none.  ``tails`` maps (k, m) to the row of
-    x^m*basis[k] less its leading term, and ``first`` holds each column's
-    first divisor among ``lead`` (~n when none of the first n divides).  A
-    degree whose columns would pass the limits above, measured against the
-    mean terms of ``basis``, is recorded and never searched again.  A row
-    from ``pair`` starts with slots below p + (p-1)^2 < p^2; a reduction
+    It serves the completion's S-pairs and its final inter-reduction over
+    GF(p) under a weighted order; the basis is monic and only grows.  A row
+    is one int with a ``width``-bit slot per column.  Column k holds the k-th
+    monomial, in ascending term order, of weighted degree at most ``top``;
+    every degree-d monomial ranks below every degree-(d+1) one, so raising
+    ``top`` appends columns and moves none.  ``tails`` maps (k, m) to the
+    row of x^m*basis[k] less its leading term.  ``red[k]`` is column k's
+    reducer row, the tail of its first divisor among ``lead`` shifted to the
+    column (an int >= 0), or ~n when none of the first n elements divides
+    it.  A degree whose columns would pass the limits above, measured
+    against the mean terms of ``basis``, is recorded and never searched
+    again.  A row starts with slots below p + (p-1)^2 < p^2; a reduction
     then adds less than p^2 to a slot at most once per column, so slots of
     2*bits(p) + bits(ROW_MAX_COLUMNS) + 1 bits never carry.
     """
@@ -178,7 +181,7 @@ class _Rows:
     def __init__(self, pk, p, basis, lead):
         self.pk, self.p, self.basis, self.lead = pk, p, basis, lead
         self.width = 2 * p.bit_length() + ROW_MAX_COLUMNS.bit_length() + 1
-        self.mono, self.col, self.first = [], {}, []
+        self.mono, self.col, self.red = [], {}, []
         self.top, self.capped = -1, float("inf")  # degrees with and past columns
         self.tails, self.words = {}, 0
 
@@ -190,14 +193,26 @@ class _Rows:
         times that of x^n*f_j, each a cached row; its slots stay unreduced.
         The columns are extended to t's degree when needed.
         """
-        d = t >> self.pk.deg_shift
-        if d >= self.capped or self.words > ROW_MAX_WORDS:
-            return None
-        if d > self.top and not self._extend(d):
-            self.capped = d
+        if not self._reaches(t >> self.pk.deg_shift):
             return None
         (li, _), (lj, _) = self.lead[i], self.lead[j]
         return self.tail(i, t - li) + (self.p - 1) * self.tail(j, t - lj)
+
+    def element(self, k):
+        """The row of basis[k] less its leading term, or None past a limit."""
+        if not self._reaches(self.lead[k][0] >> self.pk.deg_shift):
+            return None
+        return self.tail(k, 0)
+
+    def _reaches(self, d):
+        """Whether degree d has columns, extended to it when needed; False
+        past a limit."""
+        if d >= self.capped or self.words > ROW_MAX_WORDS:
+            return False
+        if d > self.top and not self._extend(d):
+            self.capped = d
+            return False
+        return True
 
     def _extend(self, d):
         """Append the columns of degree top+1..d, or return False past the cap.
@@ -231,7 +246,7 @@ class _Rows:
         for t in sorted(t for t in seen if t >> shift > top):
             self.col[t] = len(self.mono)
             self.mono.append(t)
-            self.first.append(-1)
+            self.red.append(-1)
         self.top = d
         return True
 
@@ -247,13 +262,15 @@ class _Rows:
         return row
 
     def reduce(self, row):
-        """The packed remainder of a row from ``pair`` on division by the basis.
+        """The packed remainder of a row on division by the basis.
 
-        The top slot is read off by ``bit_length`` and reduced mod p; at its
-        first divisor, whose leading coefficient is 1, it is replaced by
-        (p - c) times the cached row of the shifted divisor's tail.
+        The top slot is read off by ``bit_length`` and reduced mod p; when
+        its column has a divisor, whose leading coefficient is 1, it is
+        replaced by (p - c) times that column's reducer row from ``red``.  A
+        column marked ~n searches the elements from n on and records what it
+        finds.
         """
-        p, width, mono, first = self.p, self.width, self.mono, self.first
+        p, width, red = self.p, self.width, self.red
         lead, guard = self.lead, self.pk.guard
         remainder = {}
         while row:
@@ -263,17 +280,18 @@ class _Rows:
             c %= p
             if not c:
                 continue
-            t, idx = mono[k], first[k]
-            if idx < 0:
-                for idx in range(~idx, len(lead)):
+            reducer = red[k]
+            if reducer < 0:
+                t = self.mono[k]
+                for idx in range(~reducer, len(lead)):
                     if not (t - lead[idx][0]) & guard:
                         break
                 else:
-                    first[k] = ~len(lead)
+                    red[k] = ~len(lead)
                     remainder[t] = c
                     continue
-                first[k] = idx
-            row += (p - c) * self.tail(idx, t - lead[idx][0])
+                reducer = red[k] = self.tail(idx, t - lead[idx][0])
+            row += (p - c) * reducer
         return remainder
 
 
@@ -292,11 +310,11 @@ def _divide(f, basis, lead, guard, dom, want_cofs, rows=None):
     each divisor's cofactor at most one term.  Returns the packed remainder
     and, with ``want_cofs``, the packed cofactors.
 
-    A row from ``_Rows.pair`` (an int f, given with its row context ``rows``)
-    is reduced by ``_Rows.reduce``, which keeps no cofactors; every other
-    dividend is a packed polynomial whose terms wait in a max-heap of negated
-    packed terms, and a term that cancelled since it was pushed is skipped
-    when its entry surfaces.
+    A row from ``_Rows.pair`` or ``_Rows.element`` (an int f, given with its
+    row context ``rows``) is reduced by ``_Rows.reduce``, which keeps no
+    cofactors; every other dividend is a packed polynomial whose terms wait
+    in a max-heap of negated packed terms, and a term that cancelled since
+    it was pushed is skipped when its entry surfaces.
 
     The heap loop chooses its arithmetic once per call.  Over GF(p), whose
     elements are the ints in [0, p) (``dom.modulus``), it is inline int
@@ -596,7 +614,10 @@ def _completion(pk, gens, domain, nvars, track):
     # stay as they are and the basis stays strong.  One pass suffices: whether
     # a term can be rewritten depends only on the other elements' leading
     # monomials, which no reduction changes, and a remainder keeps no term
-    # that a unit-led element could rewrite.
+    # that a unit-led element could rewrite.  With a row context an element
+    # is its leading term plus the remainder of its cached tail on division
+    # by the whole basis: that basis is a Groebner basis over a field, so the
+    # remainder is the unique normal form, the same as the kept elements give.
     elems = [basis[k] for k in keep]
     leads = [lead[k] for k in keep]
     lins = [lineage[k] for k in keep] if track else None
@@ -604,6 +625,12 @@ def _completion(pk, gens, domain, nvars, track):
     for idx in range(len(elems)):
         others = [m for m in units if m != idx]
         if not others:
+            continue
+        row = None if rows is None else rows.element(keep[idx])
+        if row is not None:
+            r, _ = _divide(row, basis, lead, guard, domain, False, rows)
+            lt, lc = leads[idx]
+            elems[idx] = {lt: lc, **r}
             continue
         r, cofs = _divide(
             elems[idx],

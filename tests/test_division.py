@@ -9,15 +9,19 @@ exactly with the textbook loops below, which rescan the whole remaining
 polynomial for its leading term at every step.  Over a field the two
 textbook loops agree with each other as well.
 
-The one other kind is the S-pair of an untracked completion over a prime
-field under a weighted order: a row built by a row context
-(``groebner._Rows``) from two cached tails, reduced as one big int.  Such a
-row must equal the row of its S-polynomial slot by slot mod p, and reduce to
-the heap loop's remainder of that S-polynomial; completions must equal the
-heap loop's; only such rows may meet a row context; and columns grown degree
-by degree must equal the ones a single search finds.
+The one other kind is a row: in an untracked completion over a prime field
+under a weighted order, a row context (``groebner._Rows``) builds an S-pair
+from two cached tails, and in the final inter-reduction a kept element's
+cached tail, each one big int reduced by the column's cached reducer row.
+An S-pair row must equal the row of its S-polynomial slot by slot mod p, and
+reduce to the heap loop's remainder of that S-polynomial; completions, their
+inter-reduction included, must equal the heap loop's; only rows may meet a
+row context, and dict dividends never do; every column's reducer row must be
+its first divisor's shifted tail; and columns grown degree by degree must
+equal the ones a single search finds.
 """
 
+import collections
 import itertools
 import operator
 import random
@@ -298,10 +302,10 @@ def test_graded_completions_match_the_heap_loop(field, monkeypatch):
     assert _graded_bases(field, 20244) == expected
 
 
-def test_only_untracked_pair_rows_meet_a_row_context(monkeypatch):
-    # ten columns refuse some pairs a row; a refused pair and the final
-    # inter-reduction divide as polynomials without the row context, and a
-    # tracked completion builds none
+def test_only_rows_meet_a_row_context(monkeypatch):
+    # the S-pair rows and the kept elements' tails meet the row context; ten
+    # columns refuse some pairs a row, and a refused pair divides as a
+    # polynomial without it; a tracked completion builds none
     calls, built, refused = [], [], []
     divide, init, pair = groebner._divide, groebner._Rows.__init__, groebner._Rows.pair
 
@@ -334,6 +338,112 @@ def test_only_untracked_pair_rows_meet_a_row_context(monkeypatch):
     assert all(is_row == with_rows for is_row, with_rows in calls)
     assert (True, True) in calls and (False, False) in calls
     assert any(refused) and not all(refused)
+
+
+def _count_dividends(monkeypatch):
+    """Patch ``_divide`` and ``_Rows.pair`` to count int and dict dividends
+    and the rows ``pair`` builds and refuses, in the returned Counter."""
+    seen = collections.Counter()
+    divide, pair = groebner._divide, groebner._Rows.pair
+
+    def spy_divide(f, *args):
+        seen["int" if isinstance(f, int) else "dict"] += 1
+        return divide(f, *args)
+
+    def spy_pair(self, i, j, t):
+        row = pair(self, i, j, t)
+        seen["refused" if row is None else "row"] += 1
+        return row
+
+    monkeypatch.setattr(groebner, "_divide", spy_divide)
+    monkeypatch.setattr(groebner._Rows, "pair", spy_pair)
+    return seen
+
+
+def _untracked_bases(field, order, seed):
+    rng = random.Random(seed)
+    n = order.nvars
+    systems = [[random_poly(rng, field, n, 2, 4) for _ in range(3)] for _ in range(10)]
+    return [buchberger(gens, order, domain=field, nvars=n) for gens in systems]
+
+
+@pytest.mark.parametrize("field", [F5, F32003], ids=["GF5", "GF32003"])
+@ROW_ORDERS
+def test_the_final_inter_reduction_reduces_cached_tails(field, order, monkeypatch):
+    # the dividends no pair accounts for are the kept elements of the final
+    # inter-reduction: as rows of their cached tails, reduced by the whole
+    # basis, they give the heap loop's reduced bases; with ten columns some
+    # element's degree has no columns, and it keeps the heap loop
+    seen, uncapped = _count_dividends(monkeypatch), groebner.ROW_MAX_COLUMNS
+
+    def run(cap):
+        monkeypatch.setattr(groebner, "ROW_MAX_COLUMNS", cap)
+        seen.clear()
+        bases = _untracked_bases(field, order, 20250)
+        return bases, seen["int"] - seen["row"], seen["dict"] - seen["refused"]
+
+    expected, heap, no_rows = run(0)
+    assert heap == 0 and no_rows > 0
+    bases, as_rows, on_heap = run(uncapped)
+    assert bases == expected and (as_rows, on_heap) == (no_rows, 0)
+    bases, as_rows, on_heap = run(10)
+    assert bases == expected and as_rows + on_heap == no_rows
+    assert as_rows and on_heap
+
+
+@pytest.mark.parametrize("field", [F5, F32003], ids=["GF5", "GF32003"])
+@ROW_ORDERS
+def test_each_column_keeps_its_first_divisors_reducer_row(field, order, monkeypatch):
+    # after a completion a column's entry is the row of its first divisor's
+    # tail shifted to the column, or ~n when none of the first n divides it
+    contexts = []
+    init = groebner._Rows.__init__
+
+    def spy_init(self, *args):
+        contexts.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(groebner._Rows, "__init__", spy_init)
+    _untracked_bases(field, order, 20251)
+    found = marked = 0
+    for rows in contexts:
+        guard = rows.pk.guard
+        for t, entry in zip(rows.mono, rows.red):
+            divisors = [k for k, (s, _) in enumerate(rows.lead) if not (t - s) & guard]
+            if entry < 0:
+                assert all(k >= ~entry for k in divisors)
+                marked += ~entry > 0
+            else:
+                g, (lt, _) = rows.basis[divisors[0]], rows.lead[divisors[0]]
+                tail = {s + t - lt: c for s, c in g.items() if s != lt}
+                assert entry == _row_of(tail, rows)
+                found += 1
+    assert found and marked
+
+
+def test_a_column_marked_past_the_basis_gains_its_later_divisor():
+    # x^2 + 1 does not divide y*z, so its column is marked ~1; once y + 2
+    # joins the basis, the next visit finds it and keeps the row of 2*z
+    order = TermOrder.weighted((1, 1, 1))
+    gens = [
+        Polynomial(F5, 3, {(2, 0, 0): F5.one(), (0, 0, 0): F5.one()}),
+        Polynomial(F5, 3, {(0, 1, 0): F5.one(), (0, 0, 0): F5.element(2)}),
+    ]
+
+    def run(pk, packed):
+        basis, lead = packed[:1], groebner._leads(packed[:1])
+        rows = groebner._Rows(pk, F5.modulus, basis, lead)
+        assert rows._extend(2)
+        yz, z = pk.pack((0, 1, 1)), pk.pack((0, 0, 1))
+        k = rows.col[yz]
+        assert rows.reduce(1 << rows.width * k) == {yz: 1}
+        assert rows.red[k] == ~1
+        basis.append(packed[1])
+        lead.append(groebner._leading(packed[1]))
+        assert rows.reduce(1 << rows.width * k) == {z: 3}
+        assert rows.red[k] == 2 << rows.width * rows.col[z]
+
+    groebner._packed(order, gens, run)
 
 
 @pytest.mark.parametrize(
