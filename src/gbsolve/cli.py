@@ -173,7 +173,7 @@ def _cmd_solve(args):
         raise UsageError(
             "solve works over finite characteristic only; declare 'field p <prime>'"
         )
-    outcome, trace = solve(_ideal(problem), seed=args.seed)
+    outcome, trace = solve(_ideal(problem))
     if args.trace:
         _print_trace(trace, problem)
     if isinstance(outcome, Triviality):
@@ -235,7 +235,6 @@ def build_parser():
     solve_p = cmd(
         "solve", _cmd_solve, "triviality certificate or a verified common zero"
     )
-    solve_p.add_argument("--seed", type=int, default=0, help="factorization seed")
     solve_p.add_argument(
         "--trace", action="store_true", help="print one line per eliminated variable"
     )

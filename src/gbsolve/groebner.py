@@ -167,22 +167,26 @@ class _Rows:
     is one int with a ``width``-bit slot per column.  Column k holds the k-th
     monomial, in ascending term order, of weighted degree at most ``top``;
     every degree-d monomial ranks below every degree-(d+1) one, so raising
-    ``top`` appends columns and moves none.  ``tails`` maps (k, m) to the
-    row of x^m*basis[k] less its leading term.  ``red[k]`` is column k's
-    reducer row, the tail of its first divisor among ``lead`` shifted to the
-    column (an int >= 0), or ~n when none of the first n elements divides
-    it.  A degree whose columns would pass the limits above, measured
-    against the mean terms of ``basis``, is recorded and never searched
-    again.  A row starts with slots below p + (p-1)^2 < p^2; a reduction
-    then adds less than p^2 to a slot at most once per column, so slots of
-    2*bits(p) + bits(ROW_MAX_COLUMNS) + 1 bits never carry.
+    ``top`` appends columns and moves none.  Column 0, the monomial 1, is
+    there from the start.  ``units`` holds the packed x_i whose weight fits
+    the degree field; no other x_i lies in a column.  ``tails`` maps (k, m)
+    to the row of x^m*basis[k] less its leading term.  ``red[k]`` is column
+    k's reducer row, the tail of its first divisor among ``lead`` shifted to
+    the column (an int >= 0), or ~n when none of the first n elements
+    divides it.  A degree whose columns would pass the limits above,
+    measured against the mean terms of ``basis``, is recorded and never
+    searched again.  A row starts with slots below p + (p-1)^2 < p^2; a
+    reduction then adds less than p^2 to a slot at most once per column, so
+    slots of 2*bits(p) + bits(ROW_MAX_COLUMNS) + 1 bits never carry.
     """
 
     def __init__(self, pk, p, basis, lead):
         self.pk, self.p, self.basis, self.lead = pk, p, basis, lead
         self.width = 2 * p.bit_length() + ROW_MAX_COLUMNS.bit_length() + 1
-        self.mono, self.col, self.red = [], {}, []
-        self.top, self.capped = -1, float("inf")  # degrees with and past columns
+        weights = pk.order.weights
+        self.units = [pk.unit(i) for i, w in enumerate(weights) if not w >> pk.bits]
+        self.mono, self.col, self.red = [0], {0: 0}, [-1]
+        self.top, self.capped = 0, float("inf")  # degrees with and past columns
         self.tails, self.words = {}, 0
 
     def pair(self, i, j, t):
@@ -217,36 +221,31 @@ class _Rows:
     def _extend(self, d):
         """Append the columns of degree top+1..d, or return False past the cap.
 
-        A breadth-first search over the units starts from 1 on the first
-        call and afterwards from the columns of degree above top -
-        max(weights): every monomial above ``top`` is a unit times one of
-        those, so the search finds the same columns without re-enumerating
-        the ones below.
+        Every monomial above ``top`` is a unit times one of degree above top
+        - max(weights), so a breadth-first search over ``units`` from those
+        columns finds each new monomial, keeping the sums of degree at most
+        d that have no column yet.  d is the degree of a packed term, so
+        d < 2^bits, and a sum that sets a guard bit fails the degree test.
         """
-        pk, top = self.pk, self.top
-        shift, weights = pk.deg_shift, pk.order.weights
-        units = [pk.unit(i) for i, w in enumerate(weights) if w <= d]
-        reach = d - min(weights)  # a monomial above it has no unit left to take
+        col, units, shift = self.col, self.units, self.pk.deg_shift
         terms = sum(map(len, self.basis)) / len(self.basis)
-        cap = min(ROW_MAX_COLUMNS, ROW_COLUMNS_PER_TERM * terms)
-        low = top - max(weights)
-        frontier = {t for t in self.mono if t >> shift > low} if self.mono else {0}
-        seen = {*self.mono, *frontier}
-        while frontier and len(seen) <= cap:
+        room = min(ROW_MAX_COLUMNS, ROW_COLUMNS_PER_TERM * terms) - len(self.mono)
+        low = self.top - max(self.pk.order.weights)
+        frontier, new = [t for t in self.mono if t >> shift > low], set()
+        while frontier:
             frontier = {
                 s
                 for t in frontier
-                if t >> shift <= reach
                 for u in units
-                if (s := t + u) >> shift <= d and not s & pk.guard
-            } - seen
-            seen = seen | frontier
-        if frontier:
-            return False
-        for t in sorted(t for t in seen if t >> shift > top):
-            self.col[t] = len(self.mono)
+                if (s := t + u) >> shift <= d and s not in col and s not in new
+            }
+            new |= frontier
+            if len(new) > room:
+                return False
+        for t in sorted(new):
+            col[t] = len(self.mono)
             self.mono.append(t)
-            self.red.append(-1)
+        self.red += [-1] * len(new)
         self.top = d
         return True
 

@@ -36,7 +36,6 @@ membership via the usual extra-variable trick.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from . import unipoly
@@ -99,26 +98,24 @@ def good_specialization_point(q):
     raise InvariantViolation("a polynomial cannot vanish on a larger field")
 
 
-def find_branch_root(p, rng=None):
+def find_branch_root(p):
     """A root of the first irreducible factor of p, a nonconstant polynomial
     in x1 over a finite tower.
 
     Factors come in canonical order; the root lives in p's tower when that
     factor is linear, and generates a new level above it otherwise.
     """
-    if rng is None:
-        rng = random.Random(0)
     tower = p.domain
     if not isinstance(tower, FieldTower):
         raise UsageError("root branching needs a finite coefficient field")
     dense = p.dense_in(0)
     if unipoly.deg(dense) < 1:
         raise UsageError("a constant has no roots to branch on")
-    g, _mult = unipoly.factor(dense, tower, rng)[0]
+    g, _mult = unipoly.factor(dense, tower)[0]
     return _adjoin_irreducible(tower, g)[1]
 
 
-def _point(ideal, rng, trace):
+def _point(ideal, trace):
     """A common zero of a proper ideal, one variable eliminated per step.
 
     Each step picks a value a for x1 and goes on with I(a), built from the
@@ -144,7 +141,7 @@ def _point(ideal, rng, trace):
             if p.is_constant():
                 raise InvariantViolation("a proper ideal met K[x1] in a constant")
             branch = "base" if ideal.nvars == 1 else "root"
-            a = find_branch_root(p, rng)
+            a = find_branch_root(p)
         elif ideal.nvars == 1:
             branch, a = "base", FFElement(tower, tower.zero())
         else:
@@ -163,18 +160,17 @@ def _point(ideal, rng, trace):
     return Point(final, tuple(coords))
 
 
-def solve(ideal, *, seed=0):
+def solve(ideal):
     """A certified ``Triviality`` or a verified point, plus the branch trace."""
     if not isinstance(ideal.domain, FieldTower):
         raise UsageError("solving needs a finite coefficient field")
     if ideal.nvars < 1:
         raise UsageError("solving needs at least one variable")
-    rng = random.Random(seed)
     verdict = is_trivial(ideal)
     if verdict:
         return verdict, []
     trace = []
-    point = _point(ideal, rng, trace)
+    point = _point(ideal, trace)
     reps = point.reps()
     for g in ideal.gens:
         if g.evaluate(reps, point.tower):

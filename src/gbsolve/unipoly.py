@@ -343,8 +343,9 @@ def _random_poly(max_deg, F, rng):
     return trim(coeffs, F)
 
 
-def edf(f, d, F, rng):
-    """Equal-degree split of monic squarefree f into its degree-d factors."""
+def edf(f, d, F, rng=None):
+    """Equal-degree split of monic squarefree f into its degree-d factors,
+    drawing from rng, or from a ``random.Random(0)`` made at the first split."""
     out = []
     stack = [f]
     while stack:
@@ -352,6 +353,8 @@ def edf(f, d, F, rng):
         if deg(h) == d:
             out.append(h)
             continue
+        if rng is None:
+            rng = random.Random(0)
         g = ()
         while not (0 < deg(g) < deg(h)):
             r = _random_poly(deg(h) - 1, F, rng)
@@ -440,8 +443,6 @@ def factor(f, F, rng=None):
     f = trim(f, F)
     if deg(f) < 1:
         raise UsageError("factorization requires a nonconstant polynomial")
-    if rng is None:
-        rng = random.Random(0)
     out = []
     for g, e in sqf_list(f, F):
         if deg(g) == 2 and F.char != 2:

@@ -674,9 +674,18 @@ class TestCommands:
         assert info.value.code == 2
         capsys.readouterr()
 
+    def test_solve_has_no_seed_option(self, tmp_path, capsys):
+        # factoring's random splits cannot change any output, so no option
+        # chooses their stream
+        path = _problem(tmp_path, "field p 3\nvars x1\nx1^2 + 1\n")
+        with pytest.raises(SystemExit) as info:
+            cli.main(["solve", path, "--seed", "1"])
+        assert info.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
     def test_consecutive_calls_share_no_state(self, tmp_path, capsys):
         path = _problem(tmp_path, "field p 3\nvars x1 x2\nx1^2 + 1\nx2 - x1\n")
-        _run(capsys, "solve", "--trace", "--seed", "7", path)
+        _run(capsys, "solve", "--trace", path)
         code, out, _ = _run(capsys, "solve", path)
         assert code == 0
         assert out == "POINT\next t1: t1^2 + 1\nx1 = t1\nx2 = t1\nVERIFIED\n"

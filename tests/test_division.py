@@ -602,3 +602,36 @@ def test_columns_grown_degree_by_degree_match_one_search(order, cap, monkeypatch
                 gens.append(g)
         groebner._packed(order, gens, run)
     assert bool(refused) == bool(cap)
+
+
+def test_a_unit_past_the_degree_field_gets_no_column(monkeypatch):
+    # generators in x1 alone, of degree at most 3, start with 5-bit fields;
+    # x2's weight 64 passes them, so x2 lies in no column, and packing its
+    # unit would only raise Overflow and restart the run with wider fields
+    order = TermOrder.weighted((1, 64))
+
+    def x1_poly(*coeffs):
+        return Polynomial(
+            F32003, 2, {(e, 0): F32003.element(c) for e, c in enumerate(coeffs) if c}
+        )
+
+    gens = [x1_poly(3, 3, 1, 1), x1_poly(5, 6, 1)]  # (x1+1)(x1^2+3), (x1+1)(x1+5)
+    widths, extended = [], []
+    packing, extend = groebner.Packing, groebner._Rows._extend
+
+    def spy_packing(order, bits):
+        widths.append(bits)
+        return packing(order, bits)
+
+    def spy_extend(self, d):
+        ok = extend(self, d)
+        extended.append(ok)
+        return ok
+
+    monkeypatch.setattr(groebner, "Packing", spy_packing)
+    monkeypatch.setattr(groebner._Rows, "_extend", spy_extend)
+    basis = buchberger(gens, order, domain=F32003, nvars=2)
+    assert widths == [5] and any(extended)
+    assert basis.elements == (x1_poly(1, 1),)
+    monkeypatch.setattr(groebner, "ROW_MAX_COLUMNS", 0)
+    assert buchberger(gens, order, domain=F32003, nvars=2) == basis

@@ -58,6 +58,16 @@ class TestPrimality:
         for n in (561, 41041, 825265, 5459, 3215031751, 2152302898747):
             assert not is_probable_prime(n), n
 
+    def test_the_lucas_step_rejects_squares_and_shared_factors(self):
+        # the Selfridge search finds no D with (D/n) = -1 for a square, so
+        # 41^2 must be rejected before it; for 5*41, (5/n) = 0 ends the
+        # search with a factor.  Neither exit is reached through
+        # is_probable_prime, whose bases reject both first
+        assert fields._jacobi(5, 5 * 41) == 0
+        for n in (41**2, 5 * 41):
+            assert not fields._is_strong_lucas_prp(n), n
+        assert fields._is_strong_lucas_prp(1009)
+
     def test_pseudoprime_characteristic_is_refused(self):
         for n in self.PSEUDOPRIMES:
             with pytest.raises(UsageError, match="not prime"):
