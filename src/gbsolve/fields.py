@@ -320,19 +320,24 @@ class FieldTower(Field):
         self._one = 1
         self._log = False
 
-    def _stack(self, sub, top):
-        """Make this tower ``sub`` extended by the level ``top``, unchecked,
-        with tables when its order is at most ``TABLE_MAX_ORDER``."""
-        self.p = sub.p
-        self.levels = sub.levels + (top,)
-        self.modulus = None
-        self._sub = sub
-        self._order = sub.order ** top.degree
-        self._hash = hash((self.p, self.levels))
-        self._one = (sub.one(),)  # read by _tabulate
-        self._log = False
-        if self._order <= TABLE_MAX_ORDER:
-            self._tabulate()
+    @staticmethod
+    def _stack(sub, minpoly):
+        """``sub`` extended by the level t<k> with the monic irreducible
+        minpoly, k being its new level count: unchecked, with tables when its
+        order is at most ``TABLE_MAX_ORDER``."""
+        top = TowerLevel(f"t{len(sub.levels) + 1}", minpoly)
+        tower = object.__new__(FieldTower)
+        tower.p = sub.p
+        tower.levels = sub.levels + (top,)
+        tower.modulus = None
+        tower._sub = sub
+        tower._order = sub.order ** top.degree
+        tower._hash = hash((tower.p, tower.levels))
+        tower._one = (sub.one(),)  # read by _tabulate
+        tower._log = False
+        if tower._order <= TABLE_MAX_ORDER:
+            tower._tabulate()
+        return tower
 
     @property
     def char(self):
@@ -466,23 +471,19 @@ class FieldTower(Field):
 
     # -- tower structure -----------------------------------------------------
 
-    def extend(self, minpoly, name=None):
+    def extend(self, minpoly):
         """Adjoin a root of a monic irreducible over this tower's top level.
 
         The one checked way up a level: a minimal polynomial of degree below
         2, or one reducible over this tower, is rejected.
         """
         minpoly = unipoly.monic(unipoly.trim(minpoly, self), self)
-        if name is None:
-            name = f"t{len(self.levels) + 1}"
-        top = TowerLevel(name, minpoly)
-        if top.degree < 2:
+        if unipoly.deg(minpoly) < 2:
             raise UsageError("tower levels must have degree >= 2")
         if not unipoly.is_irreducible(minpoly, self):
-            raise UsageError(f"minimal polynomial of {name} is reducible")
-        bigger = object.__new__(FieldTower)
-        bigger._stack(self, top)
-        return bigger
+            level = len(self.levels) + 1
+            raise UsageError(f"minimal polynomial of t{level} is reducible")
+        return FieldTower._stack(self, minpoly)
 
     def prefix(self, k):
         """The tower of the first k levels, shared rather than rebuilt."""
@@ -610,8 +611,7 @@ def _adjoin_irreducible(tower, g):
     a new level is stacked without running ``is_irreducible`` again."""
     if unipoly.deg(g) == 1:
         return tower, FFElement(tower, tower.neg(g[0]))
-    bigger = object.__new__(FieldTower)
-    bigger._stack(tower, TowerLevel(f"t{len(tower.levels) + 1}", g))
+    bigger = FieldTower._stack(tower, g)
     return bigger, FFElement(bigger, bigger.generator())
 
 

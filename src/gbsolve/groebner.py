@@ -42,20 +42,21 @@ fields twice as wide, so the width only changes how often a run restarts,
 never what it returns.  Lineage terms are checked the same way: a
 certificate can need higher powers than any basis element.
 
-Division has one entry point, ``_divide``, and two forms of the dividend.
+Division has two loops, and ``_completion`` alone chooses between them.
 An untracked completion over a prime field, whose elements are the ints in
 [0, p) (``Domain.modulus``, set by ``FieldTower(p)`` alone), under a
-weighted order works on rows: one big int with a slot per monomial.  Each
-S-pair is the sum of two cached rows of shifted basis elements, and each
-kept element of the final inter-reduction is its leading term plus its
-cached tail, reduced by the whole basis.  A row is reduced by subtracting
-each column's reducer x^m*g as a row built once per completion and kept
-with the column: F4's sharing (Faugere 1999) in Kronecker-style packed
-ints, while the columns stay few against the basis's terms.  That basis is
-monic and no cofactor is kept.  Every other dividend, a pair or kept
-element past the column limits included, keeps its live terms in a heap,
-with inline int arithmetic mod p over a prime field and the domain's
-methods over towers, QQ and K[x1].
+weighted order works on rows (``_Rows``): one big int with a slot per
+monomial.  It builds each S-pair as the sum of two cached rows of lifted
+basis elements, and each kept element of the final inter-reduction as its
+leading term plus its cached tail, reduced by the whole basis.
+``_Rows.reduce`` subtracts each column's reducer x^m*g as a row built once
+per completion and kept with the column: F4's sharing (Faugere 1999) in
+Kronecker-style packed ints, while the columns stay few against the
+basis's terms.  That basis is monic and no cofactor is kept.  Every other
+dividend, a pair or kept element past the column limits included, is a
+packed polynomial for the heap loop ``_divide``, with inline int
+arithmetic mod p over a prime field and the domain's methods over towers,
+QQ and K[x1].
 """
 
 from __future__ import annotations
@@ -169,15 +170,17 @@ class _Rows:
     every degree-d monomial ranks below every degree-(d+1) one, so raising
     ``top`` appends columns and moves none.  Column 0, the monomial 1, is
     there from the start.  ``units`` holds the packed x_i whose weight fits
-    the degree field; no other x_i lies in a column.  ``tails`` maps (k, m)
-    to the row of x^m*basis[k] less its leading term.  ``red[k]`` is column
-    k's reducer row, the tail of its first divisor among ``lead`` shifted to
-    the column (an int >= 0), or ~n when none of the first n elements
-    divides it.  A degree whose columns would pass the limits above,
-    measured against the mean terms of ``basis``, is recorded and never
-    searched again.  A row starts with slots below p + (p-1)^2 < p^2; a
-    reduction then adds less than p^2 to a slot at most once per column, so
-    slots of 2*bits(p) + bits(ROW_MAX_COLUMNS) + 1 bits never carry.
+    the degree field; no other x_i lies in a column.  ``tails`` maps (k, t)
+    to ``tail(k, t)``, basis[k] lifted to the packed term t less its leading
+    term: an S-pair lifted to t is the row tail(i, t) + (p-1)*tail(j, t), a
+    kept element the row tail(k, lt_k).  ``red[k]`` is column k's reducer
+    row, the tail of its first divisor among ``lead`` lifted to the column
+    (an int >= 0), or ~n when none of the first n elements divides it.  A
+    degree whose columns would pass the limits above, measured against the
+    mean terms of ``basis``, is recorded and never searched again.  A row
+    starts with slots below p + (p-1)^2 < p^2; a reduction then adds less
+    than p^2 to a slot at most once per column, so slots of 2*bits(p) +
+    bits(ROW_MAX_COLUMNS) + 1 bits never carry.
     """
 
     def __init__(self, pk, p, basis, lead):
@@ -189,28 +192,10 @@ class _Rows:
         self.top, self.capped = 0, float("inf")  # degrees with and past columns
         self.tails, self.words = {}, 0
 
-    def pair(self, i, j, t):
-        """The row of x^m*f_i - x^n*f_j, where x^m and x^n lift the leading
-        terms of the basis elements i and j to t, or None past a limit.
-
-        Both leading terms cancel, so it is the tail of x^m*f_i plus p - 1
-        times that of x^n*f_j, each a cached row; its slots stay unreduced.
-        The columns are extended to t's degree when needed.
-        """
-        if not self._reaches(t >> self.pk.deg_shift):
-            return None
-        (li, _), (lj, _) = self.lead[i], self.lead[j]
-        return self.tail(i, t - li) + (self.p - 1) * self.tail(j, t - lj)
-
-    def element(self, k):
-        """The row of basis[k] less its leading term, or None past a limit."""
-        if not self._reaches(self.lead[k][0] >> self.pk.deg_shift):
-            return None
-        return self.tail(k, 0)
-
-    def _reaches(self, d):
-        """Whether degree d has columns, extended to it when needed; False
-        past a limit."""
+    def reaches(self, t):
+        """Whether the degree of packed term t has columns, extended to it
+        when needed; False past a limit."""
+        d = t >> self.pk.deg_shift
         if d >= self.capped or self.words > ROW_MAX_WORDS:
             return False
         if d > self.top and not self._extend(d):
@@ -249,14 +234,14 @@ class _Rows:
         self.top = d
         return True
 
-    def tail(self, k, m):
-        """The cached row of x^m*basis[k] less its leading term."""
-        row = self.tails.get((k, m))
+    def tail(self, k, t):
+        """The cached row of x^(t - lt_k)*basis[k] less its leading term lt_k."""
+        row = self.tails.get((k, t))
         if row is None:
             width, col, lt = self.width, self.col, self.lead[k][0]
-            g = self.basis[k]
+            g, m = self.basis[k], t - lt
             row = sum(c << width * col[s + m] for s, c in g.items() if s != lt)
-            self.tails[k, m] = row
+            self.tails[k, t] = row
             self.words += row.bit_length() >> 6
         return row
 
@@ -289,12 +274,12 @@ class _Rows:
                     red[k] = ~len(lead)
                     remainder[t] = c
                     continue
-                reducer = red[k] = self.tail(idx, t - lead[idx][0])
+                reducer = red[k] = self.tail(idx, t)
             row += (p - c) * reducer
         return remainder
 
 
-def _divide(f, basis, lead, guard, dom, want_cofs, rows=None):
+def _divide(f, basis, lead, guard, dom, want_cofs):
     """Strong division of packed f by the packed basis with leading terms ``lead``.
 
     A term c*t meets the divisors in order; at each one whose leading term
@@ -309,21 +294,16 @@ def _divide(f, basis, lead, guard, dom, want_cofs, rows=None):
     each divisor's cofactor at most one term.  Returns the packed remainder
     and, with ``want_cofs``, the packed cofactors.
 
-    A row from ``_Rows.pair`` or ``_Rows.element`` (an int f, given with its
-    row context ``rows``) is reduced by ``_Rows.reduce``, which keeps no
-    cofactors; every other dividend is a packed polynomial whose terms wait
-    in a max-heap of negated packed terms, and a term that cancelled since
-    it was pushed is skipped when its entry surfaces.
-
-    The heap loop chooses its arithmetic once per call.  Over GF(p), whose
+    This is the heap loop, for every dividend that is not a row (rows go to
+    ``_Rows.reduce``): the terms wait in a max-heap of negated packed terms,
+    and a term that cancelled since it was pushed is skipped when its entry
+    surfaces.  It chooses its arithmetic once per call.  Over GF(p), whose
     elements are the ints in [0, p) (``dom.modulus``), it is inline int
     arithmetic mod p, dividing c by a leading coefficient lc only when lc is
     not 1 (every basis ``buchberger`` builds is monic).  Over towers, QQ and
     K[x1] it is the domain's ``euclid_divmod``, ``sub`` and ``mul``.
     Every zero test is truthiness, as each domain's zero is falsy.
     """
-    if isinstance(f, int):
-        return rows.reduce(f), None
     p = dom.modulus
     remainder = {}
     cofs = [{} for _ in basis] if want_cofs else None
@@ -527,11 +507,8 @@ def _completion(pk, gens, domain, nvars, track):
     lineage = []  # with track: packed cofactors over the generators
     pending = set()  # S-pairs not yet popped
     queue = []  # (packed lcm, kind, i, j), smallest first
-    rows = (
-        _Rows(pk, domain.modulus, basis, lead)
-        if domain.modulus and pk.order.weights and not track
-        else None
-    )
+    p = domain.modulus
+    rows = _Rows(pk, p, basis, lead) if p and pk.order.weights and not track else None
 
     def push(f, vec):
         lt = max(f)
@@ -576,13 +553,12 @@ def _completion(pk, gens, domain, nvars, track):
                 for k, (e, c) in enumerate(lead)
             ):
                 continue  # chain criterion: a third leading monomial covers it
-        row = None if rows is None else rows.pair(i, j, t)
-        if row is None:
+        if rows and rows.reaches(t):  # both leading terms cancel
+            r = rows.reduce(rows.tail(i, t) + (p - 1) * rows.tail(j, t))
+        else:
             mult = _multipliers(kind, lead[i], lead[j], t, domain)
             h = _combine(basis[i], basis[j], *mult, domain, guard)
             r, cofs = _divide(h, basis, lead, guard, domain, track)
-        else:
-            r, cofs = _divide(row, basis, lead, guard, domain, False, rows)
         if not r:
             continue
         vec = None
@@ -625,11 +601,9 @@ def _completion(pk, gens, domain, nvars, track):
         others = [m for m in units if m != idx]
         if not others:
             continue
-        row = None if rows is None else rows.element(keep[idx])
-        if row is not None:
-            r, _ = _divide(row, basis, lead, guard, domain, False, rows)
-            lt, lc = leads[idx]
-            elems[idx] = {lt: lc, **r}
+        lt, lc = leads[idx]
+        if rows and rows.reaches(lt):
+            elems[idx] = {lt: lc, **rows.reduce(rows.tail(keep[idx], lt))}
             continue
         r, cofs = _divide(
             elems[idx],

@@ -368,9 +368,10 @@ def parse_problem(text):
     return ProblemFile(domain, names, tuple(gens), query)
 
 
-def parse_polynomial(text, domain, names, line=1):
-    """Parse a single polynomial expression (used for round-trip checks)."""
-    tokens = _tokenize_line(text, line)
+def parse_polynomial(text, domain, names):
+    """Parse a single polynomial expression (used for round-trip checks), as
+    if it were line 1 of a file."""
+    tokens = _tokenize_line(text, 1)
     if tokens[0][0] == "end":
-        raise ParseError("expected a polynomial", line, None)
-    return _PolyParser(domain, tuple(names)).parse(tokens, 0, line)
+        raise ParseError("expected a polynomial", 1, None)
+    return _PolyParser(domain, tuple(names)).parse(tokens, 0, 1)

@@ -343,11 +343,12 @@ def _random_poly(max_deg, F, rng):
     return trim(coeffs, F)
 
 
-def edf(f, d, F, rng=None):
+def edf(f, d, F):
     """Equal-degree split of monic squarefree f into its degree-d factors,
-    drawing from rng, or from a ``random.Random(0)`` made at the first split."""
+    drawing from a ``random.Random(0)`` made at the first split."""
     out = []
     stack = [f]
+    rng = None
     while stack:
         h = stack.pop()
         if deg(h) == d:
@@ -438,7 +439,7 @@ def factor_key(g, F):
     return (deg(g), tuple(F.sort_key(c) for c in g[:-1]))
 
 
-def factor(f, F, rng=None):
+def factor(f, F):
     """Factor nonconstant f into [(monic irreducible, multiplicity)], sorted."""
     f = trim(f, F)
     if deg(f) < 1:
@@ -449,7 +450,7 @@ def factor(f, F, rng=None):
             out.extend((irr, e) for irr in _split_quadratic(g, F))
             continue
         for part, d in ddf(g, F):
-            for irr in edf(part, d, F, rng):
+            for irr in edf(part, d, F):
                 out.append((monic(irr, F), e))
     return sorted(out, key=lambda ge: factor_key(ge[0], F))
 

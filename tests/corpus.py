@@ -2,7 +2,9 @@
 plain references that kernel arithmetic is checked against."""
 
 import itertools
+import random
 from fractions import Fraction
+from unittest import mock
 
 from gbsolve import unipoly
 from gbsolve.errors import SpecializationError, UsageError
@@ -51,13 +53,20 @@ def horner_specialize(basis, a):
     return tuple(out)
 
 
-def reference_factor(f, F, rng):
+def split_stream(seed):
+    """A context in which ``unipoly.edf`` draws its random splits from
+    ``random.Random(seed)`` instead of the ``random.Random(0)`` it makes."""
+    real = random.Random
+    return mock.patch.object(unipoly.random, "Random", lambda _: real(seed))
+
+
+def reference_factor(f, F):
     """factor's answer through sqf_list, ddf and edf alone, with no square-root
     split of quadratics: the reference for unipoly.factor."""
     out = []
     for g, e in unipoly.sqf_list(f, F):
         for part, d in unipoly.ddf(g, F):
-            for irr in unipoly.edf(part, d, F, rng):
+            for irr in unipoly.edf(part, d, F):
                 out.append((unipoly.monic(irr, F), e))
     return sorted(out, key=lambda ge: unipoly.factor_key(ge[0], F))
 

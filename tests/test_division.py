@@ -1,24 +1,27 @@
 """Differential tests for division on seeded random inputs.
 
-``groebner._divide`` is the one entry point for division.  Every dividend
-but one kind takes terms from a lazily pruned heap, with its arithmetic
-picked once per call: inline ints mod p over a prime field (GF5, GF32003),
-the domain's methods over a tower (GF49), QQ and K[x1].  Each result must
-satisfy f = sum(cof * g) + r, leave no reducible term in r, and agree
-exactly with the textbook loops below, which rescan the whole remaining
-polynomial for its leading term at every step.  Over a field the two
-textbook loops agree with each other as well.
+``groebner._divide`` is the heap loop: it takes a packed polynomial's terms
+from a lazily pruned heap, with its arithmetic picked once per call: inline
+ints mod p over a prime field (GF5, GF32003), the domain's methods over a
+tower (GF49), QQ and K[x1].  Each result must satisfy f = sum(cof * g) + r,
+leave no reducible term in r, and agree exactly with the textbook loops
+below, which rescan the whole remaining polynomial for its leading term at
+every step.  Over a field the two textbook loops agree with each other as
+well.
 
-The one other kind is a row: in an untracked completion over a prime field
-under a weighted order, a row context (``groebner._Rows``) builds an S-pair
-from two cached tails, and in the final inter-reduction a kept element's
-cached tail, each one big int reduced by the column's cached reducer row.
-An S-pair row must equal the row of its S-polynomial slot by slot mod p, and
-reduce to the heap loop's remainder of that S-polynomial; completions, their
-inter-reduction included, must equal the heap loop's; only rows may meet a
-row context, and dict dividends never do; every column's reducer row must be
-its first divisor's shifted tail; and columns grown degree by degree must
-equal the ones a single search finds.
+The other loop is the row loop: in an untracked completion over a prime
+field under a weighted order, a row context (``groebner._Rows``) holds each
+basis element's cached tail lifted to a packed term, ``tail(k, t)``; the
+completion builds an S-pair's row from two of them and, in the final
+inter-reduction, a kept element's row from one, and ``_Rows.reduce``
+reduces each one big int by the columns' cached reducer rows.  A tail must
+be the lifted element less its leading term; an S-pair row must equal the
+row of its S-polynomial slot by slot mod p, and reduce to the heap loop's
+remainder of that S-polynomial; completions, their inter-reduction
+included, must equal the heap loop's; ``_divide`` never meets a row, and
+``_Rows.reduce`` nothing else; every column's reducer row must be its first
+divisor's lifted tail; and columns grown degree by degree must equal the
+ones a single search finds.
 """
 
 import collections
@@ -257,10 +260,9 @@ def test_row_loop_matches_the_heap_loop(field, order, bits, monkeypatch):
                 t = pk.lcm(lead[i][0], lead[j][0])
                 h = _s_polynomial(basis, lead, i, j, t, pk, field)
                 heap = groebner._divide(h, basis, lead, pk.guard, field, False)
-                row = rows.pair(i, j, t)
-                assert row is not None
-                args = (row, basis, lead, pk.guard, field, False, rows)
-                assert groebner._divide(*args) == heap
+                assert rows.reaches(t)
+                row = rows.tail(i, t) + (p - 1) * rows.tail(j, t)
+                assert (rows.reduce(row), None) == heap
         rows_used += bool(rows.mono)
 
     for trial in range(30):
@@ -287,44 +289,37 @@ def _graded_bases(field, seed):
 @pytest.mark.parametrize("field", [F5, F32003], ids=["GF5", "GF32003"])
 def test_graded_completions_match_the_heap_loop(field, monkeypatch):
     # with no columns every pair is refused a row and takes the heap loop
-    taken = []
-    real = groebner._Rows.pair
-
-    def pair(self, i, j, t):
-        row = real(self, i, j, t)
-        taken.append(row is not None)
-        return row
-
-    monkeypatch.setattr(groebner._Rows, "pair", pair)
+    seen = _count_dividends(monkeypatch)
     expected = _graded_bases(field, 20244)
-    assert any(taken)
+    assert seen["pair-row"]
     monkeypatch.setattr(groebner, "ROW_MAX_COLUMNS", 0)
     assert _graded_bases(field, 20244) == expected
 
 
 def test_only_rows_meet_a_row_context(monkeypatch):
-    # the S-pair rows and the kept elements' tails meet the row context; ten
-    # columns refuse some pairs a row, and a refused pair divides as a
-    # polynomial without it; a tracked completion builds none
-    calls, built, refused = [], [], []
-    divide, init, pair = groebner._divide, groebner._Rows.__init__, groebner._Rows.pair
+    # the S-pair rows and the kept elements' tails meet the row context, and
+    # _divide never meets a row; ten columns refuse some pairs a row, and a
+    # refused pair divides as a polynomial; a tracked completion builds none
+    calls, built = [], []
+    divide, init = groebner._divide, groebner._Rows.__init__
+    reduce = groebner._Rows.reduce
 
-    def spy_divide(f, basis, lead, guard, dom, want_cofs, rows=None):
-        calls.append((isinstance(f, int), rows is not None))
-        return divide(f, basis, lead, guard, dom, want_cofs, rows)
+    def spy_divide(f, *args):
+        calls.append(("divide", type(f)))
+        return divide(f, *args)
+
+    def spy_reduce(self, row):
+        calls.append(("reduce", type(row)))
+        return reduce(self, row)
 
     def spy_init(self, *args):
         built.append(1)
         init(self, *args)
 
-    def spy_pair(self, i, j, t):
-        row = pair(self, i, j, t)
-        refused.append(row is None)
-        return row
-
     monkeypatch.setattr(groebner, "_divide", spy_divide)
+    monkeypatch.setattr(groebner._Rows, "reduce", spy_reduce)
     monkeypatch.setattr(groebner._Rows, "__init__", spy_init)
-    monkeypatch.setattr(groebner._Rows, "pair", spy_pair)
+    seen = _count_dividends(monkeypatch)
     monkeypatch.setattr(groebner, "ROW_MAX_COLUMNS", 10)
     rng = random.Random(20249)
     for _ in range(12):
@@ -335,28 +330,46 @@ def test_only_rows_meet_a_row_context(monkeypatch):
             assert not built
             buchberger(gens, order, domain=F32003, nvars=3)
             assert len(built) == 1
-    assert all(is_row == with_rows for is_row, with_rows in calls)
-    assert (True, True) in calls and (False, False) in calls
-    assert any(refused) and not all(refused)
+    assert set(calls) == {("divide", dict), ("reduce", int)}
+    assert seen["pair-row"] and seen["pair-heap"]
 
 
 def _count_dividends(monkeypatch):
-    """Patch ``_divide`` and ``_Rows.pair`` to count int and dict dividends
-    and the rows ``pair`` builds and refuses, in the returned Counter."""
+    """Patch both loops to count untracked completions' dividends in the
+    returned Counter: "pair-row" and "element-row" for ``_Rows.reduce``,
+    told apart by the cached tails fetched for the row (an S-pair row sums
+    two, a kept element's row is one), and "pair-heap" and "element-heap"
+    for ``_divide`` without cofactors, an S-pair's built by ``_multipliers``."""
     seen = collections.Counter()
-    divide, pair = groebner._divide, groebner._Rows.pair
+    fetched, lifted = [], []
+    divide, multipliers = groebner._divide, groebner._multipliers
+    tail, reduce = groebner._Rows.tail, groebner._Rows.reduce
 
-    def spy_divide(f, *args):
-        seen["int" if isinstance(f, int) else "dict"] += 1
-        return divide(f, *args)
+    def spy_multipliers(*args):
+        lifted.append(1)
+        return multipliers(*args)
 
-    def spy_pair(self, i, j, t):
-        row = pair(self, i, j, t)
-        seen["refused" if row is None else "row"] += 1
-        return row
+    def spy_divide(f, basis, lead, guard, dom, want_cofs):
+        if not want_cofs:
+            seen["pair-heap" if lifted else "element-heap"] += 1
+        lifted.clear()
+        return divide(f, basis, lead, guard, dom, want_cofs)
 
+    def spy_tail(self, k, t):
+        fetched.append(1)
+        return tail(self, k, t)
+
+    def spy_reduce(self, row):
+        seen[{1: "element-row", 2: "pair-row"}[len(fetched)]] += 1
+        try:
+            return reduce(self, row)
+        finally:
+            fetched.clear()  # reduce fetches its reducer rows as tails too
+
+    monkeypatch.setattr(groebner, "_multipliers", spy_multipliers)
     monkeypatch.setattr(groebner, "_divide", spy_divide)
-    monkeypatch.setattr(groebner._Rows, "pair", spy_pair)
+    monkeypatch.setattr(groebner._Rows, "tail", spy_tail)
+    monkeypatch.setattr(groebner._Rows, "reduce", spy_reduce)
     return seen
 
 
@@ -380,7 +393,7 @@ def test_the_final_inter_reduction_reduces_cached_tails(field, order, monkeypatc
         monkeypatch.setattr(groebner, "ROW_MAX_COLUMNS", cap)
         seen.clear()
         bases = _untracked_bases(field, order, 20250)
-        return bases, seen["int"] - seen["row"], seen["dict"] - seen["refused"]
+        return bases, seen["element-row"], seen["element-heap"]
 
     expected, heap, no_rows = run(0)
     assert heap == 0 and no_rows > 0
@@ -508,8 +521,8 @@ def test_a_pair_row_is_the_packed_s_polynomial(field, order):
         for i, j in itertools.combinations(range(len(basis)), 2):
             t = pk.lcm(lead[i][0], lead[j][0])
             grows = t >> pk.deg_shift > rows.top
-            row = rows.pair(i, j, t)
-            assert row is not None
+            assert rows.reaches(t)
+            row = rows.tail(i, t) + (p - 1) * rows.tail(j, t)
             h = _s_polynomial(basis, lead, i, j, t, pk, field)
             assert _reduced_slots(row, rows.width, p) == _row_of(h, rows)
             extended += grows
@@ -526,27 +539,58 @@ def test_a_pair_row_is_the_packed_s_polynomial(field, order):
 
 
 @pytest.mark.parametrize("field", [F5, F32003], ids=["GF5", "GF32003"])
+@ROW_ORDERS
+def test_a_tail_is_the_lifted_element_less_its_leading_term(field, order):
+    # tail(k, t) is x^(t - lt_k)*g_k less its leading term, at its own
+    # leading term and at its lcm with each other element; two tails at an
+    # lcm, the second times p - 1, make a row that reduces to the heap loop's
+    # remainder of the S-polynomial that _combine builds
+    rng = random.Random(20252)
+    n, p = order.nvars, field.modulus
+    checked = 0
+
+    def run(pk, packed):
+        nonlocal checked
+        basis = _monic(packed, p)
+        lead = groebner._leads(basis)
+        rows = groebner._Rows(pk, p, basis, lead)
+        for i, j in itertools.permutations(range(len(basis)), 2):
+            t = pk.lcm(lead[i][0], lead[j][0])
+            assert rows.reaches(t)
+            lt = lead[i][0]
+            for at in (lt, t):
+                lifted = {s + at - lt: c for s, c in basis[i].items() if s != lt}
+                assert rows.tail(i, at) == _row_of(lifted, rows)
+            h = _s_polynomial(basis, lead, i, j, t, pk, field)
+            heap = groebner._divide(h, basis, lead, pk.guard, field, False)
+            row = rows.tail(i, t) + (p - 1) * rows.tail(j, t)
+            assert (rows.reduce(row), None) == heap
+            checked += 1
+
+    for _ in range(10):
+        gens = []
+        while len(gens) < 3:
+            g = random_poly(rng, field, n, 3, 4)
+            if not g.is_zero():
+                gens.append(g)
+        groebner._packed(order, gens, run)
+    assert checked == 60
+
+
+@pytest.mark.parametrize("field", [F5, F32003], ids=["GF5", "GF32003"])
 def test_a_pair_past_the_column_cap_falls_back_to_its_polynomial(field, monkeypatch):
     # ten columns hold the monomials of degree <= 2 under weighted((1, 1, 1))
     # and of degree <= 3 under weighted((1, 2, 3)): some lcms get a row and
     # others are refused, and a refused pair is built and reduced as a
     # polynomial
     expected = _graded_bases(field, 20244)
-    built = []
-    real = groebner._Rows.pair
-
-    def pair(self, i, j, t):
-        row = real(self, i, j, t)
-        built.append(row is not None)
-        return row
-
-    monkeypatch.setattr(groebner._Rows, "pair", pair)
+    seen = _count_dividends(monkeypatch)
     monkeypatch.setattr(groebner, "ROW_MAX_COLUMNS", 0)
-    assert _graded_bases(field, 20244) == expected and not any(built)
+    assert _graded_bases(field, 20244) == expected and not seen["pair-row"]
     monkeypatch.setattr(groebner, "ROW_MAX_COLUMNS", 10)
-    built.clear()
+    seen.clear()
     assert _graded_bases(field, 20244) == expected
-    assert any(built) and not all(built)
+    assert seen["pair-row"] and seen["pair-heap"]
 
 
 def _monomials(pk, d):

@@ -208,7 +208,7 @@ class TestTowers:
         assert bigger.prefix(2) is f81 and bigger.prefix(0) == F3
         rebuilt = GF(3)
         for level in bigger.levels:
-            rebuilt = rebuilt.extend(level.minpoly, level.name)
+            rebuilt = rebuilt.extend(level.minpoly)
         assert bigger == rebuilt
 
     def test_two_level_arithmetic_inverts_no_leading_one(self, monkeypatch):

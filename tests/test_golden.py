@@ -14,14 +14,14 @@ and review the diff.
 
 import contextlib
 import io
-import random
 import sys
 from pathlib import Path
 
 import pytest
 
 import test_completion_pin
-from gbsolve import cli, unipoly
+from corpus import split_stream
+from gbsolve import cli
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -105,18 +105,11 @@ def test_golden_transcript(name, command, files, code):
     [case for case in CASES if case[1][0] == "solve"],
     ids=[case[0] for case in CASES if case[1][0] == "solve"],
 )
-def test_solve_output_does_not_depend_on_the_seed(
-    name, command, files, code, seed, monkeypatch
-):
+def test_solve_output_does_not_depend_on_the_seed(name, command, files, code, seed):
     # factors are unique, monic and sorted by an injective key, so the stream
     # the randomized equal-degree split draws from cannot reach stdout
-    factor = unipoly.factor
-
-    def seeded(f, F, rng=None):
-        return factor(f, F, random.Random(int(seed)))
-
-    monkeypatch.setattr(unipoly, "factor", seeded)
-    got_code, got = _transcript(command, files)
+    with split_stream(int(seed)):
+        got_code, got = _transcript(command, files)
     assert got_code == code
     assert got == (GOLDEN / f"{name}.out").read_text()
 

@@ -295,15 +295,19 @@ class TestBuchberger:
             buchberger([_vars(F5, 2)[0]], TermOrder.lex(3))
 
     def test_criteria_skip_the_pinned_pairs(self, monkeypatch):
-        """Count ``_divide`` calls on seeded ideals: one per pair the criteria
-        keep, plus the inter-reduction.  The counts were taken before the
-        chain criterion became one inline scan; a rewrite of the criteria that
+        """Count the dividends of both division loops, ``_divide`` and
+        ``_Rows.reduce``, on seeded ideals: one per pair the criteria keep,
+        plus the inter-reduction.  The counts were taken before the chain
+        criterion became one inline scan; a rewrite of the criteria that
         skips a different set of pairs changes them.  A deliberate change to
         a criterion updates these numbers."""
         calls = []
-        real = groebner._divide
+        real, reduce = groebner._divide, groebner._Rows.reduce
         monkeypatch.setattr(
             groebner, "_divide", lambda *a: calls.append(1) or real(*a)
+        )
+        monkeypatch.setattr(
+            groebner._Rows, "reduce", lambda *a: calls.append(1) or reduce(*a)
         )
         counts = {}
         for name, order in (
