@@ -148,20 +148,17 @@ def _print_trace(trace, problem):
     prev = problem.domain
     for step in trace:
         name = problem.names[step.var_index]
+        added = [
+            _minpoly_text(step.tower, i)
+            for i in range(len(prev.levels), len(step.tower.levels))
+        ]
+        prev = step.tower
         parts = [
             f"branch={step.branch}",
             f"p={to_text(step.eliminated, [name])}",
-            f"a={step.chosen}",
+            f"a={step.tower.to_text(step.chosen)}",
+            "ext=" + ("; ".join(added) or "-"),
         ]
-        if step.extension is None:
-            parts.append("ext=-")
-        else:
-            added = [
-                _minpoly_text(step.extension, i)
-                for i in range(len(prev.levels), len(step.extension.levels))
-            ]
-            parts.append("ext=" + "; ".join(added))
-            prev = step.extension
         if step.locus is not None:
             parts.append(f"q={to_text(step.locus, [name])}")
         print(f"trace {name}: " + " ".join(parts))
@@ -187,7 +184,7 @@ def _cmd_solve(args):
     for i, level in enumerate(tower.levels):
         print(f"ext {level.name}: {_minpoly_text(tower, i)}")
     for name, coord in zip(problem.names, outcome.coords):
-        print(f"{name} = {tower.to_text(coord.rep)}")
+        print(f"{name} = {tower.to_text(coord)}")
     print("VERIFIED")
     return 0
 

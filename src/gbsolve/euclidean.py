@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from . import unipoly
 from .errors import SpecializationError, UsageError
-from .fields import FFElement, UnivariatePolyDomain
+from .fields import UnivariatePolyDomain
 from .groebner import StrongBasis, _complete, _ring
 from .poly import Polynomial, dense
 
@@ -72,26 +72,26 @@ def specialization_locus(basis):
     return Polynomial.from_dense(field, 1, 0, unipoly.monic(acc, field))
 
 
-def specialize_basis(basis, a):
+def specialize_basis(basis, a, tower=None):
     """Evaluate x1 at a point off the locus; the result is still a strong basis.
 
     The image of each leading coefficient is nonzero, so leading terms and
     the vanishing of every S- and G-polynomial reduction carry over without
-    another completion run.  A tower element evaluates into its own tower.
+    another completion run.  ``a`` is an element of ``tower`` (by default K
+    itself), a tower over K, and the result lies over that tower.
     """
     dom = basis.domain
     if not isinstance(dom, UnivariatePolyDomain):
         raise UsageError("specialization needs a K[x1] basis")
-    target = dom.field
-    if isinstance(a, FFElement):
-        target, a = a.tower, a.rep
+    if tower is None:
+        tower = dom.field
     out = []
     for g in basis.elements:
-        h = from_coeff_view(g).evaluate_x1(a, target)
+        h = from_coeff_view(g).evaluate_x1(a, tower)
         if g.leading(basis.order).exponents not in h.coeffs:
             raise SpecializationError(
                 "the point is a root of a leading coefficient (locus vanishes)"
             )
         out.append(h)
     out.sort(key=lambda g: basis.order.key(g.leading(basis.order).exponents), reverse=True)
-    return StrongBasis(tuple(out), basis.order, target, basis.nvars)
+    return StrongBasis(tuple(out), basis.order, tower, basis.nvars)

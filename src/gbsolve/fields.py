@@ -3,7 +3,8 @@ and the Euclidean ring K[x1], all under the two contracts of ``Domain``.
 
 Tower elements are plain nested tuples (ints at the prime-field floor), so they
 hash and compare structurally; the tower object itself carries the arithmetic,
-and ``FFElement`` only pairs an element with its tower.  A tower grows one
+and whatever hands out an element hands out its tower beside it, as the pair
+``(tower, element)`` that ``adjoin_root`` returns.  A tower grows one
 level at a time from ``GF(p)``: ``extend`` checks a level from outside,
 ``adjoin_root``'s included, and the solver stacks irreducible factors
 unchecked.  Every element handed to a tower operation must already live at
@@ -578,18 +579,6 @@ def GF(p):
     return FieldTower(p)
 
 
-@dataclass(frozen=True)
-class FFElement:
-    """A tower element bundled with its tower, for API boundaries and tests;
-    its arithmetic is the tower's."""
-
-    tower: FieldTower
-    rep: object
-
-    def __str__(self):
-        return self.tower.to_text(self.rep)
-
-
 def adjoin_root(tower, g):
     """Return (tower, root) for an irreducible g over the tower's top level.
 
@@ -602,7 +591,7 @@ def adjoin_root(tower, g):
     if unipoly.deg(g) == 1:
         return _adjoin_irreducible(tower, unipoly.monic(g, tower))
     bigger = tower.extend(g)
-    return bigger, FFElement(bigger, bigger.generator())
+    return bigger, bigger.generator()
 
 
 def _adjoin_irreducible(tower, g):
@@ -610,9 +599,9 @@ def _adjoin_irreducible(tower, g):
     a factor from ``unipoly.factor`` or the output of ``first_irreducible``:
     a new level is stacked without running ``is_irreducible`` again."""
     if unipoly.deg(g) == 1:
-        return tower, FFElement(tower, tower.neg(g[0]))
+        return tower, tower.neg(g[0])
     bigger = FieldTower._stack(tower, g)
-    return bigger, FFElement(bigger, bigger.generator())
+    return bigger, bigger.generator()
 
 
 @dataclass(frozen=True)

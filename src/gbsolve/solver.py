@@ -41,20 +41,18 @@ from dataclasses import dataclass
 from . import unipoly
 from .errors import InvariantViolation, UsageError
 from .euclidean import specialization_locus, strong_buchberger, to_coeff_view
-from .fields import FFElement, FieldTower, UnivariatePolyDomain, _adjoin_irreducible
+from .fields import FieldTower, UnivariatePolyDomain, _adjoin_irreducible
 from .groebner import Ideal, eliminate_to_x1, is_trivial, member
 from .poly import Polynomial, TermOrder
 
 
 @dataclass(frozen=True)
 class Point:
-    """A common zero, with coordinates in a tower over the input field."""
+    """A common zero: ``coords`` are elements of ``tower``, a tower over the
+    input field."""
 
     tower: FieldTower
     coords: tuple
-
-    def reps(self):
-        return [c.rep for c in self.coords]
 
 
 @dataclass(frozen=True)
@@ -63,21 +61,22 @@ class BranchStep:
 
     ``eliminated`` is the monic generator of the ideal's intersection with
     K[x1] at that level (zero on the locus branch), ``chosen`` the value
-    substituted for the variable, ``extension`` the enlarged tower when one
-    was needed, and ``locus`` the leading-coefficient product avoided on the
-    zero-intersection branch.
+    substituted for the variable, an element of ``tower``: the level's tower,
+    or the one its choice stacked on it.  ``locus`` is the leading-coefficient
+    product avoided on the zero-intersection branch.
     """
 
     var_index: int
     branch: str
     eliminated: Polynomial
-    chosen: FFElement
-    extension: FieldTower = None
+    chosen: object
+    tower: FieldTower
     locus: Polynomial = None
 
 
 def good_specialization_point(q):
-    """Smallest tower element avoiding the roots of q, extending if needed.
+    """(tower, a): the smallest a off the roots of q, in q's tower or in
+    one stacked on it.
 
     The tower grows by quadratic steps until it has more elements than q has
     roots, so the canonical enumeration is guaranteed to hit a nonroot.
@@ -94,13 +93,13 @@ def good_specialization_point(q):
     for i in range(tower.order):
         a = tower.element(i)
         if unipoly.evaluate(lifted, a, tower):
-            return FFElement(tower, a)
+            return tower, a
     raise InvariantViolation("a polynomial cannot vanish on a larger field")
 
 
 def find_branch_root(p):
-    """A root of the first irreducible factor of p, a nonconstant polynomial
-    in x1 over a finite tower.
+    """(tower, root): a root of the first irreducible factor of p, a
+    nonconstant polynomial in x1 over a finite tower.
 
     Factors come in canonical order; the root lives in p's tower when that
     factor is linear, and generates a new level above it otherwise.
@@ -112,7 +111,7 @@ def find_branch_root(p):
     if unipoly.deg(dense) < 1:
         raise UsageError("a constant has no roots to branch on")
     g, _mult = unipoly.factor(dense, tower)[0]
-    return _adjoin_irreducible(tower, g)[1]
+    return _adjoin_irreducible(tower, g)
 
 
 def _point(ideal, trace):
@@ -128,11 +127,10 @@ def _point(ideal, trace):
     depends only on the ideal, not on the generators completed into the
     strong basis: a minimal strong basis leads, at each of its leading
     terms, with a generator of all leading coefficients there.  Each step
-    keeps only the value it chose, so the ideal of a level and its cached
-    bases are freed once the next level's ideal is built; the chosen values
-    are lifted into the final tower at the end.
+    keeps only its ``BranchStep`` in the trace, so the ideal of a level and
+    its cached bases are freed once the next level's ideal is built; the
+    chosen values are lifted into the final tower at the end.
     """
-    chosen = []
     while ideal.nvars:
         tower = ideal.domain
         p = eliminate_to_x1(ideal)
@@ -141,23 +139,20 @@ def _point(ideal, trace):
             if p.is_constant():
                 raise InvariantViolation("a proper ideal met K[x1] in a constant")
             branch = "base" if ideal.nvars == 1 else "root"
-            a = find_branch_root(p)
+            tower, a = find_branch_root(p)
         elif ideal.nvars == 1:
-            branch, a = "base", FFElement(tower, tower.zero())
+            branch, a = "base", tower.zero()
         else:
             views = [to_coeff_view(g) for g in ideal.gens]
             strong = strong_buchberger(
                 views, domain=UnivariatePolyDomain(tower), nvars=ideal.nvars - 1
             )
             branch, locus = "locus", specialization_locus(strong)
-            a = good_specialization_point(locus)
-        ideal = ideal.evaluate_x1(a.rep, a.tower)
-        extension = a.tower if a.tower != tower else None
-        trace.append(BranchStep(len(chosen), branch, p, a, extension, locus))
-        chosen.append(a)
+            tower, a = good_specialization_point(locus)
+        ideal = ideal.evaluate_x1(a, tower)
+        trace.append(BranchStep(len(trace), branch, p, a, tower, locus))
     final = ideal.domain
-    coords = (FFElement(final, final.lift(a.rep, a.tower)) for a in chosen)
-    return Point(final, tuple(coords))
+    return Point(final, tuple(final.lift(s.chosen, s.tower) for s in trace))
 
 
 def solve(ideal):
@@ -171,9 +166,8 @@ def solve(ideal):
         return verdict, []
     trace = []
     point = _point(ideal, trace)
-    reps = point.reps()
     for g in ideal.gens:
-        if g.evaluate(reps, point.tower):
+        if g.evaluate(point.coords, point.tower):
             raise InvariantViolation("the computed point misses a generator")
     return point, trace
 

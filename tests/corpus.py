@@ -1,6 +1,7 @@
 """Shared test helpers: seeded random generators, brute-force oracles and the
 plain references that kernel arithmetic is checked against."""
 
+import contextlib
 import itertools
 import random
 from fractions import Fraction
@@ -8,7 +9,6 @@ from unittest import mock
 
 from gbsolve import unipoly
 from gbsolve.errors import SpecializationError, UsageError
-from gbsolve.fields import FFElement
 from gbsolve.groebner import member
 from gbsolve.poly import Polynomial
 
@@ -32,13 +32,12 @@ def poly_pow(f, e, F):
     return unipoly.power(f, e, lambda g, h: unipoly.mul(g, h, F), unipoly.one(F))
 
 
-def horner_specialize(basis, a):
-    """The elements of ``euclidean.specialize_basis(basis, a)`` by its own
-    loop: every K[x1] coefficient lifted into the point's field and evaluated
-    by Horner's rule (``unipoly.evaluate``)."""
-    field = target = basis.domain.field
-    if isinstance(a, FFElement):
-        target, a = a.tower, a.rep
+def horner_specialize(basis, a, tower=None):
+    """The elements of ``euclidean.specialize_basis(basis, a, tower)`` by its
+    own loop: every K[x1] coefficient lifted into the point's tower and
+    evaluated by Horner's rule (``unipoly.evaluate``)."""
+    field = basis.domain.field
+    target = field if tower is None else tower
     out = []
     for g in basis.elements:
         terms = {}
@@ -53,11 +52,23 @@ def horner_specialize(basis, a):
     return tuple(out)
 
 
+@contextlib.contextmanager
 def split_stream(seed):
     """A context in which ``unipoly.edf`` draws its random splits from
-    ``random.Random(seed)`` instead of the ``random.Random(0)`` it makes."""
+    ``random.Random(seed)`` instead of the ``random.Random(0)`` it makes.
+
+    It yields the list of streams handed out.  ``edf`` makes its stream at
+    its first split and draws from it at once, so the list is empty exactly
+    when nothing was split at random."""
     real = random.Random
-    return mock.patch.object(unipoly.random, "Random", lambda _: real(seed))
+    streams = []
+
+    def make(_):
+        streams.append(real(seed))
+        return streams[-1]
+
+    with mock.patch.object(unipoly.random, "Random", make):
+        yield streams
 
 
 def reference_factor(f, F):

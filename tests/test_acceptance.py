@@ -86,9 +86,8 @@ def test_criterion_1_solver_soundness():
                 assert acc.is_one()
             else:
                 assert isinstance(outcome, Point)
-                reps = outcome.reps()
                 for g in gens:
-                    assert not g.evaluate(reps, outcome.tower)
+                    assert not g.evaluate(outcome.coords, outcome.tower)
 
     _report(
         1,
@@ -207,8 +206,8 @@ def test_criterion_5_specialization_recertifies():
                 continue
             strong = strong_buchberger(views)
             q = specialization_locus(strong)
-            a = good_specialization_point(q)
-            ev = specialize_basis(strong, a)
+            tower, a = good_specialization_point(q)
+            ev = specialize_basis(strong, a, tower)
             assert certify_basis(ev.elements, ev.order)
             bases += 1
             dense = q.dense_in(0)

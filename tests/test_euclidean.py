@@ -7,7 +7,7 @@ import pytest
 from corpus import exp_divides, exp_lcm, horner_specialize, random_poly, random_poly_q
 from gbsolve import euclidean, unipoly
 from gbsolve.errors import SpecializationError, UsageError
-from gbsolve.fields import GF, QQ, FFElement, UnivariatePolyDomain
+from gbsolve.fields import GF, QQ, UnivariatePolyDomain
 from gbsolve.groebner import (
     Ideal,
     certify_basis,
@@ -261,12 +261,13 @@ class TestSpecialization:
 
     def test_specialize_matches_lift_and_horner(self):
         # at every GF(5) point and at points of GF(25) and GF(125), on the
-        # locus (both refuse) and off it (the same elements)
+        # locus (both refuse) and off it (the same elements); a GF(5) point
+        # leaves the tower to its default, the basis's own field
         F25 = F5.extend(unipoly.first_irreducible(2, F5))
         F125 = F5.extend(unipoly.first_irreducible(3, F5))
-        points = list(range(5))
-        points += [FFElement(F25, F25.element(i)) for i in (5, 7, 13, 24)]
-        points += [FFElement(F125, F125.element(i)) for i in (25, 61, 124)]
+        points = [(a, None) for a in range(5)]
+        points += [(F25.element(i), F25) for i in (5, 7, 13, 24)]
+        points += [(F125.element(i), F125) for i in (25, 61, 124)]
         rng = random.Random(58)
         compared = refused = 0
         for _ in range(25):
@@ -275,15 +276,17 @@ class TestSpecialization:
             if not gens:
                 continue
             sb = euclidean.strong_buchberger(gens)
-            for a in points:
+            for a, tower in points:
                 try:
-                    want = horner_specialize(sb, a)
+                    want = horner_specialize(sb, a, tower)
                 except SpecializationError:
                     with pytest.raises(SpecializationError):
-                        euclidean.specialize_basis(sb, a)
+                        euclidean.specialize_basis(sb, a, tower)
                     refused += 1
                     continue
-                assert euclidean.specialize_basis(sb, a).elements == want
+                ev = euclidean.specialize_basis(sb, a, tower)
+                assert ev.elements == want
+                assert ev.domain is (tower or F5)
                 compared += 1
         assert compared > 100 and refused > 5, (compared, refused)
 

@@ -15,7 +15,6 @@ from gbsolve.errors import InvariantViolation, UsageError
 from gbsolve.fields import (
     GF,
     QQ,
-    FFElement,
     FieldTower,
     UnivariatePolyDomain,
     adjoin_root,
@@ -245,8 +244,6 @@ class TestTowers:
         assert F9 != F3.extend((2, 2, 1))
         assert hash(F9) == hash(F3.extend((1, 0, 1)))
 
-
-class TestFFElement:
     def test_enumerate_elements(self):
         first = next(iter(F9.elements()))
         assert not first
@@ -256,12 +253,13 @@ class TestFFElement:
 class TestAdjoinRoot:
     def test_linear_input_stays_home(self):
         tower, root = adjoin_root(F5, (3, 1))  # x + 3
-        assert tower is F5 and root == FFElement(F5, 2)
+        assert tower is F5 and root == 2
 
     def test_quadratic_input_extends(self):
         tower, root = adjoin_root(F3, (1, 0, 1))
         assert tower.order == 9
-        assert unipoly.evaluate(tuple(tower.lift(c, F3) for c in (1, 0, 1)), root.rep, tower) == tower.zero()
+        assert root == tower.generator()
+        assert unipoly.evaluate(tuple(tower.lift(c, F3) for c in (1, 0, 1)), root, tower) == tower.zero()
 
     def test_reducible_input_rejected(self):
         with pytest.raises(UsageError):

@@ -62,6 +62,8 @@ CASES = [
     # tower elements and minimal polynomials over two- and three-level towers
     ("solve_tower3_levels", ["solve", "--trace"], ["tower3_levels_gf5.gb"], 0),
     ("solve_locus", ["solve", "--trace"], ["locus2_gf5.gb"], 0),
+    # one locus step that stacks two levels, printed as one ext= list
+    ("solve_locus_two_levels", ["solve", "--trace"], ["locus_two_levels_gf2.gb"], 0),
     # root, then locus on generators carried from the root level's basis
     ("solve_root_locus", ["solve", "--trace"], ["root_locus_gf5.gb"], 0),
     # the locus level's basis image is not a basis, so the next level completes
@@ -79,6 +81,10 @@ CASES = [
     # criterion mostly skips, and a root of degree 16 at the first level
     ("solve_katsura4", ["solve", "--trace"], ["katsura4_gf101.gb"], 0),
 ]
+
+
+# the solve goldens whose factoring splits a factor at random
+SPLIT_AT_RANDOM = {"solve_random_b", "solve_tower4_gf2", "solve_katsura4"}
 
 
 def _transcript(command, files):
@@ -108,10 +114,11 @@ def test_golden_transcript(name, command, files, code):
 def test_solve_output_does_not_depend_on_the_seed(name, command, files, code, seed):
     # factors are unique, monic and sorted by an injective key, so the stream
     # the randomized equal-degree split draws from cannot reach stdout
-    with split_stream(int(seed)):
+    with split_stream(int(seed)) as streams:
         got_code, got = _transcript(command, files)
     assert got_code == code
     assert got == (GOLDEN / f"{name}.out").read_text()
+    assert bool(streams) == (name in SPLIT_AT_RANDOM)
 
 
 def test_every_golden_file_is_used():

@@ -18,7 +18,7 @@ from corpus import (
 )
 from gbsolve import euclidean, groebner, solver, unipoly
 from gbsolve.errors import KernelError, UsageError
-from gbsolve.fields import GF, QQ, FFElement, adjoin_root
+from gbsolve.fields import GF, QQ, adjoin_root
 from gbsolve.groebner import Ideal, Triviality, is_trivial, member
 from gbsolve.parser import parse_problem
 from gbsolve.poly import Polynomial, TermOrder, to_text
@@ -54,20 +54,18 @@ def _uni(field, *coeffs):
 
 class TestGoodSpecializationPoint:
     def test_constant_one_gives_zero(self):
-        a = good_specialization_point(_uni(F3, 1))
-        assert a == FFElement(F3, 0)
+        assert good_specialization_point(_uni(F3, 1)) == (F3, 0)
 
     def test_skips_the_roots(self):
-        a = good_specialization_point(_uni(F3, 0, 1))  # q = x1
-        assert a == FFElement(F3, 1)
+        assert good_specialization_point(_uni(F3, 0, 1)) == (F3, 1)  # q = x1
 
     def test_extends_when_the_base_field_is_used_up(self):
         # x1(x1-1)(x1-2) kills all of F3; the first F9 element past it is t1
         q = _uni(F3, 0, 1) * _uni(F3, 2, 1) * _uni(F3, 1, 1)
-        a = good_specialization_point(q)
-        assert a.tower.order == 9
-        assert a.rep == (0, 1)
-        assert a.tower.to_text(a.rep) == "t1"
+        tower, a = good_specialization_point(q)
+        assert tower.order == 9
+        assert a == (0, 1)
+        assert tower.to_text(a) == "t1"
 
     def test_zero_rejected(self):
         with pytest.raises(UsageError):
@@ -81,9 +79,9 @@ class TestGoodSpecializationPoint:
             coeffs = [F3.element(rng.randrange(3)) for _ in range(rng.randrange(1, 5))]
             coeffs.append(F3.one())
             q = Polynomial.from_dense(F3, 1, 0, tuple(coeffs))
-            a = good_specialization_point(q)
-            lifted = [a.tower.lift(c, F3) for c in q.dense_in(0)]
-            assert unipoly.evaluate(tuple(lifted), a.rep, a.tower)
+            tower, a = good_specialization_point(q)
+            lifted = [tower.lift(c, F3) for c in q.dense_in(0)]
+            assert unipoly.evaluate(tuple(lifted), a, tower)
 
 
 class TestFindBranchRoot:
@@ -96,17 +94,16 @@ class TestFindBranchRoot:
                 if unipoly.deg(dense) < 1:
                     continue
                 p = Polynomial.from_dense(field, 1, 0, dense)
-                root = find_branch_root(p)
+                tower, root = find_branch_root(p)
                 g = unipoly.factor(p.dense_in(0), field)[0][0]
-                assert root == adjoin_root(field, g)[1]
-                extended += root.tower != field
-                lifted = tuple(root.tower.lift(c, field) for c in p.dense_in(0))
-                assert not unipoly.evaluate(lifted, root.rep, root.tower)
+                assert (tower, root) == adjoin_root(field, g)
+                extended += tower != field
+                lifted = tuple(tower.lift(c, field) for c in p.dense_in(0))
+                assert not unipoly.evaluate(lifted, root, tower)
         assert extended >= 10
 
     def test_first_root_wins_when_it_works(self):
-        root = find_branch_root(_uni(F3, 2, 0, 1))  # x1^2 - 1
-        assert root == FFElement(F3, 1)
+        assert find_branch_root(_uni(F3, 2, 0, 1)) == (F3, 1)  # x1^2 - 1
 
     def test_every_factor_of_the_eliminant_keeps_the_ideal_proper(self):
         # The Closure Theorem: every root of the eliminant extends to a zero
@@ -125,15 +122,15 @@ class TestFindBranchRoot:
                 extended += any(unipoly.deg(g) > 1 for g, _ in factors)
                 for g, _ in factors:
                     tower, root = adjoin_root(field, g)
-                    evaluated = [h.evaluate_x1(root.rep, tower) for h in gens]
+                    evaluated = [h.evaluate_x1(root, tower) for h in gens]
                     assert not is_trivial(Ideal(evaluated, domain=tower, nvars=nvars - 1))
-                assert find_branch_root(p) == adjoin_root(field, factors[0][0])[1]
+                assert find_branch_root(p) == adjoin_root(field, factors[0][0])
         assert ideals >= 150 and multi >= 40 and extended >= 20
 
     def test_adjoins_an_extension_when_needed(self):
-        root = find_branch_root(_uni(F3, 1, 0, 1))  # x1^2 + 1
-        assert root.tower.order == 9
-        assert root.rep == (0, 1)
+        tower, root = find_branch_root(_uni(F3, 1, 0, 1))  # x1^2 + 1
+        assert tower.order == 9
+        assert root == (0, 1)
 
     def test_usage_errors(self):
         x1, x2 = _vars(F3, 2)
@@ -152,11 +149,11 @@ class TestSolve:
         outcome, trace = solve(Ideal([x1 * x1 + one, x2 - x1]))
         assert isinstance(outcome, Point)
         assert outcome.tower.order == 9
-        assert outcome.reps() == [(0, 1), (0, 1)]
+        assert outcome.coords == ((0, 1), (0, 1))
         assert [s.branch for s in trace] == ["root", "base"]
         assert [s.var_index for s in trace] == [0, 1]
         assert to_text(trace[0].eliminated) == "x1^2 + 1"
-        assert trace[0].extension is not None and trace[0].extension.order == 9
+        assert trace[0].tower.order == 9 and trace[1].tower is trace[0].tower
 
     def test_frozen_locus_branch(self):
         x1, x2 = _vars(F5, 2)
@@ -164,7 +161,7 @@ class TestSolve:
         outcome, trace = solve(Ideal([x1 * x2 - one]))
         assert isinstance(outcome, Point)
         assert outcome.tower is F5
-        assert outcome.reps() == [1, 1]
+        assert outcome.coords == (1, 1)
         assert [s.branch for s in trace] == ["locus", "base"]
         assert to_text(trace[0].locus) == "x1"
         assert trace[0].eliminated.is_zero()
@@ -174,7 +171,7 @@ class TestSolve:
         # next level's eliminant is then 1, which no proper ideal has
         x1, x2 = _vars(F5, 2)
         monkeypatch.setattr(
-            solver, "good_specialization_point", lambda q: FFElement(F5, F5.zero())
+            solver, "good_specialization_point", lambda q: (F5, F5.zero())
         )
         with pytest.raises(KernelError) as caught:
             solve(Ideal([x1 * x2 - _const(F5, 2, 1)]))
@@ -279,15 +276,15 @@ class TestSolve:
     def test_zero_ideal_yields_the_origin(self):
         outcome, trace = solve(Ideal([], domain=F3, nvars=2))
         assert isinstance(outcome, Point)
-        assert outcome.reps() == [0, 0]
+        assert outcome.coords == (0, 0)
         assert [s.branch for s in trace] == ["locus", "base"]
 
     def test_zero_ideal_in_one_variable_takes_zero(self):
         outcome, trace = solve(Ideal([], domain=F3, nvars=1))
         assert isinstance(outcome, Point)
-        assert outcome.tower is F3 and outcome.reps() == [0]
+        assert outcome.tower is F3 and outcome.coords == (0,)
         assert [s.branch for s in trace] == ["base"]
-        assert trace[0].eliminated.is_zero() and trace[0].extension is None
+        assert trace[0].eliminated.is_zero() and trace[0].tower is F3
 
     def test_the_eliminant_passes_over_an_embedded_component(self):
         x1, x2 = _vars(F3, 2)
@@ -296,15 +293,15 @@ class TestSolve:
         embedded = (x1 - one) * (x1 - _const(F3, 2, 2))
         gens = [embedded, (x1 - one) * x2 - one]
         outcome, trace = solve(Ideal(gens))
-        assert isinstance(outcome, Point) and outcome.reps() == [2, 1]
+        assert isinstance(outcome, Point) and outcome.coords == (2, 1)
         assert to_text(trace[0].eliminated) == "x1 + 1"
-        assert all(not g.evaluate(outcome.reps(), F3) for g in gens)
+        assert all(not g.evaluate(outcome.coords, F3) for g in gens)
 
     def test_a_root_that_zeroes_every_generator(self):
         x1, x2 = _vars(F3, 2)
         one = _const(F3, 2, 1)
         outcome, trace = solve(Ideal([(x1 - one) * x2, x1 - one]))
-        assert outcome.reps() == [1, 0]
+        assert outcome.coords == (1, 0)
         assert [s.branch for s in trace] == ["root", "base"]
         assert trace[1].eliminated.is_zero()
 
@@ -337,7 +334,7 @@ class TestSolve:
         t = Polynomial.constant(F9, 1, (0, 1))
         outcome, _ = solve(Ideal([x1 - t]))
         assert isinstance(outcome, Point)
-        assert outcome.tower == F9 and outcome.reps() == [(0, 1)]
+        assert outcome.tower == F9 and outcome.coords == ((0, 1),)
 
     def test_rationals_rejected(self):
         x1 = Polynomial.variable(QQ, 1, 0)
@@ -367,11 +364,39 @@ class TestSolve:
                 assert acc.is_one()
                 continue
             points += 1
-            reps = outcome.reps()
             for g in gens:
-                assert not g.evaluate(reps, outcome.tower)
+                assert not g.evaluate(outcome.coords, outcome.tower)
             assert [s.var_index for s in trace] == list(range(2))
         assert points and trivials
+
+    def test_each_step_names_the_tower_of_its_value(self):
+        # every step's tower stacks on the one before it (the input field
+        # first), and its chosen value, evaluated there, is a root of the
+        # eliminant on the root and base branches and a nonroot of the locus
+        branches = Counter()
+        grown = 0
+        for field in (F2, F3, F5):
+            rng = random.Random(66)
+            for _ in range(40):
+                gens = [random_poly(rng, field, 3, max_total=2, max_terms=4) for _ in range(3)]
+                outcome, trace = solve(Ideal(gens, domain=field, nvars=3))
+                if isinstance(outcome, Triviality):
+                    continue
+                prev = field
+                for step in trace:
+                    assert step.tower.prefix(len(prev.levels)) is prev
+                    grown += step.tower is not prev
+                    branches[step.branch] += 1
+                    if step.branch == "locus":
+                        assert step.locus.evaluate([step.chosen], step.tower)
+                    else:
+                        assert not step.eliminated.evaluate([step.chosen], step.tower)
+                    prev = step.tower
+                assert outcome.tower is prev
+                for g in gens:
+                    assert not g.evaluate(outcome.coords, outcome.tower)
+        assert min(branches[b] for b in ("root", "locus", "base")) >= 10, branches
+        assert grown >= 10
 
     def test_base_field_points_appear_in_the_exhaustive_list(self):
         rng = random.Random(63)
@@ -381,21 +406,34 @@ class TestSolve:
             outcome, _ = solve(ideal)
             if isinstance(outcome, Triviality) or outcome.tower != F2:
                 continue
-            assert tuple(outcome.reps()) in {
+            assert outcome.coords in {
                 tuple(z) for z in common_zeros(gens, F2, 2)
             }
 
     def test_seed_determinism(self):
         # a solve repeats itself, and factoring under another stream for the
-        # random splits gives the same outcome
+        # random splits gives the same outcome; each split system's first
+        # eliminant has three or two roots in GF(3), so its factoring splits
+        # at random and draws from the stream
+        x1, x2 = _vars(F3, 2)
+        one = _const(F3, 2, 1)
+        split = [
+            [x1**3 - x1, x2**2 - x1],
+            [x1**4 - one, x2**3 - x2 - x1],
+            [x1**3 - x1, x2**3 - x2 - x1],
+        ]
         rng = random.Random(64)
-        systems = [
+        systems = split + [
             [random_poly(rng, F3, 2, max_total=2) for _ in range(2)] for _ in range(10)
         ]
         first = [solve(Ideal(gens, domain=F3, nvars=2)) for gens in systems]
         assert [solve(Ideal(gens, domain=F3, nvars=2)) for gens in systems] == first
-        with split_stream(5):
-            assert [solve(Ideal(gens, domain=F3, nvars=2)) for gens in systems] == first
+        for seed in (0, 5, 11):
+            for i, (gens, want) in enumerate(zip(systems, first)):
+                with split_stream(seed) as streams:
+                    assert solve(Ideal(gens, domain=F3, nvars=2)) == want
+                if i < len(split):
+                    assert streams, (seed, i)
 
     def test_memory_does_not_grow_with_the_levels_left(self):
         # v0 + ... + v79 takes 80 steps; each step's ideal and cached bases
