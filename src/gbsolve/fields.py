@@ -375,7 +375,7 @@ class FieldTower(Field):
     def from_int(self, n):
         if not self.levels:
             return n % self.p
-        return unipoly.constant(self._sub.from_int(n), self._sub)
+        return unipoly.constant(self._sub.from_int(n))
 
     def add(self, a, b):
         if not self.levels:
@@ -478,7 +478,7 @@ class FieldTower(Field):
         The one checked way up a level: a minimal polynomial of degree below
         2, or one reducible over this tower, is rejected.
         """
-        minpoly = unipoly.monic(unipoly.trim(minpoly, self), self)
+        minpoly = unipoly.monic(unipoly.trim(minpoly), self)
         if unipoly.deg(minpoly) < 2:
             raise UsageError("tower levels must have degree >= 2")
         if not unipoly.is_irreducible(minpoly, self):
@@ -524,7 +524,7 @@ class FieldTower(Field):
         while i:
             coords.append(sub.element(i % sub.order))
             i //= sub.order
-        return unipoly.trim(coords, sub)
+        return unipoly.trim(coords)
 
     def index(self, a):
         if not self.levels:
@@ -585,7 +585,7 @@ def adjoin_root(tower, g):
     Degree-1 input yields its root in the unchanged tower; higher degrees
     go through ``extend``, checked, and the root is the new level's generator.
     """
-    g = unipoly.trim(g, tower)
+    g = unipoly.trim(g)
     if unipoly.deg(g) < 1:
         raise UsageError("cannot adjoin a root of a constant")
     if unipoly.deg(g) == 1:
@@ -626,7 +626,7 @@ class UnivariatePolyDomain(Domain):
         return (self.field.one(),)
 
     def from_int(self, n):
-        return unipoly.constant(self.field.from_int(n), self.field)
+        return unipoly.constant(self.field.from_int(n))
 
     def add(self, a, b):
         return unipoly.add(a, b, self.field)
@@ -656,7 +656,7 @@ class UnivariatePolyDomain(Domain):
 
     def canonical_unit(self, a):
         """The unit u with a/u monic."""
-        return unipoly.constant(unipoly.leading(a), self.field)
+        return unipoly.constant(unipoly.leading(a))
 
     def gcd(self, a, b):
         return unipoly.gcd(a, b, self.field)

@@ -7,19 +7,18 @@ and ``euclidean.strong_buchberger`` are the same engine behind different
 domain checks.  Over a field (``is_field``) every leading coefficient is 1,
 the strong criteria are the field criteria and no G-pair arises, so the
 engine is plain Buchberger.  Division tracks cofactors so every reduction
-yields an exact combination identity; completion can also track how each
-basis element was assembled from the input generators, which is how
-triviality certificates are produced.  Reduced bases over a field are monic,
-inter-reduced and sorted with the largest leading term first, so equal
-ideals print identically.
+yields an exact combination identity; completion stops at its first element
+that is 1, and tracking yields the certificate of a trivial ideal: that
+element's cofactors over the input generators.  Reduced bases over a field
+are monic, inter-reduced and sorted with the largest leading term first, so
+equal ideals print identically.
 
 1 lies in an ideal exactly when its reduced basis is {1}, under any term
-order, so ``is_trivial`` reads the verdict from whichever basis an ``Ideal``
-has cached and otherwise computes the one under ``TermOrder.elimination``
-(lex x_n > ... > x1), which ``eliminate_to_x1`` and ``Ideal.evaluate_x1``
-need anyway; under it a triangular system is already a basis, and its
-completion reduces no S-pair.
-A certificate comes from a tracked lex run, made only for a trivial ideal.
+order, so ``is_trivial`` reads the verdict from the basis under
+``TermOrder.elimination`` (lex x_n > ... > x1), which ``eliminate_to_x1``
+and ``Ideal.evaluate_x1`` need anyway; under it a triangular system is
+already a basis, and its completion reduces no S-pair.  A certificate comes
+from a tracked lex run, made only for a trivial ideal.
 
 Division and completion work on packed terms (``poly.Packing``).  Each
 exponent tuple becomes one int of equal fields, one per variable in the
@@ -28,10 +27,10 @@ field, each with a guard bit above it.  Integer comparison is then the term
 order, a product of terms is a sum, and s divides t exactly when t - s
 borrows from no guard bit.  Every entry point packs its input once and
 unpacks its output once; a tracked completion keeps each element's lineage
-packed too, one packed cofactor per generator, and unpacks it once with the
-basis.  Since reduction only adds terms below the current one, division
-takes the terms in strictly descending order.  Completion queues each pair
-as (packed lcm, kind, i, j) and reduces pairs smallest lcm first.
+packed too, one packed cofactor per generator, and unpacks only the unit's.
+Since reduction only adds terms below the current one, division takes the
+terms in strictly descending order.  Completion queues each pair as
+(packed lcm, kind, i, j) and reduces pairs smallest lcm first.
 
 The fields start a few bits wider than the largest field value of the input,
 but exponents grow during completion and, under lex, during division.  A sum
@@ -72,8 +71,8 @@ from .poly import Overflow, Packing, Polynomial, TermOrder
 class StrongBasis:
     """A computed basis plus the order it was computed under.
 
-    ``lineage`` is present on tracked runs: one cofactor vector per element,
-    expressing it in terms of the original generators.
+    Tracking yields the certificate of a trivial ideal: ``lineage`` holds the
+    basis {1}'s one cofactor vector over the generators, or else is None.
     """
 
     elements: tuple
@@ -468,7 +467,7 @@ def _unit_normalizer(dom, lc):
 
 
 def buchberger(gens, order=None, *, track=False, domain=None, nvars=None):
-    """Reduced Groebner basis; with track=True, lineage over the input is kept."""
+    """Reduced Groebner basis; track=True adds a trivial ideal's certificate."""
     gens = list(gens)
     domain, nvars = _ring(gens, domain, nvars)
     if not domain.is_field:
@@ -484,10 +483,11 @@ def _complete(gens, order, domain, nvars, track):
     the leading terms and the leading coefficients are coprime, or when a
     third leading monomial divides its lcm monomial and that element's
     S-pairs with both are done; a G-pair is made only when neither leading
-    coefficient divides the other, so over a field there are none.  With
+    coefficient divides the other, so over a field there are none.  No pair
+    pops once an element is 1 (over K[x1] a non-unit constant is not).  With
     ``track`` each element carries its cofactors over the generators, packed
-    like the element itself.  The generators are packed once, and the basis
-    and its lineage are unpacked once, at the end.
+    like the element itself; the generators are packed once, and the basis
+    and the first unit's cofactors, the certificate, unpacked once at the end.
     """
     if order is None:
         order = TermOrder.lex(nvars)
@@ -507,15 +507,19 @@ def _completion(pk, gens, domain, nvars, track):
     lineage = []  # with track: packed cofactors over the generators
     pending = set()  # S-pairs not yet popped
     queue = []  # (packed lcm, kind, i, j), smallest first
+    unit = None  # index of the first element that is 1; no pair pops after it
     p = domain.modulus
     rows = _Rows(pk, p, basis, lead) if p and pk.order.weights and not track else None
 
     def push(f, vec):
+        nonlocal unit
         lt = max(f)
         u = _unit_normalizer(domain, f[lt])
         f = {t: domain.mul(c, u) for t, c in f.items()}
         lc = f[lt]
         j = len(basis)
+        if unit is None and not lt and domain.is_one(lc):
+            unit = j
         for i, (e, c) in enumerate(lead):
             t = pk.lcm(e, lt)
             heappush(queue, (t, _S, i, j))
@@ -535,7 +539,7 @@ def _completion(pk, gens, domain, nvars, track):
             vec = [{0: domain.one()} if m == k else {} for m in range(len(gens))]
         push(g, vec)
 
-    while queue:
+    while queue and unit is None:
         t, kind, i, j = heappop(queue)
         if kind == _S:
             pending.discard((i, j))
@@ -571,14 +575,13 @@ def _completion(pk, gens, domain, nvars, track):
     # Minimal basis: visit in ascending (leading term, coefficient sort key),
     # so every strong divisor comes first, and keep an element unless a kept
     # one strongly divides its leading monomial.  Among equal leading
-    # monomials the earliest element survives over a field (printed
-    # certificates depend on it) and the latest over K[x1] (printed strong
-    # bases depend on it).
+    # monomials the latest element survives (printed strong bases over K[x1]
+    # depend on it; over a field the reduced basis is unique, and the
+    # certificate is the first unit's lineage, kept apart from the basis).
     keep = []
     cdom = None if field else domain  # coefficient test of _strongly_divides
     ranked = sorted(
-        range(len(basis)),
-        key=lambda k: (lead[k][0], domain.sort_key(lead[k][1]), k if field else -k),
+        range(len(basis)), key=lambda k: (lead[k][0], domain.sort_key(lead[k][1]), -k)
     )
     for k in ranked:
         if not any(_strongly_divides(cdom, guard, lead[m], lead[k]) for m in keep):
@@ -595,7 +598,6 @@ def _completion(pk, gens, domain, nvars, track):
     # remainder is the unique normal form, the same as the kept elements give.
     elems = [basis[k] for k in keep]
     leads = [lead[k] for k in keep]
-    lins = [lineage[k] for k in keep] if track else None
     units = [m for m in range(len(elems)) if field or domain.is_unit(leads[m][1])]
     for idx in range(len(elems)):
         others = [m for m in units if m != idx]
@@ -605,26 +607,21 @@ def _completion(pk, gens, domain, nvars, track):
         if rows and rows.reaches(lt):
             elems[idx] = {lt: lc, **rows.reduce(rows.tail(keep[idx], lt))}
             continue
-        r, cofs = _divide(
+        elems[idx] = _divide(
             elems[idx],
             [elems[m] for m in others],
             [leads[m] for m in others],
             guard,
             domain,
-            track,
-        )
-        elems[idx] = r
-        if track:
-            lins[idx] = _submul(
-                lins[idx], cofs, [lins[m] for m in others], domain, guard
-            )
+            False,
+        )[0]
 
     def unpack(f):
         return _unpack(f, pk, domain, nvars)
 
     # leading monomials are distinct now, so this is descending order
     elements = tuple(map(unpack, reversed(elems)))
-    lin = tuple(tuple(map(unpack, v)) for v in reversed(lins)) if track else None
+    lin = (tuple(map(unpack, lineage[unit])),) if track and unit is not None else None
     return StrongBasis(elements, pk.order, domain, nvars, lineage=lin)
 
 
@@ -660,17 +657,14 @@ class Ideal:
         self.domain, self.nvars = _ring(self.gens, domain, nvars)
         self._bases = {}
 
-    def groebner(self, order=None, track=False):
+    def groebner(self, order=None):
         if order is None:
             order = TermOrder.lex(self.nvars)
         hit = self._bases.get(order)
-        if hit is not None and (hit.lineage is not None or not track):
-            return hit
-        computed = buchberger(
-            self.gens, order, track=track, domain=self.domain, nvars=self.nvars
-        )
-        self._bases[order] = computed
-        return computed
+        if hit is None:
+            hit = buchberger(self.gens, order, domain=self.domain, nvars=self.nvars)
+            self._bases[order] = hit
+        return hit
 
     def evaluate_x1(self, a, tower):
         """I(a): x1 fixed at a, over ``tower`` (at or above the ideal's field).
@@ -698,10 +692,6 @@ class Ideal:
             ideal._bases[order] = StrongBasis(tuple(gens), order, tower, ideal.nvars)
         return ideal
 
-    def cached_basis(self):
-        """Some basis computed so far, under any order, or None."""
-        return next(iter(self._bases.values()), None)
-
     def __repr__(self):
         return f"Ideal({len(self.gens)} gens over {self.domain.tag})"
 
@@ -721,17 +711,15 @@ def is_trivial(ideal):
     """Decide whether 1 lies in the ideal; on yes, certify 1 = sum(c_i * gen_i).
 
     1 lies in the ideal exactly when its reduced basis is {1}, under any term
-    order, so the verdict comes from whichever basis the ideal has cached.
-    With none cached it computes the elimination basis, which
-    ``eliminate_to_x1`` then reuses.  The certificate comes from a tracked
-    run under lex, made only when the ideal is trivial.
+    order, so the verdict comes from the ideal's elimination basis, which
+    ``eliminate_to_x1`` then reuses.  Tracking yields the certificate of a
+    trivial ideal: a tracked ``buchberger`` run under lex, made only when the
+    ideal is trivial and not cached, since no other caller reads it.
     """
-    gb = ideal.cached_basis()
-    if gb is None:
-        gb = ideal.groebner(TermOrder.elimination(ideal.nvars))
+    gb = ideal.groebner(TermOrder.elimination(ideal.nvars))
     if not (len(gb.elements) == 1 and gb.elements[0].is_one()):
         return Triviality(False, None)
-    tracked = ideal.groebner(TermOrder.lex(ideal.nvars), track=True)
+    tracked = buchberger(ideal.gens, TermOrder.lex(ideal.nvars), track=True)
     return Triviality(True, tracked.lineage[0])
 
 

@@ -27,7 +27,7 @@ import random
 from .errors import InvariantViolation, UsageError
 
 
-def trim(f, F):
+def trim(f):
     """Drop trailing zero coefficients, returning the canonical tuple."""
     f = tuple(f)
     n = len(f)
@@ -41,7 +41,7 @@ def deg(f):
     return len(f) - 1
 
 
-def constant(c, F):
+def constant(c):
     return (c,) if c else ()
 
 
@@ -66,7 +66,7 @@ def add(f, g, F):
     out = list(f)
     for i, c in enumerate(g):
         out[i] = F.add(out[i], c)
-    return trim(out, F)
+    return trim(out)
 
 
 def neg(f, F):
@@ -80,7 +80,7 @@ def sub(f, g, F):
 def scale(f, c, F):
     if not c:
         return ()
-    return trim([F.mul(a, c) for a in f], F)
+    return trim([F.mul(a, c) for a in f])
 
 
 def mul(f, g, F):
@@ -92,7 +92,7 @@ def mul(f, g, F):
             continue
         for j, b in enumerate(g):
             out[i + j] = F.add(out[i + j], F.mul(a, b))
-    return trim(out, F)
+    return trim(out)
 
 
 def power(a, e, mul, one):
@@ -139,7 +139,7 @@ def divmod_(f, g, F):
         base = top - n
         for j in range(n):
             out[base + j] = F.sub(out[base + j], F.mul(c, g[j]))
-    return tuple(out[n:]), trim(out[:n], F)
+    return tuple(out[n:]), trim(out[:n])
 
 
 def quo(f, g, F):
@@ -253,7 +253,7 @@ def derivative(f, F):
     for i in range(1, len(f)):
         k = F.from_int(i)
         out.append(F.mul(f[i], k))
-    return trim(out, F)
+    return trim(out)
 
 
 def pow_mod(f, e, m, F):
@@ -277,7 +277,7 @@ def _pth_root(f, F):
     # In char p every f with f' = 0 is g(x**p); the coefficient root is c**(q/p).
     p = F.char
     e = F.order // p
-    return trim([elem_pow(f[i], e, F) for i in range(0, len(f), p)], F)
+    return trim([elem_pow(f[i], e, F) for i in range(0, len(f), p)])
 
 
 def sqf_list(f, F):
@@ -340,7 +340,7 @@ def ddf(f, F):
 
 def _random_poly(max_deg, F, rng):
     coeffs = [F.element(rng.randrange(F.order)) for _ in range(max_deg + 1)]
-    return trim(coeffs, F)
+    return trim(coeffs)
 
 
 def edf(f, d, F):
@@ -441,7 +441,7 @@ def factor_key(g, F):
 
 def factor(f, F):
     """Factor nonconstant f into [(monic irreducible, multiplicity)], sorted."""
-    f = trim(f, F)
+    f = trim(f)
     if deg(f) < 1:
         raise UsageError("factorization requires a nonconstant polynomial")
     out = []
@@ -457,7 +457,7 @@ def factor(f, F):
 
 def is_irreducible(f, F):
     """True when f is irreducible over the finite field F: ddf leaves it whole."""
-    f = monic(trim(f, F), F)
+    f = monic(trim(f), F)
     return deg(f) >= 1 and ddf(f, F) == [(f, deg(f))]
 
 

@@ -163,7 +163,7 @@ def textbook_divmod(f, g, F):
         quo[i] = q
         for j, b in enumerate(g):
             rem[i + j] = F.sub(rem[i + j], F.mul(q, b))
-    return unipoly.trim(quo, F), unipoly.trim(rem, F)
+    return unipoly.trim(quo), unipoly.trim(rem)
 
 
 def common_zeros(gens, tower, nvars):

@@ -279,7 +279,7 @@ class TestExtendedGcd:
                 else:
                     f = tuple(field.element(rng.randrange(field.order)) for _ in range(rng.randrange(1, 4)))
                     g = tuple(field.element(rng.randrange(field.order)) for _ in range(rng.randrange(1, 4)))
-                f, g = unipoly.trim(f, field), unipoly.trim(g, field)
+                f, g = unipoly.trim(f), unipoly.trim(g)
                 if not f and not g:
                     continue
                 d, u, v = unipoly.xgcd(f, g, field)
@@ -303,7 +303,7 @@ class TestUnivariatePolyDomain:
         for _ in range(60):
             a = tuple(rng.randrange(5) for _ in range(rng.randrange(5)))
             b = tuple(rng.randrange(5) for _ in range(rng.randrange(1, 5)))
-            a, b = unipoly.trim(a, F5), unipoly.trim(b, F5)
+            a, b = unipoly.trim(a), unipoly.trim(b)
             if not b:
                 continue
             q, r = self.dom.euclid_divmod(a, b)
@@ -362,7 +362,7 @@ def _zero_invariant_domains():
         return Fraction(rng.randrange(-4, 5), rng.randrange(1, 4))
 
     def poly_over(sample, F):
-        return lambda rng: unipoly.trim([sample(rng) for _ in range(rng.randrange(4))], F)
+        return lambda rng: unipoly.trim([sample(rng) for _ in range(rng.randrange(4))])
 
     return [
         (QQ, rational),

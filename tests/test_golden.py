@@ -47,9 +47,10 @@ CASES = [
     ("is_trivial_gf5", ["is-trivial"], ["unit3_gf5.gb"], 0),
     ("is_trivial_rational", ["is-trivial"], ["unit3_q.gb"], 0),
     ("is_trivial_proper", ["is-trivial"], ["random3_gf5.gb"], 1),
-    # equal leading monomials: the earliest element survives over a field
+    # two constants: tracking yields the certificate of a trivial ideal, the
+    # cofactors of the first element that is 1, here the first constant
     ("is_trivial_two_constants", ["is-trivial"], ["two_constants_gf5.gb"], 0),
-    # ... and the latest over K[x1]
+    # equal leading monomials over K[x1]: the latest element survives
     ("gb_strong_shared_lead", ["gb-strong"], ["shared_lead_gf7.gb"], 0),
     ("member_yes", ["member"], ["member_gf7.gb"], 0),
     ("member_no", ["member"], ["nonmember_gf7.gb"], 1),

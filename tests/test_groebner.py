@@ -222,36 +222,64 @@ class TestBuchberger:
         assert len(reductions) == 11
         assert not certify_basis(gens, strong.order)
 
-    def test_lineage_reconstructs_elements(self):
-        rng = random.Random(25)
-        for field in (F2, F5):
-            for _ in range(15):
-                gens = [
-                    random_poly(rng, field, 2, max_total=2)
-                    for _ in range(rng.randrange(1, 4))
-                ]
-                gb = buchberger(gens, track=True, domain=field, nvars=2)
-                assert gb.lineage is not None
-                for g, vec in zip(gb.elements, gb.lineage):
-                    acc = Polynomial.zero(field, 2)
-                    for cof, gen in zip(vec, gens):
-                        acc = acc + cof * gen
-                    assert acc == g
+    def test_a_completion_stops_at_the_unit(self, monkeypatch):
+        x1, x2 = _vars(F5, 2)
+        one = _const(F5, 2, 1)
+        events = []
+        pop, divide = groebner.heappop, groebner._divide
 
-    def test_lineage_over_rationals(self):
-        rng = random.Random(26)
-        for _ in range(8):
-            gens = [random_poly_q(rng, QQ, 2) for _ in range(2)]
-            gb = buchberger(gens, track=True, domain=QQ, nvars=2)
-            for g, vec in zip(gb.elements, gb.lineage):
-                acc = Polynomial.zero(QQ, 2)
-                for cof, gen in zip(vec, gens):
-                    acc = acc + cof * gen
-                assert acc == g
+        def spy_pop(heap):
+            item = pop(heap)
+            if isinstance(item, tuple):  # the pair queue, not a division heap
+                events.append("pop")
+            return item
+
+        def spy_divide(*args):
+            r, cofs = divide(*args)
+            events.append("unit" if list(r) == [0] else "divide")
+            return r, cofs
+
+        monkeypatch.setattr(groebner, "heappop", spy_pop)
+        monkeypatch.setattr(groebner, "_divide", spy_divide)
+        # a constant generator: no pair is reduced, tracked or not; the
+        # pair of x1^2 + x2 and x1 + 1 would pop before either pair with 3
+        gens = [x1 * x1 + x2, x1 + one, _const(F5, 2, 3)]
+        for track in (False, True):
+            events.clear()
+            gb = buchberger(gens, track=track)
+            assert gb.elements == (one,) and events == []
+        # a unit from the first pair reduced: no pair pops after it
+        events.clear()
+        gens = [x1 * x2, x1 * x2 + one, x1 * x1 + x2, x2**3 + x1]
+        assert buchberger(gens).elements == (one,)
+        assert events == ["pop", "unit"]
+        # over K[x1], a constant that is not a unit (x1) does not stop the
+        # run: the pair x2*x1 - (x1*x2 + 1) still reduces to the unit
+        views = [euclidean.to_coeff_view(g) for g in (x1, x1 * x2 + one)]
+        events.clear()
+        strong = euclidean.strong_buchberger(views)
+        assert [to_text(g) for g in strong.elements] == ["(1)"]
+        assert events.count("pop") >= 1 and events[-1] == "unit"
+
+    def test_a_proper_ideal_keeps_no_lineage(self):
+        # tracking yields only the certificate of a trivial ideal
+        rng = random.Random(25)
+        proper = 0
+        for field in (F5, F49, QQ):
+            maker = random_poly_q if field is QQ else random_poly
+            for _ in range(10):
+                gens = [maker(rng, field, 3, max_total=2) for _ in range(2)]
+                tracked = buchberger(gens, track=True, domain=field, nvars=3)
+                bare = buchberger(gens, domain=field, nvars=3)
+                assert tracked.elements == bare.elements
+                if bare.elements != (Polynomial.constant(field, 3, field.one()),):
+                    assert tracked.lineage is None
+                    proper += 1
+        assert proper >= 25
 
     def test_tracked_runs_unpack_once(self, monkeypatch):
         # the lineage stays packed: the only polynomials built are the
-        # unpacked elements and one cofactor per element and generator
+        # unpacked elements and, for a trivial ideal, its one certificate
         rng = random.Random(27)
         systems = []
         for field in (F5, F49, QQ):
@@ -268,10 +296,14 @@ class TestBuchberger:
             real(self, *args)
 
         monkeypatch.setattr(Polynomial, "__init__", counting)
+        kinds = set()
         for field, gens in systems:
             built[0] = 0
             gb = buchberger(gens, track=True, domain=field, nvars=3)
-            assert built[0] == len(gb.elements) * (1 + len(gens))
+            trivial = gb.lineage is not None
+            kinds.add(trivial)
+            assert built[0] == (1 + len(gens) if trivial else len(gb.elements))
+        assert kinds == {False, True}
 
     def test_zero_generators_are_dropped(self):
         x1, _ = _vars(F5, 2)
@@ -334,15 +366,16 @@ class TestBuchberger:
 
 
 class TestIdeal:
-    def test_basis_is_cached_and_upgraded(self):
+    def test_basis_is_cached_per_order(self):
         x1, x2 = _vars(F5, 2)
         ideal = Ideal([x1 * x2 - _const(F5, 2, 1)])
         first = ideal.groebner()
         assert ideal.groebner() is first
-        tracked = ideal.groebner(track=True)
-        assert tracked.lineage is not None
-        # the tracked basis replaces the bare one in the cache
-        assert ideal.groebner() is tracked
+        assert ideal.groebner(TermOrder.lex(2)) is first
+        graded = ideal.groebner(TermOrder.weighted((1, 1)))
+        assert graded is not first
+        assert ideal._bases == {TermOrder.lex(2): first, graded.order: graded}
+        assert first.lineage is None and graded.lineage is None
 
     def test_mixed_generators_rejected(self):
         with pytest.raises(UsageError):
@@ -368,11 +401,12 @@ class TestTriviality:
     def test_certificate_identity_random(self):
         # build obviously trivial ideals and check the combination hits 1
         rng = random.Random(31)
-        for field in (F2, F3, F5):
+        for field in (F2, F3, F5, QQ):
+            maker = random_poly_q if field is QQ else random_poly
             hits = 0
             while hits < 12:
                 gens = [
-                    random_poly(rng, field, 2, max_total=2)
+                    maker(rng, field, 2, max_total=2)
                     for _ in range(rng.randrange(1, 4))
                 ]
                 verdict = is_trivial(Ideal(gens, domain=field, nvars=2))
@@ -383,6 +417,27 @@ class TestTriviality:
                 for cof, gen in zip(verdict.certificate, gens):
                     acc = acc + cof * gen
                 assert acc.is_one()
+
+    def test_the_certificate_run_is_not_cached(self, monkeypatch):
+        # the verdict reads the cached elimination basis; the tracked lex run
+        # goes to buchberger directly and leaves the cache as it was
+        x1, x2, x3 = _vars(F5, 3)
+        unit = Ideal([x1 * x2 - x3, x3 - _const(F5, 3, 1), x1 * x2])
+        elimination = unit.groebner(TermOrder.elimination(3))
+        calls = []
+        real = groebner.buchberger
+
+        def counting(gens, order=None, **kwargs):
+            calls.append((order, kwargs.get("track", False)))
+            return real(gens, order, **kwargs)
+
+        monkeypatch.setattr(groebner, "buchberger", counting)
+        verdict = is_trivial(unit)
+        assert [to_text(c) for c in verdict.certificate] == ["4", "4", "1"]
+        assert calls == [(TermOrder.lex(3), True)]
+        assert unit._bases == {elimination.order: elimination}
+        assert is_trivial(unit) == verdict
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("field", [F5, F49], ids=["GF5", "GF49"])
     def test_verdict_from_the_elimination_basis_matches_lex(self, field):
@@ -396,28 +451,6 @@ class TestTriviality:
             assert bool(verdict) == (lex.elements == (one,))
             verdicts.append(bool(verdict))
         assert set(verdicts) == {True, False}
-
-    def test_verdict_reads_a_basis_of_any_cached_order(self, monkeypatch):
-        x1, x2, x3 = _vars(F5, 3)
-        one = _const(F5, 3, 1)
-        graded = TermOrder.weighted((1, 1, 1))
-        proper = Ideal([x1 * x2 - x3, x3 * x3 - x1])
-        unit = Ideal([x1 * x2 - x3, x3 - one, x1 * x2])
-        proper.groebner(graded)
-        unit.groebner(graded)
-        calls = []
-        real = groebner.buchberger
-
-        def counting(gens, order=None, **kwargs):
-            calls.append((order, kwargs.get("track", False)))
-            return real(gens, order, **kwargs)
-
-        monkeypatch.setattr(groebner, "buchberger", counting)
-        assert not is_trivial(proper)
-        assert calls == []
-        verdict = is_trivial(unit)
-        assert [to_text(c) for c in verdict.certificate] == ["4", "4", "1"]
-        assert calls == [(TermOrder.lex(3), True)]
 
     @settings(max_examples=80, derandomize=True, database=None, deadline=None)
     @given(
@@ -595,8 +628,9 @@ class TestEvaluateX1:
         one = _const(F5, 3, 1)
         ideal = Ideal([x1 * x1 - one, x2 * x2 - x1, x3 * x3 + x2 * x3 + x1])
         carried = ideal.evaluate_x1(F5.from_int(4), F5)  # x1 = -1
-        cached = carried.cached_basis()
-        assert cached is not None and cached.order == TermOrder.elimination(2)
+        order = TermOrder.elimination(2)
+        assert list(carried._bases) == [order]
+        cached = carried._bases[order]
         assert [to_text(g, order=cached.order) for g in cached.elements] == [
             "x2^2 + x1*x2 + 4",
             "x1^2 + 1",
@@ -606,7 +640,7 @@ class TestEvaluateX1:
         # x1*x2 - 1 leads with x1 and evaluates to -1: nothing is cached
         x1, x2 = _vars(F5, 2)
         carried = Ideal([x1 * x2 - _const(F5, 2, 1)]).evaluate_x1(F5.zero(), F5)
-        assert carried.cached_basis() is None
+        assert carried._bases == {}
         assert is_trivial(carried)
 
     def test_a_non_root_of_the_eliminant_gives_the_unit_ideal(self):
@@ -614,5 +648,5 @@ class TestEvaluateX1:
         ideal = Ideal([x1 * x1 - _const(F5, 2, 1), x2 - x1])
         assert to_text(eliminate_to_x1(ideal)) == "x1^2 + 4"
         carried = ideal.evaluate_x1(F5.from_int(2), F5)
-        assert carried.cached_basis() is None
+        assert carried._bases == {}
         assert is_trivial(carried)

@@ -36,15 +36,14 @@ ARITHMETIC_IDS = ["GF5", "GF32003", "GF9", "GF625"]
 
 def _random_tuple(rng, field, max_deg):
     return unipoly.trim(
-        tuple(field.element(rng.randrange(field.order)) for _ in range(max_deg + 1)),
-        field,
+        tuple(field.element(rng.randrange(field.order)) for _ in range(max_deg + 1))
     )
 
 
 def _all_monic(field, degree):
     base = list(field.elements())
     for tail in itertools.product(base, repeat=degree):
-        yield unipoly.trim(tuple(tail) + (field.one(),), field)
+        yield unipoly.trim(tuple(tail) + (field.one(),))
 
 
 def _irreducible_by_trial_division(f, field):
@@ -75,7 +74,7 @@ class TestDivision:
         # constants included, and quo and rem are its two halves
         rng = random.Random(2)
         for a, b in _operand_pairs(rng, field, 30, 5):
-            for g in (b, unipoly.monic(b, field), unipoly.trim(b[:2], field)):
+            for g in (b, unipoly.monic(b, field), unipoly.trim(b[:2])):
                 if not g:
                     continue
                 q, r = unipoly.divmod_(a, g, field)
@@ -156,7 +155,7 @@ class TestDivision:
         # included, and every pair of operands of degree <= 1
         moduli = list(_all_monic(field, 2))
         pairs = itertools.product(range(field.p), repeat=2)
-        operands = [unipoly.trim(t, field) for t in pairs]
+        operands = [unipoly.trim(t) for t in pairs]
         assert len(moduli) == field.p**2 and len(set(operands)) == field.p**2
         assert F2 is not field or {(0, 0, 1), (1, 0, 1)} <= set(moduli)
         for m in moduli:
@@ -409,7 +408,7 @@ class TestQuadraticSplit:
         elements = list(field.elements())
         for b in elements:
             for c in elements:
-                f = unipoly.trim((c, b, field.one()), field)
+                f = unipoly.trim((c, b, field.one()))
                 assert unipoly.factor(f, field) == self._generic_factor(f, field), f
 
     def test_sampled_quadratics_over_gf625_factor_as_the_generic_way(self):
@@ -420,7 +419,7 @@ class TestQuadraticSplit:
             (F625.element(rng.randrange(F625.order)), F625.element(rng.randrange(F625.order)), one)
             for _ in range(40)
         ]:
-            f = unipoly.trim(f, F625)
+            f = unipoly.trim(f)
             assert unipoly.factor(f, F625) == self._generic_factor(f, F625), f
 
     def test_quadratic_takes_no_gcd_and_no_ddf(self, monkeypatch):
